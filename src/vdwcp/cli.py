@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,9 @@ def _parse_grid(text: str) -> np.ndarray:
         points = int(parts[2])
     except ValueError:
         raise ValueError(f"grid must be numeric min:max:points, got {text!r}") from None
+    for name, part, bound in (("min", parts[0], lo), ("max", parts[1], hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"grid {name} must be finite, got {part!r}")
     if not (lo > 0.0 and hi > lo and points >= 2):
         raise ValueError(
             f"grid needs 0 < min < max and points >= 2, got {text!r}"

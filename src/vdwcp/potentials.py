@@ -6,6 +6,10 @@ pair) and the static response magnitudes are factored out of the integrand,
 so the quadrature always sees O(1) ratios times the universal kernels of the
 green module; the physical scale returns through an analytic prefactor. A
 channel whose static response vanishes is exactly zero and skips quadrature.
+Curves and single points share one loop over channels and distances. The
+diamagnetic response is frequency independent, so the integrals of the
+mirror d and pair dd channels do not depend on the distance and are
+integrated once per call.
 
 Sign conventions that the whole module hangs on: the mirror magnetic trace is
 positive for a conducting plate and the electric trace is its negative; in
@@ -26,6 +30,7 @@ from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same
 from .quad import QuadratureSpec, integrate_semiinf
 from .response import (
     AtomModel,
+    LorentzTable,
     alpha_iso,
     beta_para_iso,
     beta_total,
@@ -86,23 +91,45 @@ class UnsupportedAsymptoteError(ValueError):
     """No closed asymptotic coefficient is implemented for this channel/regime."""
 
 
-def _static_response(atom: AtomModel, letter: str, hbar: float) -> float:
-    if letter == ELECTRIC_LETTER:
-        return alpha_iso(atom, 0.0, hbar)
-    if letter == PARA_LETTER:
-        return beta_para_iso(atom, 0.0, hbar)
-    return diamagnetisability(atom.diamagnetic)
+def _response(atom: AtomModel, letter: str, hbar: float) -> tuple[float, LorentzTable | None]:
+    """Static response of one letter and the table of its frequency dependence.
 
-
-def _response_ratio(atom: AtomModel, letter: str, hbar: float):
-    """Callable xi -> response(i xi)/response(0); constant 1 for diamagnetic."""
+    The table is None where the ratio to the static value needs none: for
+    the frequency-independent diamagnetic response, whose ratio is the
+    constant 1, and for a zero static response, whose channels are zero.
+    """
     if letter == DIA_LETTER:
-        return lambda xi: np.ones_like(np.asarray(xi, dtype=float))
+        return diamagnetisability(atom.diamagnetic), None
     if letter == ELECTRIC_LETTER:
-        static = alpha_iso(atom, 0.0, hbar)
-        return lambda xi: alpha_iso(atom, xi, hbar) / static
-    static = beta_para_iso(atom, 0.0, hbar)
-    return lambda xi: beta_para_iso(atom, xi, hbar) / static
+        static, transitions = alpha_iso(atom, 0.0, hbar), atom.electric_transitions
+    else:
+        static, transitions = beta_para_iso(atom, 0.0, hbar), atom.magnetic_transitions
+    return static, LorentzTable(transitions, hbar) if static != 0.0 else None
+
+
+def _prefactors(
+    numerator: float, coefficient: float, distances: np.ndarray, power: int, name: str
+) -> list[float]:
+    """numerator / (coefficient * d**power) for every distance d, checking each d first.
+
+    A distance that is not positive, or whose power leaves the float range so
+    that the prefactor would be zero, infinite or raise, is a ValueError
+    naming it.
+    """
+    prefactors = []
+    for d in distances.tolist():
+        if not d > 0.0:
+            raise ValueError(f"{name} must be positive, got {d!r}")
+        try:
+            value = numerator / (coefficient * d**power)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"{name} {d!r} is out of range: 1/{name[-1]}^{power} is not a finite non-zero float"
+            )
+        prefactors.append(value)
+    return prefactors
 
 
 @dataclass(frozen=True)
@@ -133,29 +160,48 @@ class PairPotential:
         return math.fsum(self.channels[ch] for ch in PAIR_CHANNELS)
 
 
-def _mirror_channel(
+def _mirror_values(
     atom: AtomModel,
-    letter: str,
-    z: float,
+    distances: np.ndarray,
     plate: PlateKind,
     consts: Constants,
     spec: QuadratureSpec,
-) -> float:
-    static = _static_response(atom, letter, consts.hbar)
-    if static == 0.0:
-        return 0.0
-    ratio = _response_ratio(atom, letter, consts.hbar)
-    scale = consts.c / (2.0 * z)  # xi = scale * x
+) -> np.ndarray:
+    """Every mirror channel at every distance, one row per MIRROR_CHANNELS entry.
 
-    def integrand(x):
-        return ratio(scale * x) * mirror_kernel(x)
+    The one mirror evaluation path. Channel value = prefactor(z) *
+    int R(c x / 2z) mirror_kernel(x) dx, with R the response over its static
+    value. R = 1 for the diamagnetic channel, whose integral is therefore the
+    same kernel moment at every distance and is integrated once per call. A
+    channel with zero static response stays exactly zero and skips quadrature.
+    """
+    bases = _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, distances, 4, "mirror distance z")
+    mirror_spec = dataclasses.replace(spec, decay_scale=1.0)
+    values = np.zeros((len(MIRROR_CHANNELS), distances.size))
+    for row, ch in zip(values, MIRROR_CHANNELS):
+        static, table = _response(atom, ch.value, consts.hbar)
+        if static == 0.0:
+            continue
+        if table is None:
+            moment = integrate_semiinf(mirror_kernel, mirror_spec).value
+        for i, (z, base) in enumerate(zip(map(float, distances), bases)):
+            if table is None:
+                integral = moment
+            else:
+                scale = consts.c / (2.0 * z)  # xi = scale * x
 
-    integral = integrate_semiinf(integrand, dataclasses.replace(spec, decay_scale=1.0)).value
-    base = consts.hbar * consts.c / (32.0 * np.pi**2 * z**4)
-    if letter == ELECTRIC_LETTER:
-        # electric trace = -(magnetic trace), hence the opposite sign
-        return -plate.sign * base / consts.eps0 * static * integral
-    return plate.sign * base * consts.mu0 * static * integral
+                def integrand(x):
+                    ratio = table(scale * x)
+                    ratio /= static
+                    return ratio * mirror_kernel(x)
+
+                integral = integrate_semiinf(integrand, mirror_spec).value
+            if ch is Channel.E:
+                # electric trace = -(magnetic trace), hence the opposite sign
+                row[i] = -plate.sign * base / consts.eps0 * static * integral
+            else:
+                row[i] = plate.sign * base * consts.mu0 * static * integral
+    return values
 
 
 def cp_mirror(
@@ -175,13 +221,10 @@ def cp_mirror(
     magnetic ones repulsive for paramagnetic / attractive for diamagnetic
     response; a permeable mirror flips every sign.
     """
-    if not z > 0.0:
-        raise ValueError(f"mirror distance z must be positive, got {z!r}")
-    return MirrorPotential(
-        electric=_mirror_channel(atom, ELECTRIC_LETTER, z, plate, consts, spec),
-        paramagnetic=_mirror_channel(atom, PARA_LETTER, z, plate, consts, spec),
-        diamagnetic=_mirror_channel(atom, DIA_LETTER, z, plate, consts, spec),
-    )
+    electric, paramagnetic, diamagnetic = _mirror_values(
+        atom, np.array([z], dtype=float), plate, consts, spec
+    )[:, 0].tolist()
+    return MirrorPotential(electric, paramagnetic, diamagnetic)
 
 
 def cp_mirror_diamagnetic_closed(
@@ -201,53 +244,79 @@ def cp_mirror_diamagnetic_closed(
     )
 
 
-def _pair_channel(
-    channel: Channel,
+def _pair_integrand(ratios, crossed: bool, scale: float):
+    """x -> [x^2] * product of R(scale x) * kernel(x), evaluated left to right.
+
+    ratios are (table, static) pairs, atom A's before atom B's for like
+    channels and the electric side first for crossed ones, so that swapping
+    the atoms reproduces bit-identical products. A diamagnetic side has
+    R = 1 and is left out, which changes no bit.
+    """
+    (table, static), *rest = ratios
+
+    def integrand(x):
+        xi = scale * x
+        ratio = table(xi)
+        ratio /= static
+        for other, other_static in rest:
+            other_ratio = other(xi)
+            other_ratio /= other_static
+            ratio *= other_ratio
+        if crossed:
+            return x**2 * ratio * pair_kernel_cross(x)
+        return ratio * pair_kernel_same(x)
+
+    return integrand
+
+
+def _pair_values(
     atom_a: AtomModel,
     atom_b: AtomModel,
-    l: float,
+    distances: np.ndarray,
     consts: Constants,
     spec: QuadratureSpec,
-) -> float:
-    letter_a, letter_b = channel.value
-    static_a = _static_response(atom_a, letter_a, consts.hbar)
-    static_b = _static_response(atom_b, letter_b, consts.hbar)
-    if static_a == 0.0 or static_b == 0.0:
-        return 0.0
+) -> np.ndarray:
+    """Every pair channel at every separation, one row per PAIR_CHANNELS entry.
 
-    scale = consts.c / l  # xi = scale * x
-    base = consts.hbar * consts.mu0**2 * consts.c / (16.0 * np.pi**3 * l**7)
+    The one pair evaluation path; see vdw_pair for the integrals. A channel
+    with diamagnetic response on both sides integrates the bare like kernel,
+    the same moment at every separation, once per call; a channel with a
+    zero static response stays exactly zero and skips quadrature.
+    """
+    hbar, c = consts.hbar, consts.c
+    bases = _prefactors(hbar * consts.mu0**2 * c, 16.0 * np.pi**3, distances, 7, "separation l")
     pair_spec = dataclasses.replace(spec, decay_scale=0.5)
+    letters = (ELECTRIC_LETTER, PARA_LETTER, DIA_LETTER)
+    responses_a = {letter: _response(atom_a, letter, hbar) for letter in letters}
+    responses_b = {letter: _response(atom_b, letter, hbar) for letter in letters}
 
-    electric_sides = (letter_a == ELECTRIC_LETTER) + (letter_b == ELECTRIC_LETTER)
-    if electric_sides != 1:
-        # like-response coupling: two electric or two magnetic sides
-        ratio_a = _response_ratio(atom_a, letter_a, consts.hbar)
-        ratio_b = _response_ratio(atom_b, letter_b, consts.hbar)
-
-        def integrand(x):
-            return ratio_a(scale * x) * ratio_b(scale * x) * pair_kernel_same(x)
-
-        weight = consts.c**4 if electric_sides == 2 else 1.0
-        prefactor = -base * weight * (static_a * static_b)
-    else:
-        # crossed electric-magnetic coupling; keep the electric ratio first
-        # so that swapping the atoms reproduces bit-identical products
-        if letter_a == ELECTRIC_LETTER:
-            ratio_e = _response_ratio(atom_a, letter_a, consts.hbar)
-            ratio_m = _response_ratio(atom_b, letter_b, consts.hbar)
-        else:
-            ratio_e = _response_ratio(atom_b, letter_b, consts.hbar)
-            ratio_m = _response_ratio(atom_a, letter_a, consts.hbar)
-
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            return x**2 * (ratio_e(scale * x) * ratio_m(scale * x)) * pair_kernel_cross(x)
-
-        prefactor = base * consts.c**2 * (static_a * static_b)
-
-    integral = integrate_semiinf(integrand, pair_spec).value
-    return prefactor * integral
+    values = np.zeros((len(PAIR_CHANNELS), distances.size))
+    for row, ch in zip(values, PAIR_CHANNELS):
+        letter_a, letter_b = ch.value
+        side_a, side_b = responses_a[letter_a], responses_b[letter_b]
+        if side_a[0] == 0.0 or side_b[0] == 0.0:
+            continue
+        product = side_a[0] * side_b[0]
+        electric_sides = (letter_a == ELECTRIC_LETTER) + (letter_b == ELECTRIC_LETTER)
+        crossed = electric_sides == 1
+        if crossed and letter_b == ELECTRIC_LETTER:
+            side_a, side_b = side_b, side_a
+        # a list: tuple(<generator>) resizes, and resized tuples pile up on CPython's free list
+        ratios = [(table, static) for static, table in (side_a, side_b) if table is not None]
+        weight = c**4 if electric_sides == 2 else 1.0
+        if not ratios:
+            moment = integrate_semiinf(pair_kernel_same, pair_spec).value
+        for i, (l, base) in enumerate(zip(map(float, distances), bases)):
+            if ratios:
+                integrand = _pair_integrand(ratios, crossed, c / l)  # xi = (c / l) * x
+                integral = integrate_semiinf(integrand, pair_spec).value
+            else:
+                integral = moment
+            if crossed:
+                row[i] = base * c**2 * product * integral
+            else:
+                row[i] = -base * weight * product * integral
+    return values
 
 
 def vdw_pair(
@@ -272,12 +341,8 @@ def vdw_pair(
     are inside the prefactor). Like channels inherit their sign from the
     product of static responses, crossed ones the opposite.
     """
-    if not l > 0.0:
-        raise ValueError(f"separation l must be positive, got {l!r}")
-    channels = {
-        ch: _pair_channel(ch, atom_a, atom_b, l, consts, spec) for ch in PAIR_CHANNELS
-    }
-    return PairPotential(channels=channels)
+    values = _pair_values(atom_a, atom_b, np.array([l], dtype=float), consts, spec)
+    return PairPotential(channels=dict(zip(PAIR_CHANNELS, values[:, 0].tolist())))
 
 
 def vdw_pair_total_direct(
@@ -439,22 +504,15 @@ def mirror_curve(
     units: UnitSystem,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> PotentialCurve:
-    """Sweep cp_mirror over a distance grid."""
-    consts = constants_for(units)
+    """cp_mirror over a distance grid."""
     d = np.asarray(distances, dtype=float)
-    points = [cp_mirror(atom, float(z), plate, consts, spec) for z in d]
-    values = {
-        Channel.E: np.array([p.electric for p in points]),
-        Channel.P: np.array([p.paramagnetic for p in points]),
-        Channel.D: np.array([p.diamagnetic for p in points]),
-    }
-    total = np.array([p.total for p in points])
+    electric, paramagnetic, diamagnetic = _mirror_values(atom, d, plate, constants_for(units), spec)
     return PotentialCurve(
         geometry="mirror",
         plate=plate,
         distances=d,
-        values=values,
-        total=total,
+        values={Channel.E: electric, Channel.P: paramagnetic, Channel.D: diamagnetic},
+        total=electric + (paramagnetic + diamagnetic),
         method="quadrature",
         units=units,
         tolerances=spec,
@@ -468,18 +526,15 @@ def pair_curve(
     units: UnitSystem,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> PotentialCurve:
-    """Sweep vdw_pair over a separation grid."""
-    consts = constants_for(units)
+    """vdw_pair over a separation grid."""
     d = np.asarray(distances, dtype=float)
-    points = [vdw_pair(atom_a, atom_b, float(l), consts, spec) for l in d]
-    values = {ch: np.array([p.channels[ch] for p in points]) for ch in PAIR_CHANNELS}
-    total = np.array([p.total for p in points])
+    values = _pair_values(atom_a, atom_b, d, constants_for(units), spec)
     return PotentialCurve(
         geometry="free_pair",
         plate=None,
         distances=d,
-        values=values,
-        total=total,
+        values=dict(zip(PAIR_CHANNELS, values)),
+        total=np.array([math.fsum(point) for point in values.T]),
         method="quadrature",
         units=units,
         tolerances=spec,

@@ -8,8 +8,9 @@ extended automatically whenever the analytic exponential tail bound, which is
 always part of the reported error estimate, dominates the error budget.
 
 Deterministic by construction: panel ordering is tie-broken by creation index
-and the final sum runs over panels sorted by left edge, so identical inputs
-give bit-identical results.
+and the panel values are summed with math.fsum, which rounds the exact sum
+once and so does not depend on the order of the panels; identical inputs give
+bit-identical results.
 """
 from __future__ import annotations
 
@@ -51,8 +52,7 @@ _WG_HALF = (
 
 _NODES = np.array([-x for x in _XGK_HALF[:7]] + [0.0] + [x for x in _XGK_HALF[6::-1]])
 _WGK = np.array(list(_WGK_HALF[:7]) + [_WGK_HALF[7]] + list(_WGK_HALF[6::-1]))
-# Gauss nodes sit at every second Kronrod node.
-_GAUSS_IDX = np.arange(1, 15, 2)
+# Gauss nodes sit at every second Kronrod node, y[1::2].
 _WG = np.array(list(_WG_HALF[:3]) + [_WG_HALF[3]] + list(_WG_HALF[2::-1]))
 
 _EPS = np.finfo(float).eps
@@ -114,16 +114,24 @@ class QuadratureResult:
     evaluations: int
 
 
+def _values(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at the abscissas x as a float array of x's shape; raises IntegrandError if not finite."""
+    y = f(x)
+    if not (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape):
+        y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise IntegrandError(float(x[np.argmin(finite)]))
+    return y
+
+
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float, int]:
     """Evaluate one Gauss-Kronrod panel; returns (value, error, evaluations)."""
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _NODES
-    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    finite = np.isfinite(y)
-    if not finite.all():
-        raise IntegrandError(float(x[np.argmin(finite)]))
+    y = _values(f, x)
     resk = half * float(_WGK @ y)
-    resg = half * float(_WG @ y[_GAUSS_IDX])
+    resg = half * float(_WG @ y[1::2])
     resabs = half * float(_WGK @ np.abs(y))
     mean = resk / (b - a)
     resasc = half * float(_WGK @ np.abs(y - mean))
@@ -142,10 +150,7 @@ def _tail_bound(f: Callable, cutoff: float, scale: float) -> tuple[float, int]:
     exponential integrands stay covered.
     """
     x = cutoff - scale * np.array([0.2, 0.1, 0.0])
-    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    finite = np.isfinite(y)
-    if not finite.all():
-        raise IntegrandError(float(x[np.argmin(finite)]))
+    y = _values(f, x)
     amplitude = float(np.max(np.abs(y) * np.exp((x - cutoff) / scale)))
     return 2.0 * amplitude * scale, x.size
 
@@ -168,11 +173,12 @@ def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> Q
 
     evaluations = 0
     counter = 0
-    heap: list[tuple[float, int, float, float, float, float]] = []
+    # Entries (-error, creation index, a, b, value): worst error first.
+    heap: list[tuple[float, int, float, float, float]] = []
     for a, b in zip(edges[:-1], edges[1:]):
         value, err, n = _panel(f, a, b)
         evaluations += n
-        heapq.heappush(heap, (-err, counter, a, b, value, err))
+        heapq.heappush(heap, (-err, counter, a, b, value))
         counter += 1
 
     tail, n = _tail_bound(f, cutoff, s)
@@ -180,8 +186,8 @@ def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> Q
 
     subdivisions = 0
     while True:
-        value = math.fsum(entry[4] for entry in sorted(heap, key=lambda e: e[2]))
-        panel_err = math.fsum(entry[5] for entry in heap)
+        value = math.fsum(entry[4] for entry in heap)
+        panel_err = -math.fsum(entry[0] for entry in heap)
         total_err = panel_err + tail
         tolerance = spec.rel_tol * abs(value) + spec.abs_tol
         if total_err <= tolerance:
@@ -194,17 +200,17 @@ def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> Q
             new_cutoff = cutoff + 10.0 * s
             pvalue, perr, n = _panel(f, cutoff, new_cutoff)
             evaluations += n
-            heapq.heappush(heap, (-perr, counter, cutoff, new_cutoff, pvalue, perr))
+            heapq.heappush(heap, (-perr, counter, cutoff, new_cutoff, pvalue))
             counter += 1
             cutoff = new_cutoff
             tail, n = _tail_bound(f, cutoff, s)
             evaluations += n
         else:
-            _, _, a, b, _, _ = heapq.heappop(heap)
+            _, _, a, b, _ = heapq.heappop(heap)
             mid = 0.5 * (a + b)
             for lo, hi in ((a, mid), (mid, b)):
                 pvalue, perr, n = _panel(f, lo, hi)
                 evaluations += n
-                heapq.heappush(heap, (-perr, counter, lo, hi, pvalue, perr))
+                heapq.heappush(heap, (-perr, counter, lo, hi, pvalue))
                 counter += 1
         subdivisions += 1

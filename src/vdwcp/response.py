@@ -9,6 +9,7 @@ regularization is needed anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,9 +28,9 @@ class AtomFileError(ValueError):
 class Transition:
     """One ground-to-excited transition.
 
-    omega: angular frequency in rad/s, > 0.
+    omega: angular frequency in rad/s, finite and > 0.
     dipole_sq: squared dipole matrix element magnitude; C^2 m^2 for electric
-        transitions, J^2/T^2 for magnetic ones. >= 0.
+        transitions, J^2/T^2 for magnetic ones. Finite and >= 0.
     kind: "electric" or "magnetic".
     """
 
@@ -38,10 +39,14 @@ class Transition:
     kind: str
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"transition frequency must be positive, got {self.omega!r}")
-        if self.dipole_sq < 0.0:
-            raise ValueError(f"squared dipole element must be >= 0, got {self.dipole_sq!r}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(
+                f"transition frequency must be finite and positive, got {self.omega!r}"
+            )
+        if not 0.0 <= self.dipole_sq < math.inf:
+            raise ValueError(
+                f"squared dipole element must be finite and >= 0, got {self.dipole_sq!r}"
+            )
         if self.kind not in (ELECTRIC, MAGNETIC):
             raise ValueError(f"transition kind must be electric or magnetic, got {self.kind!r}")
 
@@ -55,10 +60,14 @@ class ChargedParticle:
     mean_sq_radius: float  # m^2, relative to the centre of mass
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError(f"particle mass must be positive, got {self.mass!r}")
-        if self.mean_sq_radius < 0.0:
-            raise ValueError(f"mean square radius must be >= 0, got {self.mean_sq_radius!r}")
+        if not math.isfinite(self.charge):
+            raise ValueError(f"particle charge must be finite, got {self.charge!r}")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"particle mass must be finite and positive, got {self.mass!r}")
+        if not 0.0 <= self.mean_sq_radius < math.inf:
+            raise ValueError(
+                f"mean square radius must be finite and >= 0, got {self.mean_sq_radius!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,9 +86,10 @@ class DiamagneticSpec:
         object.__setattr__(self, "particles", tuple(self.particles))
         if self.direct_beta_d is not None and self.particles:
             raise ValueError("give either a direct beta_d or a particle list, not both")
-        if self.direct_beta_d is not None and self.direct_beta_d > 0.0:
+        if self.direct_beta_d is not None and not -math.inf < self.direct_beta_d <= 0.0:
             raise ValueError(
-                f"diamagnetisability must be <= 0 (Lenz rule), got {self.direct_beta_d!r}"
+                "diamagnetisability must be finite and <= 0 (Lenz rule), "
+                f"got {self.direct_beta_d!r}"
             )
 
 
@@ -126,6 +136,32 @@ def _lorentz_sum(transitions: tuple[Transition, ...], xi, hbar: float):
         total = total + t.omega * t.dipole_sq / (t.omega**2 + xi_arr**2)
     total = total * (2.0 / (3.0 * hbar))
     return float(total) if np.isscalar(xi) else total
+
+
+class LorentzTable:
+    """_lorentz_sum of one non-empty transition list, tabulated for many evaluations.
+
+    The columns omega_k |d_k|^2 and omega_k^2 are built once; a call
+    evaluates all (transitions x abscissas) terms in one array and adds its
+    rows with np.add.reduce over axis 0. For a 1d xi of at least two points
+    numpy adds those rows in transition order, the order of _lorentz_sum, so
+    both give bit-identical sums. The quadrature's 15- and 3-point node
+    arrays qualify; xi is not checked for sign.
+    """
+
+    __slots__ = ("weights", "omega_sq", "factor")
+
+    def __init__(self, transitions: tuple[Transition, ...], hbar: float):
+        self.weights = np.array([[t.omega * t.dipole_sq] for t in transitions])
+        self.omega_sq = np.array([[t.omega**2] for t in transitions])
+        self.factor = 2.0 / (3.0 * hbar)
+
+    def __call__(self, xi: np.ndarray) -> np.ndarray:
+        terms = self.omega_sq + xi**2
+        np.divide(self.weights, terms, out=terms)
+        total = np.add.reduce(terms, axis=0)
+        total *= self.factor
+        return total
 
 
 def alpha_iso(atom: AtomModel, xi, hbar: float):
@@ -200,27 +236,36 @@ def _entry_map(path, node, allowed: set[str]) -> dict:
     return out
 
 
+def _construct(path, node, cls, **fields):
+    """cls(**fields), with a validation error reported at node's file:line."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        _fail(path, node, str(exc))
+
+
 def _parse_transition(path, node, kind: str, dipole_key: str) -> Transition:
     entries = _entry_map(path, node, {"omega", dipole_key})
-    omega = _as_float(path, entries["omega"])
-    dipole_sq = _as_float(path, entries[dipole_key])
-    if not omega > 0.0:
-        _fail(path, entries["omega"], f"omega must be positive, got {omega!r}")
-    if dipole_sq < 0.0:
-        _fail(path, entries[dipole_key], f"{dipole_key} must be >= 0, got {dipole_sq!r}")
-    return Transition(omega=omega, dipole_sq=dipole_sq, kind=kind)
+    return _construct(
+        path,
+        node,
+        Transition,
+        omega=_as_float(path, entries["omega"]),
+        dipole_sq=_as_float(path, entries[dipole_key]),
+        kind=kind,
+    )
 
 
 def _parse_particle(path, node) -> ChargedParticle:
     entries = _entry_map(path, node, {"q", "m", "r_sq"})
-    q = _as_float(path, entries["q"])
-    m = _as_float(path, entries["m"])
-    r_sq = _as_float(path, entries["r_sq"])
-    if not m > 0.0:
-        _fail(path, entries["m"], f"particle mass must be positive, got {m!r}")
-    if r_sq < 0.0:
-        _fail(path, entries["r_sq"], f"r_sq must be >= 0, got {r_sq!r}")
-    return ChargedParticle(charge=q, mass=m, mean_sq_radius=r_sq)
+    return _construct(
+        path,
+        node,
+        ChargedParticle,
+        charge=_as_float(path, entries["q"]),
+        mass=_as_float(path, entries["m"]),
+        mean_sq_radius=_as_float(path, entries["r_sq"]),
+    )
 
 
 def load_atom_file(path) -> AtomModel:
@@ -266,10 +311,12 @@ def load_atom_file(path) -> AtomModel:
     if "beta_d" in nodes and "particles" in nodes:
         _fail(path, nodes["beta_d"], "give either beta_d or particles, not both")
     if "beta_d" in nodes:
-        beta_d = _as_float(path, nodes["beta_d"])
-        if beta_d > 0.0:
-            _fail(path, nodes["beta_d"], f"beta_d must be <= 0 (Lenz rule), got {beta_d!r}")
-        dia = DiamagneticSpec(direct_beta_d=beta_d)
+        dia = _construct(
+            path,
+            nodes["beta_d"],
+            DiamagneticSpec,
+            direct_beta_d=_as_float(path, nodes["beta_d"]),
+        )
     elif "particles" in nodes:
         dia = DiamagneticSpec(
             particles=tuple(

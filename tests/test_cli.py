@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,50 @@ def test_malformed_grid_is_a_usage_error(capsys):
     )
     assert code == 2
     assert "grid" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, grid, named",
+    [
+        ("pair", "1e-60:1e-50:3", "separation l 1e-60"),  # l**7 underflows
+        ("pair", "1e300:1e308:3", "separation l 1e+300"),  # l**7 overflows
+        ("mirror", "1e300:1e308:3", "mirror distance z 1e+300"),
+        ("pair", "1:inf:3", "grid max must be finite, got 'inf'"),
+        ("mirror", "nan:2:3", "grid min must be finite, got 'nan'"),
+    ],
+)
+def test_unrepresentable_distance_is_a_usage_error(capsys, subcommand, grid, named):
+    if subcommand == "pair":
+        atoms = ["--atom", DIA, "--atom-b", DIA]
+    else:
+        atoms = ["--atom", DIA, "--plate", "conducting"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, subcommand, *atoms, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("label: x\nelectric_transitions:\n  - omega: 1.0\n    mu_sq: nan\n", 3, "dipole"),
+        ("label: x\nmagnetic_transitions:\n  - {omega: inf, m_sq: 1.0}\n", 3, "frequency"),
+        ("label: x\nbeta_d: nan\n", 2, "diamagnetisability"),
+    ],
+)
+def test_non_finite_atom_parameter_is_a_usage_error(tmp_path, capsys, text, line, message):
+    atom = tmp_path / "atom.yaml"
+    atom.write_text(text)
+    code, out, err = _run(
+        capsys, "mirror", "--atom", str(atom), "--plate", "conducting",
+        "--grid", "1:2:3", "--units", "natural",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{atom}:{line}:" in err
+    assert message in err
 
 
 def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):

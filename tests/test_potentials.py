@@ -1,10 +1,13 @@
 """Potential channels against closed forms, symmetries and curve plumbing."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vdwcp.green import PlateKind
+import vdwcp.potentials
+from vdwcp.green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same
 from vdwcp.potentials import (
     MIRROR_CHANNELS,
     PAIR_CHANNELS,
@@ -21,8 +24,17 @@ from vdwcp.potentials import (
     vdw_pair,
     vdw_pair_total_direct,
 )
-from vdwcp.quad import QuadratureSpec
-from vdwcp.response import ELECTRIC, MAGNETIC, AtomModel, DiamagneticSpec, Transition
+from vdwcp.quad import QuadratureSpec, integrate_semiinf
+from vdwcp.response import (
+    ELECTRIC,
+    MAGNETIC,
+    AtomModel,
+    DiamagneticSpec,
+    Transition,
+    alpha_iso,
+    beta_para_iso,
+    diamagnetisability,
+)
 from vdwcp.units import UnitSystem, constants_for
 
 NAT = constants_for(UnitSystem.NATURAL)
@@ -313,3 +325,159 @@ def test_force_needs_at_least_three_points():
     )
     with pytest.raises(ValueError):
         force_from_curve(curve)
+
+
+# -- the curve loop against the per-point reference ----------------------------
+#
+# The reference restates the per-point evaluation the curve loop replaced: one
+# quadrature per channel and distance, with response ratios built from
+# alpha_iso / beta_para_iso. The loop must reproduce it bit for bit.
+
+
+def _seeded_atom(seed=11, electric=14, magnetic=10):
+    rng = np.random.default_rng(seed)
+
+    def transitions(count, kind):
+        omegas = np.exp(rng.uniform(np.log(0.5), np.log(5.0), count))
+        weights = rng.uniform(0.2, 1.0, count)
+        return tuple(
+            Transition(omega=float(w), dipole_sq=float(d), kind=kind)
+            for w, d in zip(omegas, weights)
+        )
+
+    return AtomModel(
+        label=f"seeded-{seed}",
+        electric_transitions=transitions(electric, ELECTRIC),
+        magnetic_transitions=transitions(magnetic, MAGNETIC),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-float(rng.uniform(0.2, 1.0))),
+    )
+
+
+def _reference_static(atom, letter, hbar):
+    if letter == "e":
+        return alpha_iso(atom, 0.0, hbar)
+    if letter == "p":
+        return beta_para_iso(atom, 0.0, hbar)
+    return diamagnetisability(atom.diamagnetic)
+
+
+def _reference_ratio(atom, letter, hbar):
+    if letter == "d":
+        return lambda xi: np.ones_like(np.asarray(xi, dtype=float))
+    response = alpha_iso if letter == "e" else beta_para_iso
+    static = response(atom, 0.0, hbar)
+    return lambda xi: response(atom, xi, hbar) / static
+
+
+def _reference_mirror(atom, letter, z, plate, consts, spec):
+    static = _reference_static(atom, letter, consts.hbar)
+    if static == 0.0:
+        return 0.0
+    ratio = _reference_ratio(atom, letter, consts.hbar)
+    scale = consts.c / (2.0 * z)
+
+    def integrand(x):
+        return ratio(scale * x) * mirror_kernel(x)
+
+    integral = integrate_semiinf(integrand, dataclasses.replace(spec, decay_scale=1.0)).value
+    base = consts.hbar * consts.c / (32.0 * np.pi**2 * z**4)
+    if letter == "e":
+        return -plate.sign * base / consts.eps0 * static * integral
+    return plate.sign * base * consts.mu0 * static * integral
+
+
+def _reference_pair(channel, atom_a, atom_b, l, consts, spec):
+    letter_a, letter_b = channel.value
+    static_a = _reference_static(atom_a, letter_a, consts.hbar)
+    static_b = _reference_static(atom_b, letter_b, consts.hbar)
+    if static_a == 0.0 or static_b == 0.0:
+        return 0.0
+    scale = consts.c / l
+    base = consts.hbar * consts.mu0**2 * consts.c / (16.0 * np.pi**3 * l**7)
+    pair_spec = dataclasses.replace(spec, decay_scale=0.5)
+    electric_sides = (letter_a == "e") + (letter_b == "e")
+    if electric_sides != 1:
+        ratio_a = _reference_ratio(atom_a, letter_a, consts.hbar)
+        ratio_b = _reference_ratio(atom_b, letter_b, consts.hbar)
+
+        def integrand(x):
+            return ratio_a(scale * x) * ratio_b(scale * x) * pair_kernel_same(x)
+
+        weight = consts.c**4 if electric_sides == 2 else 1.0
+        prefactor = -base * weight * (static_a * static_b)
+    else:
+        if letter_a == "e":
+            ratio_e = _reference_ratio(atom_a, letter_a, consts.hbar)
+            ratio_m = _reference_ratio(atom_b, letter_b, consts.hbar)
+        else:
+            ratio_e = _reference_ratio(atom_b, letter_b, consts.hbar)
+            ratio_m = _reference_ratio(atom_a, letter_a, consts.hbar)
+
+        def integrand(x):
+            return x**2 * (ratio_e(scale * x) * ratio_m(scale * x)) * pair_kernel_cross(x)
+
+        prefactor = base * consts.c**2 * (static_a * static_b)
+    return prefactor * integrate_semiinf(integrand, pair_spec).value
+
+
+SEEDED = _seeded_atom()
+BITWISE_GRID = np.geomspace(1e-2, 1e2, 5)
+
+
+@pytest.mark.parametrize("atom", [COMPOSITE_A, SEEDED], ids=["composite", "seeded"])
+@pytest.mark.parametrize("plate", list(PlateKind))
+def test_mirror_curve_is_bitwise_the_per_point_reference(atom, plate):
+    spec = QuadratureSpec()
+    curve = mirror_curve(atom, BITWISE_GRID, plate, UnitSystem.NATURAL, spec)
+    for i, z in enumerate(BITWISE_GRID.tolist()):
+        expected = [
+            _reference_mirror(atom, ch.value, z, plate, NAT, spec) for ch in MIRROR_CHANNELS
+        ]
+        point = cp_mirror(atom, z, plate, NAT, spec)
+        assert [point.electric, point.paramagnetic, point.diamagnetic] == expected
+        assert [curve.values[ch][i] for ch in MIRROR_CHANNELS] == expected
+
+
+@pytest.mark.parametrize(
+    "atom_a, atom_b",
+    [(COMPOSITE_A, COMPOSITE_B), (SEEDED, SEEDED)],
+    ids=["composite", "seeded-self"],
+)
+def test_pair_curve_is_bitwise_the_per_point_reference(atom_a, atom_b):
+    spec = QuadratureSpec()
+    curve = pair_curve(atom_a, atom_b, BITWISE_GRID, UnitSystem.NATURAL, spec)
+    for i, l in enumerate(BITWISE_GRID.tolist()):
+        expected = [_reference_pair(ch, atom_a, atom_b, l, NAT, spec) for ch in PAIR_CHANNELS]
+        point = vdw_pair(atom_a, atom_b, l, NAT, spec)
+        assert [point.channels[ch] for ch in PAIR_CHANNELS] == expected
+        assert [curve.values[ch][i] for ch in PAIR_CHANNELS] == expected
+    if atom_a is atom_b:
+        for a, b in ((Channel.EP, Channel.PE), (Channel.ED, Channel.DE), (Channel.PD, Channel.DP)):
+            assert np.array_equal(curve.values[a], curve.values[b])
+
+
+def _count_quadratures(monkeypatch) -> list:
+    calls = []
+    real = vdwcp.potentials.integrate_semiinf
+
+    def counting(f, spec):
+        calls.append(spec)
+        return real(f, spec)
+
+    monkeypatch.setattr(vdwcp.potentials, "integrate_semiinf", counting)
+    return calls
+
+
+def test_diamagnetic_moment_is_integrated_once_per_curve(monkeypatch):
+    calls = _count_quadratures(monkeypatch)
+    counts = []
+    for _ in range(2):  # equal counts: nothing is cached between calls
+        calls.clear()
+        pair_curve(COMPOSITE_A, COMPOSITE_B, np.geomspace(1e-3, 1e3, 61), UnitSystem.NATURAL)
+        pair = len(calls)
+        mirror_curve(
+            COMPOSITE_A, np.geomspace(1e-2, 1e2, 40), PlateKind.CONDUCTING, UnitSystem.NATURAL
+        )
+        counts.append((pair, len(calls) - pair))
+    # eight distance-dependent pair channels plus dd once; e and p plus d once
+    assert counts == [(8 * 61 + 1, 2 * 40 + 1)] * 2

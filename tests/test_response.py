@@ -1,4 +1,8 @@
 """Atom response models: Lorentzian sums, the Lenz constraint, file loading."""
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -110,6 +114,23 @@ def test_transition_validation():
         Transition(omega=1.0, dipole_sq=-1.0, kind=ELECTRIC)
     with pytest.raises(ValueError):
         Transition(omega=1.0, dipole_sq=1.0, kind="x")
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_parameters_rejected_at_construction(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Transition(omega=bad, dipole_sq=1.0, kind=ELECTRIC)
+    with pytest.raises(ValueError, match="finite"):
+        Transition(omega=1.0, dipole_sq=bad, kind=MAGNETIC)
+    for field in ("charge", "mass", "mean_sq_radius"):
+        values = {"charge": 1.0, "mass": 1.0, "mean_sq_radius": 1.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            ChargedParticle(**values)
+    with pytest.raises(ValueError, match="finite"):
+        DiamagneticSpec(direct_beta_d=bad)
 
 
 def test_atom_model_rejects_mismatched_kinds():
@@ -252,10 +273,21 @@ def test_empty_atom_file_content_rejected(tmp_path):
 
 
 def test_bundled_example_atoms_load():
-    from pathlib import Path
-
     atoms_dir = Path(__file__).resolve().parents[1] / "atoms"
     labels = set()
     for path in sorted(atoms_dir.glob("*.yaml")):
         labels.add(load_atom_file(path).label)
     assert {"electric-unit", "paramagnetic-unit", "diamagnetic-unit", "hydrogen-1s"} <= labels
+
+
+def test_readme_atom_file_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Atom files", 1)[1]
+    example = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    atom = _load(tmp_path, example)
+    assert atom.label == "hydrogen-1s"
+    assert atom.electric_transitions == (
+        Transition(omega=1.55e16, dipole_sq=1.82e-58, kind=ELECTRIC),
+    )
+    assert atom.magnetic_transitions == ()
+    assert diamagnetisability(atom.diamagnetic) == pytest.approx(-3.946e-29, rel=1e-3)
