@@ -31,7 +31,7 @@ SLOPE_TOL = 0.05
 REGIME_DEPTH = {"nonretarded": 1e-3, "retarded": 1e3, "all": 1.0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlopeProfile:
     """Local log-log slope of |U| and the sign of U, on the interior grid points."""
 
@@ -82,7 +82,7 @@ def local_log_slope(curve: PotentialCurve, channel) -> SlopeProfile:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableEntry:
     """One expected sign/power cell: a channel in a geometry and regime."""
 
@@ -145,7 +145,7 @@ def default_fixtures(beta_d: float = -1.0) -> dict[str, AtomModel]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableCellResult:
     entry: TableEntry
     measured_slope: float
@@ -167,7 +167,7 @@ class TableCellResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableReport:
     cells: tuple[TableCellResult, ...]
 

@@ -166,7 +166,7 @@ def mirror_gmm_trace_via_q_integral(
     return result.value / (8.0 * np.pi * z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeGreenScalars:
     """Coefficients of the free-space Green tensor at dimensionless x = l xi / c.
 

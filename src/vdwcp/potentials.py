@@ -19,7 +19,6 @@ signs of the static responses themselves (alpha, beta_p >= 0, beta_d <= 0).
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same
-from .quad import QuadratureSpec, integrate_semiinf
+from .quad import QuadratureSpec, integrate_columns, integrate_semiinf
 from .response import (
     AtomModel,
     LorentzTable,
@@ -107,9 +106,19 @@ def _response(atom: AtomModel, letter: str, hbar: float) -> tuple[float, Lorentz
     return static, LorentzTable(transitions, hbar) if static != 0.0 else None
 
 
+def _with_decay_scale(spec: QuadratureSpec, decay_scale: float) -> QuadratureSpec:
+    """spec with another decay scale, built without dataclasses.replace's kwargs dicts."""
+    return QuadratureSpec(
+        rel_tol=spec.rel_tol,
+        abs_tol=spec.abs_tol,
+        decay_scale=decay_scale,
+        max_subdivisions=spec.max_subdivisions,
+    )
+
+
 def _prefactors(
     numerator: float, coefficient: float, distances: np.ndarray, power: int, name: str
-) -> list[float]:
+) -> np.ndarray:
     """numerator / (coefficient * d**power) for every distance d, checking each d first.
 
     A distance that is not positive, or whose power leaves the float range so
@@ -129,10 +138,10 @@ def _prefactors(
                 f"{name} {d!r} is out of range: 1/{name[-1]}^{power} is not a finite non-zero float"
             )
         prefactors.append(value)
-    return prefactors
+    return np.array(prefactors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MirrorPotential:
     """Per-channel single-atom potential at one distance, in J."""
 
@@ -149,7 +158,7 @@ class MirrorPotential:
         return self.electric + self.magnetic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairPotential:
     """Nine-channel two-atom potential at one separation, in J."""
 
@@ -171,36 +180,35 @@ def _mirror_values(
 
     The one mirror evaluation path. Channel value = prefactor(z) *
     int R(c x / 2z) mirror_kernel(x) dx, with R the response over its static
-    value. R = 1 for the diamagnetic channel, whose integral is therefore the
-    same kernel moment at every distance and is integrated once per call. A
+    value; one integrate_columns call per channel integrates every distance.
+    R = 1 for the diamagnetic channel, whose integral is therefore the same
+    kernel moment at every distance and is integrated once per call. A
     channel with zero static response stays exactly zero and skips quadrature.
     """
     bases = _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, distances, 4, "mirror distance z")
-    mirror_spec = dataclasses.replace(spec, decay_scale=1.0)
+    mirror_spec = _with_decay_scale(spec, 1.0)
+    scales = consts.c / (2.0 * distances)  # xi = scale * x
     values = np.zeros((len(MIRROR_CHANNELS), distances.size))
     for row, ch in zip(values, MIRROR_CHANNELS):
         static, table = _response(atom, ch.value, consts.hbar)
         if static == 0.0:
             continue
         if table is None:
-            moment = integrate_semiinf(mirror_kernel, mirror_spec).value
-        for i, (z, base) in enumerate(zip(map(float, distances), bases)):
-            if table is None:
-                integral = moment
-            else:
-                scale = consts.c / (2.0 * z)  # xi = scale * x
+            integrals, _, _ = integrate_columns(lambda cols, x: mirror_kernel(x), 1, mirror_spec)
+        else:
 
-                def integrand(x):
-                    ratio = table(scale * x)
-                    ratio /= static
-                    return ratio * mirror_kernel(x)
+            def integrand(cols, x):
+                ratio = table(scales[cols, None] * x)
+                ratio /= static
+                ratio *= mirror_kernel(x)
+                return ratio
 
-                integral = integrate_semiinf(integrand, mirror_spec).value
-            if ch is Channel.E:
-                # electric trace = -(magnetic trace), hence the opposite sign
-                row[i] = -plate.sign * base / consts.eps0 * static * integral
-            else:
-                row[i] = plate.sign * base * consts.mu0 * static * integral
+            integrals, _, _ = integrate_columns(integrand, distances.size, mirror_spec)
+        if ch is Channel.E:
+            # electric trace = -(magnetic trace), hence the opposite sign
+            row[:] = -plate.sign * bases / consts.eps0 * static * integrals
+        else:
+            row[:] = plate.sign * bases * consts.mu0 * static * integrals
     return values
 
 
@@ -244,27 +252,33 @@ def cp_mirror_diamagnetic_closed(
     )
 
 
-def _pair_integrand(ratios, crossed: bool, scale: float):
-    """x -> [x^2] * product of R(scale x) * kernel(x), evaluated left to right.
+def _pair_integrand(ratios, crossed: bool, scales: np.ndarray):
+    """(cols, x) -> [x^2] * product of R(scale x) * kernel(x), evaluated left to right.
 
-    ratios are (table, static) pairs, atom A's before atom B's for like
-    channels and the electric side first for crossed ones, so that swapping
-    the atoms reproduces bit-identical products. A diamagnetic side has
-    R = 1 and is left out, which changes no bit.
+    Row i of x belongs to the separation with scale scales[cols[i]]. ratios
+    are (table, static) pairs, atom A's before atom B's for like channels and
+    the electric side first for crossed ones, so that swapping the atoms
+    reproduces bit-identical products. A diamagnetic side has R = 1 and is
+    left out, which changes no bit.
     """
     (table, static), *rest = ratios
 
-    def integrand(x):
-        xi = scale * x
+    def integrand(cols, x):
+        xi = scales[cols, None] * x
         ratio = table(xi)
         ratio /= static
         for other, other_static in rest:
             other_ratio = other(xi)
             other_ratio /= other_static
             ratio *= other_ratio
+        del xi
+        # in place, the same products: ratio * x^2 * kernel = x^2 * ratio * kernel bit for bit
         if crossed:
-            return x**2 * ratio * pair_kernel_cross(x)
-        return ratio * pair_kernel_same(x)
+            ratio *= x**2
+            ratio *= pair_kernel_cross(x)
+        else:
+            ratio *= pair_kernel_same(x)
+        return ratio
 
     return integrand
 
@@ -278,17 +292,22 @@ def _pair_values(
 ) -> np.ndarray:
     """Every pair channel at every separation, one row per PAIR_CHANNELS entry.
 
-    The one pair evaluation path; see vdw_pair for the integrals. A channel
-    with diamagnetic response on both sides integrates the bare like kernel,
-    the same moment at every separation, once per call; a channel with a
-    zero static response stays exactly zero and skips quadrature.
+    The one pair evaluation path; see vdw_pair for the integrals. One
+    integrate_columns call per channel integrates every separation. A
+    channel with diamagnetic response on both sides integrates the bare like
+    kernel, the same moment at every separation, once per call; a channel
+    with a zero static response stays exactly zero and skips quadrature.
     """
     hbar, c = consts.hbar, consts.c
     bases = _prefactors(hbar * consts.mu0**2 * c, 16.0 * np.pi**3, distances, 7, "separation l")
-    pair_spec = dataclasses.replace(spec, decay_scale=0.5)
+    pair_spec = _with_decay_scale(spec, 0.5)
+    scales = c / distances  # xi = scale * x
     letters = (ELECTRIC_LETTER, PARA_LETTER, DIA_LETTER)
     responses_a = {letter: _response(atom_a, letter, hbar) for letter in letters}
-    responses_b = {letter: _response(atom_b, letter, hbar) for letter in letters}
+    if atom_b is atom_a:
+        responses_b = responses_a
+    else:
+        responses_b = {letter: _response(atom_b, letter, hbar) for letter in letters}
 
     values = np.zeros((len(PAIR_CHANNELS), distances.size))
     for row, ch in zip(values, PAIR_CHANNELS):
@@ -303,19 +322,16 @@ def _pair_values(
             side_a, side_b = side_b, side_a
         # a list: tuple(<generator>) resizes, and resized tuples pile up on CPython's free list
         ratios = [(table, static) for static, table in (side_a, side_b) if table is not None]
-        weight = c**4 if electric_sides == 2 else 1.0
-        if not ratios:
-            moment = integrate_semiinf(pair_kernel_same, pair_spec).value
-        for i, (l, base) in enumerate(zip(map(float, distances), bases)):
-            if ratios:
-                integrand = _pair_integrand(ratios, crossed, c / l)  # xi = (c / l) * x
-                integral = integrate_semiinf(integrand, pair_spec).value
-            else:
-                integral = moment
-            if crossed:
-                row[i] = base * c**2 * product * integral
-            else:
-                row[i] = -base * weight * product * integral
+        if ratios:
+            integrand = _pair_integrand(ratios, crossed, scales)
+            integrals, _, _ = integrate_columns(integrand, distances.size, pair_spec)
+        else:
+            integrals, _, _ = integrate_columns(lambda cols, x: pair_kernel_same(x), 1, pair_spec)
+        if crossed:
+            row[:] = bases * c**2 * product * integrals
+        else:
+            weight = c**4 if electric_sides == 2 else 1.0
+            row[:] = -bases * weight * product * integrals
     return values
 
 
@@ -363,7 +379,7 @@ def vdw_pair_total_direct(
         raise ValueError(f"separation l must be positive, got {l!r}")
     hbar, c = consts.hbar, consts.c
     scale = c / l
-    pair_spec = dataclasses.replace(spec, decay_scale=0.5)
+    pair_spec = _with_decay_scale(spec, 0.5)
 
     def like_integrand(x):
         xi = scale * np.asarray(x, dtype=float)
@@ -455,7 +471,7 @@ def vdw_asymptote(
     return 7.0 * hbar * mu0**2 * c**3 * product / (64.0 * pi**3 * l**7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PotentialCurve:
     """Per-channel potential values over a distance grid, plus provenance."""
 

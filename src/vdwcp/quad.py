@@ -7,6 +7,18 @@ worst-error-first bisection on a finite window [0, X] is enough; the window is
 extended automatically whenever the analytic exponential tail bound, which is
 always part of the reported error estimate, dominates the error budget.
 
+integrate_columns runs that algorithm for many integrands ("columns", for
+instance one channel at every distance of a curve) in lockstep: each
+integrand call evaluates the next panel or tail bound of up to
+LOCKSTEP_COLUMNS columns at once, so numpy's per-call cost is shared. A
+column's arithmetic does not depend on the other columns in its batch: the
+abscissas and the integrand are elementwise, and every weighted sum is a dot
+product of one row (a stack of (1, n) @ (n, 1) products, never one gemv over
+the batch). A column therefore gives bit for bit what integrate_semiinf, its
+one-column case, gives for it alone. The working set is bounded by the batch:
+at most LOCKSTEP_COLUMNS * PANEL_NODES abscissas per integrand call, and per
+column in flight only a flat array of its current panels.
+
 Deterministic by construction: panel ordering is tie-broken by creation index
 and the panel values are summed with math.fsum, which rounds the exact sum
 once and so does not depend on the order of the panels; identical inputs give
@@ -14,8 +26,8 @@ bit-identical results.
 """
 from __future__ import annotations
 
-import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,7 +67,14 @@ _WGK = np.array(list(_WGK_HALF[:7]) + [_WGK_HALF[7]] + list(_WGK_HALF[6::-1]))
 # Gauss nodes sit at every second Kronrod node, y[1::2].
 _WG = np.array(list(_WG_HALF[:3]) + [_WG_HALF[3]] + list(_WG_HALF[2::-1]))
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_TAIL_OFFSETS = np.array([0.2, 0.1, 0.0])
+
+PANEL_NODES = _NODES.size
+TAIL_NODES = _TAIL_OFFSETS.size
+# Columns integrated in lockstep: one integrand call sees at most
+# LOCKSTEP_COLUMNS * PANEL_NODES abscissas.
+LOCKSTEP_COLUMNS = 4
 
 
 class QuadratureError(Exception):
@@ -83,7 +102,7 @@ class ConvergenceError(QuadratureError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Tolerances and decay hint for integrate_semiinf.
 
@@ -107,110 +126,252 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
 
 
-def _values(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f at the abscissas x as a float array of x's shape; raises IntegrandError if not finite."""
-    y = f(x)
+def _values(f: Callable, cols: list, x: np.ndarray):
+    """f(cols, x) as a float array of x's shape, and the rows that are not finite.
+
+    The failures are (row, first non-finite abscissa of that row) pairs; their
+    values are replaced by zeros so the caller's arithmetic stays quiet.
+    """
+    y = f(cols, x)
     if not (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape):
-        y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
+        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape[1:]:
+            y = y.reshape(x.shape)  # the one row as a 1d array
+        else:
+            y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
     finite = np.isfinite(y)
-    if not finite.all():
-        raise IntegrandError(float(x[np.argmin(finite)]))
-    return y
+    if finite.all():
+        return y, ()
+    rows = np.flatnonzero(~finite.all(axis=1)).tolist()
+    failures = [(row, float(x[row, np.argmin(finite[row])])) for row in rows]
+    return np.where(finite, y, 0.0), failures
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float, int]:
-    """Evaluate one Gauss-Kronrod panel; returns (value, error, evaluations)."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    y = _values(f, x)
-    resk = half * float(_WGK @ y)
-    resg = half * float(_WG @ y[1::2])
-    resabs = half * float(_WGK @ np.abs(y))
-    mean = resk / (b - a)
-    resasc = half * float(_WGK @ np.abs(y - mean))
+def _dots(rows: np.ndarray, weights: np.ndarray) -> list:
+    """weights @ row for every row of a 2d array, each row summed on its own.
+
+    A stack of (1, n) @ (n, 1) products runs one BLAS dot per row, the same
+    dot as weights @ row, so a row's sum does not depend on the other rows; a
+    2d @ would run one gemv, whose rows can round differently.
+    """
+    return (rows[:, None, :] @ weights[:, None]).ravel().tolist()
+
+
+def _error(half: float, resk: float, gauss: float, absolute: float, deviation: float) -> float:
+    """Error estimate of one panel from its value and its other weighted sums.
+
+    Python floats: their ** is the C library's pow, numpy's vector power can
+    round differently.
+    """
+    resg, resabs, resasc = half * gauss, half * absolute, half * deviation
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err, x.size
+    return max(err, 50.0 * _EPS * resabs)
 
 
-def _tail_bound(f: Callable, cutoff: float, scale: float) -> tuple[float, int]:
-    """Bound |int_cutoff^inf f| assuming |f| decays at least like e^(-x/s).
+def _panels(f: Callable, cols: list, lo: list, hi: list):
+    """One Gauss-Kronrod panel [lo_i, hi_i] per row; returns (values, errors, failures).
+
+    The integrand and the elementwise arithmetic run on the whole batch and
+    every weighted sum on one row at a time, so a row's results do not depend
+    on the other rows. A single row takes scalar operands and 1d dots, the
+    same arithmetic without the cost of (1, n) arrays.
+    """
+    if len(lo) == 1:
+        a, b = lo[0], hi[0]
+        half = 0.5 * (b - a)
+        y, failures = _values(f, cols, (0.5 * (a + b) + half * _NODES)[None])
+        y = y[0]
+        resk = half * float(_WGK @ y)
+        deviation = np.abs(y - resk / (b - a))
+        sums = float(_WG @ y[1::2]), float(_WGK @ np.abs(y)), float(_WGK @ deviation)
+        return [resk], [_error(half, resk, *sums)], failures
+    halves = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    x = np.array(halves)[:, None] * _NODES
+    x += np.array([0.5 * (a + b) for a, b in zip(lo, hi)])[:, None]
+    y, failures = _values(f, cols, x)
+    del x
+    values = [half * s for half, s in zip(halves, _dots(y, _WGK))]
+    deviations = y - np.array([value / (b - a) for value, a, b in zip(values, lo, hi)])[:, None]
+    np.abs(deviations, out=deviations)
+    sums = zip(_dots(y[:, 1::2], _WG), _dots(np.abs(y), _WGK), _dots(deviations, _WGK))
+    errors = [_error(half, resk, *row) for half, resk, row in zip(halves, values, sums)]
+    return values, errors, failures
+
+
+def _tail_bounds(f: Callable, cols: list, cutoffs: list, scale: float):
+    """Bound |int_cutoff^inf f| per row assuming |f| decays at least like e^(-x/s).
 
     The amplitude at the cutoff is taken as the worst forward extrapolation of
     three samples just inside it, doubled for margin, so polynomial-times-
-    exponential integrands stay covered.
+    exponential integrands stay covered. Returns (bounds, failures).
     """
-    x = cutoff - scale * np.array([0.2, 0.1, 0.0])
-    y = _values(f, x)
-    amplitude = float(np.max(np.abs(y) * np.exp((x - cutoff) / scale)))
-    return 2.0 * amplitude * scale, x.size
+    cutoff = np.array(cutoffs)[:, None]
+    x = cutoff - scale * _TAIL_OFFSETS
+    y, failures = _values(f, cols, x)
+    x -= cutoff
+    x /= scale
+    y = np.abs(y)
+    y *= np.exp(x)
+    amplitude = np.max(y, axis=1)
+    return (2.0 * amplitude * scale).tolist(), failures
+
+
+class _Column:
+    """One column in flight: its panels in creation order and its next evaluations.
+
+    panels holds lo, hi, value and error of every panel of the current
+    partition, four entries per panel in creation order. A bisection deletes
+    the worst panel and appends its halves, so max() and index() find the
+    worst error with the tie-break of a heap keyed on (-error, creation). The
+    next evaluations are the panels between consecutive entries of points,
+    from points[next] on, then a tail bound at points[-1] if tail_due.
+    """
+
+    __slots__ = (
+        "index", "panels", "points", "next", "tail_due", "tail", "subdivisions", "evaluations",
+    )
+
+    def __init__(self, index: int, edges: list):
+        self.index = index
+        self.panels = array("d")
+        self.points, self.next, self.tail_due = edges, 0, True
+        self.tail = 0.0
+        self.subdivisions = 0
+        self.evaluations = 0
+
+    def advance(self, spec: QuadratureSpec):
+        """One step of the per-column algorithm once its evaluations are in.
+
+        Returns (value, error estimate) when converged, else None with the
+        next evaluations set; raises ConvergenceError when the subdivision
+        budget is spent.
+        """
+        panels = self.panels
+        value = math.fsum(panels[2::4])
+        errors = panels[3::4]
+        total_err = math.fsum(errors) + self.tail
+        tolerance = spec.rel_tol * abs(value) + spec.abs_tol
+        if total_err <= tolerance:
+            return value, total_err
+        if self.subdivisions >= spec.max_subdivisions:
+            best = QuadratureResult(value, total_err, self.evaluations)
+            raise ConvergenceError(best, tolerance)
+        if self.tail > 0.5 * tolerance:
+            # Bisection cannot reduce the tail; push the window outward instead.
+            cutoff = self.points[-1]
+            self.points, self.tail_due = [cutoff, cutoff + 10.0 * spec.decay_scale], True
+        else:
+            worst = 4 * errors.index(max(errors))  # the first of equal errors: creation order
+            a, b = panels[worst], panels[worst + 1]
+            del panels[worst : worst + 4]
+            self.points = [a, 0.5 * (a + b), b]
+        self.next = 0
+        self.subdivisions += 1
+        return None
+
+
+def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """Integrate n integrands over [0, inf) to the tolerances in spec, in lockstep.
+
+    f(cols, x) gets a list of column indices and a (len(cols), m) array of
+    abscissas, row i for column cols[i], and returns the matching array of
+    values; m is 15 for a panel and 3 for a tail bound, and len(cols) <=
+    LOCKSTEP_COLUMNS. Each column runs integrate_semiinf's algorithm on its
+    own, so a column's result does not depend on the others in its batch as
+    long as f evaluates each row on its own.
+
+    Returns a (3, n) array: per column its value, error estimate and
+    evaluation count. Raises the IntegrandError or ConvergenceError of the
+    lowest-index column that fails; the other columns' results are then
+    discarded.
+    """
+    s = spec.decay_scale
+    edges = [0.0, 0.5 * s, s, 2.0 * s, 5.0 * s, 10.0 * s, 20.0 * s, 40.0 * s]
+    results = np.zeros((3, n))
+    live = [_Column(i, edges) for i in range(min(n, LOCKSTEP_COLUMNS))]
+    admitted = len(live)
+    failed, failure = n, None  # the lowest failing column and its exception
+
+    while live:
+        # Each column's next evaluation; a column is ready to take its next
+        # step once its last pending evaluation is in.
+        panel_cols, lo, hi, tail_cols, cutoffs, ready = [], [], [], [], [], []
+        for column in live:
+            points, i = column.points, column.next + 1
+            if i < len(points):
+                panel_cols.append(column)
+                lo.append(points[i - 1])
+                hi.append(points[i])
+                column.next = i
+                if i + 1 == len(points) and not column.tail_due:
+                    ready.append(column)
+            else:
+                tail_cols.append(column)
+                cutoffs.append(points[-1])
+                column.tail_due = False
+                ready.append(column)
+        bad = []
+        if panel_cols:
+            values, errors, rows = _panels(f, [c.index for c in panel_cols], lo, hi)
+            for column, a, b, value, err in zip(panel_cols, lo, hi, values, errors):
+                column.panels.extend((a, b, value, err))
+                column.evaluations += PANEL_NODES
+            if rows:
+                bad += [(panel_cols[row], IntegrandError(x)) for row, x in rows]
+        if tail_cols:
+            tails, rows = _tail_bounds(f, [c.index for c in tail_cols], cutoffs, s)
+            for column, tail in zip(tail_cols, tails):
+                column.tail = tail
+                column.evaluations += TAIL_NODES
+            if rows:
+                bad += [(tail_cols[row], IntegrandError(x)) for row, x in rows]
+
+        done = []
+        for column in ready:
+            try:
+                result = column.advance(spec)
+            except ConvergenceError as exc:
+                bad.append((column, exc))
+                continue
+            if result is not None:
+                i = column.index
+                results[0, i], results[1, i] = result
+                results[2, i] = column.evaluations
+                done.append(column)
+        for column, exc in bad:
+            if column.index < failed:
+                failed, failure = column.index, exc
+        if done or bad:
+            live = [column for column in live if column.index < failed and column not in done]
+            while len(live) < LOCKSTEP_COLUMNS and admitted < failed:
+                live.append(_Column(admitted, edges))
+                admitted += 1
+
+    if failure is not None:
+        raise failure
+    return results
 
 
 def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
     """Integrate f over [0, inf) to the tolerances in spec.
 
-    f must accept an ndarray of abscissas and return the matching ndarray of
-    values; it is assumed smooth and decaying at least like
-    exp(-x/decay_scale) beyond ~10*decay_scale.
+    f must accept an ndarray of abscissas (15 for a panel, 3 for a tail
+    bound) and return the matching ndarray of values; it is assumed smooth
+    and decaying at least like exp(-x/decay_scale) beyond ~10*decay_scale.
+    This is integrate_columns with one column.
 
     Returns a QuadratureResult whose error_estimate satisfies
     error_estimate <= rel_tol*|value| + abs_tol. Raises IntegrandError on
     non-finite integrand values and ConvergenceError (carrying the best
     estimate) if max_subdivisions is exhausted.
     """
-    s = spec.decay_scale
-    edges = [0.0, 0.5 * s, s, 2.0 * s, 5.0 * s, 10.0 * s, 20.0 * s, 40.0 * s]
-    cutoff = edges[-1]
-
-    evaluations = 0
-    counter = 0
-    # Entries (-error, creation index, a, b, value): worst error first.
-    heap: list[tuple[float, int, float, float, float]] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        value, err, n = _panel(f, a, b)
-        evaluations += n
-        heapq.heappush(heap, (-err, counter, a, b, value))
-        counter += 1
-
-    tail, n = _tail_bound(f, cutoff, s)
-    evaluations += n
-
-    subdivisions = 0
-    while True:
-        value = math.fsum(entry[4] for entry in heap)
-        panel_err = -math.fsum(entry[0] for entry in heap)
-        total_err = panel_err + tail
-        tolerance = spec.rel_tol * abs(value) + spec.abs_tol
-        if total_err <= tolerance:
-            return QuadratureResult(value=value, error_estimate=total_err, evaluations=evaluations)
-        if subdivisions >= spec.max_subdivisions:
-            best = QuadratureResult(value=value, error_estimate=total_err, evaluations=evaluations)
-            raise ConvergenceError(best, tolerance)
-        if tail > 0.5 * tolerance:
-            # Bisection cannot reduce the tail; push the window outward instead.
-            new_cutoff = cutoff + 10.0 * s
-            pvalue, perr, n = _panel(f, cutoff, new_cutoff)
-            evaluations += n
-            heapq.heappush(heap, (-perr, counter, cutoff, new_cutoff, pvalue))
-            counter += 1
-            cutoff = new_cutoff
-            tail, n = _tail_bound(f, cutoff, s)
-            evaluations += n
-        else:
-            _, _, a, b, _ = heapq.heappop(heap)
-            mid = 0.5 * (a + b)
-            for lo, hi in ((a, mid), (mid, b)):
-                pvalue, perr, n = _panel(f, lo, hi)
-                evaluations += n
-                heapq.heappush(heap, (-perr, counter, lo, hi, pvalue))
-                counter += 1
-        subdivisions += 1
+    value, error, evaluations = integrate_columns(lambda cols, x: f(x[0]), 1, spec)[:, 0].tolist()
+    return QuadratureResult(value=value, error_estimate=error, evaluations=int(evaluations))

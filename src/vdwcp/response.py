@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .quad import LOCKSTEP_COLUMNS, PANEL_NODES
+
 ELECTRIC = "electric"
 MAGNETIC = "magnetic"
 
@@ -24,7 +26,7 @@ class AtomFileError(ValueError):
     """Atom definition file is malformed; message carries file and line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """One ground-to-excited transition.
 
@@ -51,7 +53,7 @@ class Transition:
             raise ValueError(f"transition kind must be electric or magnetic, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChargedParticle:
     """Constituent particle entering the diamagnetisability sum."""
 
@@ -70,7 +72,7 @@ class ChargedParticle:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiamagneticSpec:
     """Static diamagnetisability, given directly or via a particle decomposition.
 
@@ -100,7 +102,7 @@ def diamagnetisability(spec: DiamagneticSpec) -> float:
     return -sum(p.charge**2 * p.mean_sq_radius / (6.0 * p.mass) for p in spec.particles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomModel:
     """Isotropic atom: transition lists plus a static diamagnetisability."""
 
@@ -118,12 +120,16 @@ class AtomModel:
         for t in self.magnetic_transitions:
             if t.kind != MAGNETIC:
                 raise ValueError(f"magnetic_transitions holds a {t.kind} transition")
-        if (
-            not self.electric_transitions
-            and not self.magnetic_transitions
-            and diamagnetisability(self.diamagnetic) == 0.0
-        ):
-            raise ValueError(f"atom {self.label!r} has no response at all")
+        # the static responses up to the positive factor 1/hbar, so zero in every unit system
+        statics = (
+            _lorentz_sum(self.electric_transitions, 0.0, 1.0),
+            _lorentz_sum(self.magnetic_transitions, 0.0, 1.0),
+            diamagnetisability(self.diamagnetic),
+        )
+        if not any(statics):
+            raise ValueError(
+                f"atom {self.label!r} has no response at all: every static response is zero"
+            )
 
 
 def _lorentz_sum(transitions: tuple[Transition, ...], xi, hbar: float):
@@ -142,26 +148,55 @@ class LorentzTable:
     """_lorentz_sum of one non-empty transition list, tabulated for many evaluations.
 
     The columns omega_k |d_k|^2 and omega_k^2 are built once; a call
-    evaluates all (transitions x abscissas) terms in one array and adds its
-    rows with np.add.reduce over axis 0. For a 1d xi of at least two points
-    numpy adds those rows in transition order, the order of _lorentz_sum, so
-    both give bit-identical sums. The quadrature's 15- and 3-point node
-    arrays qualify; xi is not checked for sign.
+    evaluates (transitions x abscissas) terms in one array and adds its rows
+    with np.add.reduce over axis 0. For at least two abscissas numpy adds
+    those rows in transition order, the order of _lorentz_sum, so both give
+    bit-identical sums; the quadrature's 15- and 3-point rows qualify. A 2d
+    xi is taken in blocks of whole rows so that no term array holds more than
+    max(transitions, LOCKSTEP_COLUMNS) * PANEL_NODES terms, the working set of
+    one panel or of one lockstep call of the quadrature. A single transition
+    needs no term array and is evaluated with scalar operands, in the same
+    order. xi is not checked for sign.
     """
 
-    __slots__ = ("weights", "omega_sq", "factor")
+    __slots__ = ("weights", "omega_sq", "factor", "block")
 
     def __init__(self, transitions: tuple[Transition, ...], hbar: float):
         self.weights = np.array([[t.omega * t.dipole_sq] for t in transitions])
         self.omega_sq = np.array([[t.omega**2] for t in transitions])
         self.factor = 2.0 / (3.0 * hbar)
+        # abscissas per term array
+        self.block = max(len(transitions), LOCKSTEP_COLUMNS) * PANEL_NODES // len(transitions)
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
-        terms = self.omega_sq + xi**2
-        np.divide(self.weights, terms, out=terms)
-        total = np.add.reduce(terms, axis=0)
+        if len(self.weights) == 1:
+            total = xi**2
+            total += self.omega_sq.item()
+            np.divide(self.weights.item(), total, out=total)
+            total *= self.factor
+            return total
+        total = np.empty(xi.shape)
+        rows = max(1, self.block // xi.shape[-1])
+        if xi.ndim == 1 or len(xi) <= rows:
+            self._sum(xi, total)
+        else:
+            for start in range(0, len(xi), rows):
+                self._sum(xi[start : start + rows], total[start : start + rows])
         total *= self.factor
         return total
+
+    def _sum(self, xi: np.ndarray, out: np.ndarray) -> None:
+        # A broadcasting ufunc allocates an iteration buffer as large as its
+        # output. The division takes its numerators from a full copy instead,
+        # so at most two (transitions x abscissas) arrays are alive at a time.
+        terms = np.empty((len(self.weights), xi.size))
+        terms[...] = self.omega_sq
+        terms += (xi**2).reshape(-1)
+        numerators = np.empty(terms.shape)
+        numerators[...] = self.weights
+        np.divide(numerators, terms, out=terms)
+        del numerators
+        np.add.reduce(terms, axis=0, out=out.reshape(-1))
 
 
 def alpha_iso(atom: AtomModel, xi, hbar: float):
@@ -204,9 +239,16 @@ def _fail(path, node, message: str):
     raise AtomFileError(f"{_mark(path, node)}: {message}")
 
 
+# YAML's own spellings of the non-finite floats, which Python's float() rejects.
+_YAML_SPECIAL_FLOATS = {".inf": math.inf, "+.inf": math.inf, "-.inf": -math.inf, ".nan": math.nan}
+
+
 def _as_float(path, node) -> float:
     if not isinstance(node, yaml.ScalarNode):
         _fail(path, node, "expected a number")
+    special = _YAML_SPECIAL_FLOATS.get(node.value.lower())
+    if special is not None:
+        return special
     try:
         return float(node.value)
     except ValueError:
@@ -327,12 +369,12 @@ def load_atom_file(path) -> AtomModel:
     else:
         dia = DiamagneticSpec()
 
-    try:
-        return AtomModel(
-            label=label,
-            electric_transitions=electric,
-            magnetic_transitions=magnetic,
-            diamagnetic=dia,
-        )
-    except ValueError as exc:
-        raise AtomFileError(f"{path}: {exc}") from exc
+    return _construct(
+        path,
+        root,
+        AtomModel,
+        label=label,
+        electric_transitions=electric,
+        magnetic_transitions=magnetic,
+        diamagnetic=dia,
+    )

@@ -55,7 +55,7 @@ SUPPORTED_PREFACTOR = "1/(32π²z⁴)"
 REJECTED_PREFACTOR = "1/(32πz⁴)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
@@ -65,7 +65,7 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelftestReport:
     rel_tol: float
     checks: tuple[CheckResult, ...]

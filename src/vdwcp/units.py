@@ -25,7 +25,7 @@ class UnitSystem(Enum):
     NATURAL = "natural"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constants:
     """Bundle of hbar, c, eps0, mu0 in a consistent unit system."""
 

@@ -274,6 +274,30 @@ def test_non_finite_atom_parameter_is_a_usage_error(tmp_path, capsys, text, line
     assert message in err
 
 
+def test_all_zero_atom_is_a_usage_error(tmp_path, capsys):
+    atom = tmp_path / "atom.yaml"
+    atom.write_text("label: x\nelectric_transitions:\n  - {omega: 1.0, mu_sq: 0}\n")
+    code, out, err = _run(
+        capsys, "mirror", "--atom", str(atom), "--plate", "conducting",
+        "--grid", "1:2:3", "--units", "natural",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{atom}:1:" in err
+    assert "every static response is zero" in err
+
+
+def test_batch_quadrature_failure_exits_three(capsys, monkeypatch):
+    # a kernel that turns non-finite fails every distance of the curve in the engine
+    monkeypatch.setattr("vdwcp.potentials.mirror_kernel", lambda x: np.where(x < 5.0, 1.0, np.nan))
+    code, out, err = _run(
+        capsys, "mirror", "--atom", ELEC, "--plate", "conducting", "--grid", "1:2:9",
+    )
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
 def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError(QuadratureResult(0.0, 1.0, 15), 1e-10)

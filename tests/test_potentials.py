@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdwcp.potentials
@@ -24,12 +24,19 @@ from vdwcp.potentials import (
     vdw_pair,
     vdw_pair_total_direct,
 )
-from vdwcp.quad import QuadratureSpec, integrate_semiinf
+from vdwcp.quad import (
+    LOCKSTEP_COLUMNS,
+    PANEL_NODES,
+    IntegrandError,
+    QuadratureSpec,
+    integrate_semiinf,
+)
 from vdwcp.response import (
     ELECTRIC,
     MAGNETIC,
     AtomModel,
     DiamagneticSpec,
+    LorentzTable,
     Transition,
     alpha_iso,
     beta_para_iso,
@@ -456,28 +463,99 @@ def test_pair_curve_is_bitwise_the_per_point_reference(atom_a, atom_b):
             assert np.array_equal(curve.values[a], curve.values[b])
 
 
-def _count_quadratures(monkeypatch) -> list:
-    calls = []
-    real = vdwcp.potentials.integrate_semiinf
+def _count_columns(monkeypatch) -> list:
+    """Records the column count of every integrate_columns call made by potentials."""
+    columns = []
+    real = vdwcp.potentials.integrate_columns
 
-    def counting(f, spec):
-        calls.append(spec)
-        return real(f, spec)
+    def counting(f, n, spec):
+        columns.append(n)
+        return real(f, n, spec)
 
-    monkeypatch.setattr(vdwcp.potentials, "integrate_semiinf", counting)
-    return calls
+    monkeypatch.setattr(vdwcp.potentials, "integrate_columns", counting)
+    return columns
 
 
 def test_diamagnetic_moment_is_integrated_once_per_curve(monkeypatch):
-    calls = _count_quadratures(monkeypatch)
+    columns = _count_columns(monkeypatch)
     counts = []
     for _ in range(2):  # equal counts: nothing is cached between calls
-        calls.clear()
+        columns.clear()
         pair_curve(COMPOSITE_A, COMPOSITE_B, np.geomspace(1e-3, 1e3, 61), UnitSystem.NATURAL)
-        pair = len(calls)
+        pair = sum(columns)
         mirror_curve(
             COMPOSITE_A, np.geomspace(1e-2, 1e2, 40), PlateKind.CONDUCTING, UnitSystem.NATURAL
         )
-        counts.append((pair, len(calls) - pair))
+        counts.append((pair, sum(columns) - pair))
     # eight distance-dependent pair channels plus dd once; e and p plus d once
     assert counts == [(8 * 61 + 1, 2 * 40 + 1)] * 2
+
+
+# -- curves in lockstep against one-point runs ------------------------------------
+
+
+@settings(max_examples=6)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    electric=st.integers(min_value=1, max_value=4),
+    magnetic=st.integers(min_value=1, max_value=4),
+    points=st.integers(min_value=1, max_value=70),
+    low=st.floats(min_value=-2.5, max_value=0.5),
+    decades=st.floats(min_value=0.1, max_value=4.0),
+    plate=st.sampled_from(list(PlateKind)),
+    exponent=st.floats(min_value=-13.0, max_value=-6.0),
+)
+def test_curves_are_bitwise_one_point_runs(
+    seed, electric, magnetic, points, low, decades, plate, exponent
+):
+    atom = _seeded_atom(seed, electric, magnetic)
+    partner = _seeded_atom(seed + 1, magnetic, electric)
+    grid = np.geomspace(10.0**low, 10.0 ** (low + decades), points)
+    spec = QuadratureSpec(rel_tol=10.0**exponent)
+    mirror = mirror_curve(atom, grid, plate, UnitSystem.NATURAL, spec)
+    pair = pair_curve(atom, partner, grid, UnitSystem.NATURAL, spec)
+    for i, d in enumerate(grid.tolist()):
+        point = cp_mirror(atom, d, plate, NAT, spec)
+        assert [mirror.values[ch][i] for ch in MIRROR_CHANNELS] == [
+            point.electric,
+            point.paramagnetic,
+            point.diamagnetic,
+        ]
+        channels = vdw_pair(atom, partner, d, NAT, spec).channels
+        assert [pair.values[ch][i] for ch in PAIR_CHANNELS] == [
+            channels[ch] for ch in PAIR_CHANNELS
+        ]
+
+
+@pytest.mark.parametrize("electric", [1, 3, 4, 9, 30])
+def test_response_tables_stay_within_the_term_bound(monkeypatch, electric):
+    sums = []
+    real = LorentzTable._sum
+
+    def recording(self, xi, out):
+        sums.append((len(self.weights), xi.size))
+        return real(self, xi, out)
+
+    monkeypatch.setattr(LorentzTable, "_sum", recording)
+    atom = _seeded_atom(5, electric, 2)
+    pair_curve(atom, atom, np.geomspace(0.05, 20.0, 11), UnitSystem.NATURAL)
+    mirror_curve(atom, np.geomspace(0.05, 20.0, 11), PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    assert sums
+    for transitions, abscissas in sums:
+        assert transitions * abscissas <= max(transitions, LOCKSTEP_COLUMNS) * PANEL_NODES
+        assert abscissas >= 2  # numpy adds the rows in order only for two or more
+
+
+def test_batch_failure_is_the_lowest_distance_error(monkeypatch):
+    # the kernel turns non-finite far out, so every distance fails; the curve
+    # reports the failure of its first distance, as a one-point run does
+    def broken(x):
+        return np.where(x < 30.0, mirror_kernel(x), np.inf)
+
+    monkeypatch.setattr(vdwcp.potentials, "mirror_kernel", broken)
+    grid = np.geomspace(0.5, 2.0, 6)
+    with pytest.raises(IntegrandError) as curve_error:
+        mirror_curve(ELEC, grid, PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    with pytest.raises(IntegrandError) as point_error:
+        cp_mirror(ELEC, float(grid[0]), PlateKind.CONDUCTING, NAT)
+    assert curve_error.value.abscissa == point_error.value.abscissa

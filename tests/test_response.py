@@ -146,6 +146,24 @@ def test_atom_model_rejects_empty_atom():
         AtomModel(label="nothing")
 
 
+def test_atom_model_rejects_all_zero_static_responses():
+    silent_e = Transition(omega=1.0, dipole_sq=0.0, kind=ELECTRIC)
+    silent_m = Transition(omega=2.0, dipole_sq=0.0, kind=MAGNETIC)
+    with pytest.raises(ValueError, match="every static response is zero"):
+        AtomModel(label="silent", electric_transitions=(silent_e,))
+    with pytest.raises(ValueError, match="every static response is zero"):
+        AtomModel(
+            label="silent",
+            electric_transitions=(silent_e,),
+            magnetic_transitions=(silent_m,),
+            diamagnetic=DiamagneticSpec(direct_beta_d=0.0),
+        )
+    # one non-zero response is enough
+    AtomModel(label="para", electric_transitions=(silent_e,), magnetic_transitions=(
+        Transition(omega=2.0, dipole_sq=1e-3, kind=MAGNETIC),
+    ))
+
+
 @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=50.0))
 def test_polarisability_monotone_on_imaginary_axis(xi1, xi2):
     lo, hi = sorted((xi1, xi2))
@@ -245,6 +263,19 @@ def test_bad_number_rejected_with_location(tmp_path):
             tmp_path,
             "label: x\nelectric_transitions:\n  - omega: 1.0\n    mu_sq: banana\n",
         )
+
+
+@pytest.mark.parametrize("spelling", [".inf", "-.Inf", "+.INF", ".NaN", ".nan"])
+def test_yaml_non_finite_spellings_reach_the_finiteness_check(tmp_path, spelling):
+    with pytest.raises(AtomFileError, match=r"atom\.yaml:3: particle charge must be finite"):
+        _load(tmp_path, f"label: x\nparticles:\n  - {{q: {spelling}, m: 1.0, r_sq: 1.0}}\n")
+    with pytest.raises(AtomFileError, match=r"atom\.yaml:3: .*frequency must be finite"):
+        _load(tmp_path, f"label: x\nelectric_transitions:\n  - {{omega: {spelling}, mu_sq: 1.0}}\n")
+
+
+def test_all_zero_atom_file_rejected_with_location(tmp_path):
+    with pytest.raises(AtomFileError, match=r"atom\.yaml:1: .*every static response is zero"):
+        _load(tmp_path, "label: x\nelectric_transitions:\n  - {omega: 1.0, mu_sq: 0}\n")
 
 
 def test_missing_label_rejected(tmp_path):
