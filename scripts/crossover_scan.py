@@ -12,9 +12,8 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from vdwcp.asymptotics import default_fixtures, local_log_slope
+from vdwcp.cli import parse_grid
 from vdwcp.potentials import Channel, Regime, pair_curve, vdw_asymptote
 from vdwcp.quad import QuadratureSpec
 from vdwcp.units import UnitSystem, constants_for
@@ -28,14 +27,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output CSV (default stdout)")
     args = parser.parse_args(argv)
 
-    lo, hi, points = args.grid.split(":")
-    grid = np.geomspace(float(lo), float(hi), int(points))
-    spec = QuadratureSpec(rel_tol=args.rel_tol)
     fixtures = default_fixtures()
     consts = constants_for(UnitSystem.NATURAL)
-
-    curve = pair_curve(fixtures["e"], fixtures["d"], grid, UnitSystem.NATURAL, spec)
-    profile = local_log_slope(curve, Channel.ED)
+    try:
+        grid = parse_grid(args.grid)
+        spec = QuadratureSpec(rel_tol=args.rel_tol)
+        curve = pair_curve(fixtures["e"], fixtures["d"], grid, UnitSystem.NATURAL, spec)
+        profile = local_log_slope(curve, Channel.ED)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(sink, lineterminator="\n")

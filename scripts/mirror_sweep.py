@@ -12,9 +12,8 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from vdwcp.asymptotics import default_fixtures
+from vdwcp.cli import parse_grid
 from vdwcp.green import PlateKind
 from vdwcp.potentials import MIRROR_CHANNELS, mirror_curve
 from vdwcp.quad import QuadratureSpec
@@ -29,9 +28,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output CSV (default stdout)")
     args = parser.parse_args(argv)
 
-    lo, hi, points = args.grid.split(":")
-    grid = np.geomspace(float(lo), float(hi), int(points))
-    spec = QuadratureSpec(rel_tol=args.rel_tol)
+    try:
+        grid = parse_grid(args.grid)
+        spec = QuadratureSpec(rel_tol=args.rel_tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     fixtures = default_fixtures()
 
     sink = open(args.out, "w", newline="") if args.out else sys.stdout

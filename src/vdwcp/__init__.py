@@ -10,18 +10,14 @@ from .asymptotics import SlopeProfile, TableReport, local_log_slope, verify_tabl
 from .green import PlateKind
 from .potentials import (
     Channel,
-    MirrorPotential,
-    PairPotential,
     PotentialCurve,
     Regime,
     UnsupportedAsymptoteError,
-    cp_mirror,
     cp_mirror_diamagnetic_closed,
     force_from_curve,
     mirror_curve,
     pair_curve,
     vdw_asymptote,
-    vdw_pair,
 )
 from .quad import ConvergenceError, IntegrandError, QuadratureError, QuadratureSpec
 from .response import (
@@ -49,8 +45,6 @@ __all__ = [
     "ConvergenceError",
     "DiamagneticSpec",
     "IntegrandError",
-    "MirrorPotential",
-    "PairPotential",
     "PlateKind",
     "PotentialCurve",
     "QuadratureError",
@@ -66,7 +60,6 @@ __all__ = [
     "beta_para_iso",
     "beta_total",
     "constants_for",
-    "cp_mirror",
     "cp_mirror_diamagnetic_closed",
     "diamagnetisability",
     "force_from_curve",
@@ -76,6 +69,5 @@ __all__ = [
     "pair_curve",
     "run_selftest",
     "vdw_asymptote",
-    "vdw_pair",
     "verify_tables",
 ]

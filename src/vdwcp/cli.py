@@ -34,7 +34,7 @@ from .units import UnitSystem
 _CHANNEL_NAMES = [ch.value for ch in MIRROR_CHANNELS + PAIR_CHANNELS]
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def parse_grid(text: str) -> np.ndarray:
     """Parse 'min:max:points' into a geometric grid."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -88,9 +88,8 @@ def _json_document(metadata: dict[str, str], body: dict) -> str:
 
 
 def _curve_columns(curve: PotentialCurve) -> tuple[list[str], list[np.ndarray]]:
-    channels = MIRROR_CHANNELS if curve.geometry == "mirror" else PAIR_CHANNELS
-    names = ["distance"] + [f"channel:{ch.value}" for ch in channels] + ["total"]
-    columns = [curve.distances] + [curve.values[ch] for ch in channels] + [curve.total]
+    names = ["distance"] + [f"channel:{ch.value}" for ch in curve.values] + ["total"]
+    columns = [curve.distances, *curve.values.values(), curve.total]
     return names, columns
 
 
@@ -116,7 +115,7 @@ def _quad_spec(args) -> QuadratureSpec:
 def _load_mirror_inputs(args):
     atom = load_atom_file(args.atom)
     plate = PlateKind(args.plate)
-    grid = _parse_grid(args.grid)
+    grid = parse_grid(args.grid)
     return atom, plate, grid
 
 
@@ -130,7 +129,7 @@ def cmd_mirror(args) -> int:
         atom=atom.label,
         plate=plate.value,
         grid=f"{args.grid} (geometric)",
-        method=curve.method,
+        method="quadrature",
     )
     _emit(args, _render_curve(args, curve, meta))
     return 0
@@ -139,7 +138,7 @@ def cmd_mirror(args) -> int:
 def cmd_pair(args) -> int:
     atom_a = load_atom_file(args.atom)
     atom_b = load_atom_file(args.atom_b)
-    grid = _parse_grid(args.grid)
+    grid = parse_grid(args.grid)
     units = _units_for(args)
     curve = pair_curve(atom_a, atom_b, grid, units, _quad_spec(args))
     meta = _metadata(
@@ -148,7 +147,7 @@ def cmd_pair(args) -> int:
         atom=atom_a.label,
         atom_b=atom_b.label,
         grid=f"{args.grid} (geometric)",
-        method=curve.method,
+        method="quadrature",
     )
     _emit(args, _render_curve(args, curve, meta))
     return 0
@@ -156,7 +155,7 @@ def cmd_pair(args) -> int:
 
 def cmd_slopes(args) -> int:
     units = _units_for(args)
-    grid = _parse_grid(args.grid)
+    grid = parse_grid(args.grid)
     spec = _quad_spec(args)
     if args.atom_b:
         atom_a = load_atom_file(args.atom)

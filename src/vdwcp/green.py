@@ -12,7 +12,6 @@ dimensionless distance-frequency product x.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -112,15 +111,6 @@ def mirror_gmm_trace(z: float, xi: float, plate: PlateKind, c: float) -> float:
     return plate.sign * bracket * np.exp(-2.0 * u) / (8.0 * np.pi * z**3)
 
 
-def mirror_gee_trace(z: float, xi: float, plate: PlateKind, c: float) -> float:
-    """Scattering-part trace Tr Gee1(z, z, i xi); exactly -Tr Gmm1 at a perfect mirror.
-
-    The sign swap between the electric and magnetic traces is what flips
-    attraction to repulsion between electric and paramagnetic atoms.
-    """
-    return -mirror_gmm_trace(z, xi, plate, c)
-
-
 def mirror_gmm_trace_via_q_integral(
     z: float,
     xi: float,
@@ -164,25 +154,6 @@ def mirror_gmm_trace_via_q_integral(
 
     result = integrate_semiinf(integrand, spec)
     return result.value / (8.0 * np.pi * z)
-
-
-@dataclass(frozen=True, slots=True)
-class FreeGreenScalars:
-    """Coefficients of the free-space Green tensor at dimensionless x = l xi / c.
-
-    The tensor is e^(-x)/(4 pi l x^2) * (coeff_iso * I + coeff_rad * e_l e_l)
-    with coeff_iso = f(x) and coeff_rad = -g(x); at x = 0 they reduce to the
-    static dipole form (1, -3).
-    """
-
-    coeff_iso: float
-    coeff_rad: float
-    x: float
-
-
-def free_green_scalars(x: float) -> FreeGreenScalars:
-    f, g = fg(x)
-    return FreeGreenScalars(coeff_iso=float(f), coeff_rad=-float(g), x=float(x))
 
 
 # --- 3x3 assembly, used only by the brute-force trace oracles in the tests ---

@@ -6,7 +6,8 @@ pair) and the static response magnitudes are factored out of the integrand,
 so the quadrature always sees O(1) ratios times the universal kernels of the
 green module; the physical scale returns through an analytic prefactor. A
 channel whose static response vanishes is exactly zero and skips quadrature.
-Curves and single points share one loop over channels and distances. The
+Every value is a point of a PotentialCurve, a single distance being a
+one-point curve, and one loop over channels and distances computes it. The
 diamagnetic response is frequency independent, so the integrals of the
 mirror d and pair dd channels do not depend on the distance and are
 integrated once per call.
@@ -110,25 +111,33 @@ def _with_decay_scale(spec: QuadratureSpec, decay_scale: float) -> QuadratureSpe
     """spec with another decay scale, built without dataclasses.replace's kwargs dicts."""
     return QuadratureSpec(
         rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol,
         decay_scale=decay_scale,
         max_subdivisions=spec.max_subdivisions,
     )
 
 
+def _grid(distances) -> np.ndarray:
+    """distances as a float array, checked: 1-d, non-empty, positive and strictly increasing."""
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError("distances must be a non-empty 1d array")
+    if not np.all(d > 0.0):
+        raise ValueError("distances must be positive")
+    if not np.all(np.diff(d) > 0.0):
+        raise ValueError("distances must be strictly increasing")
+    return d
+
+
 def _prefactors(
     numerator: float, coefficient: float, distances: np.ndarray, power: int, name: str
 ) -> np.ndarray:
-    """numerator / (coefficient * d**power) for every distance d, checking each d first.
+    """numerator / (coefficient * d**power) for every positive distance d, checking each d first.
 
-    A distance that is not positive, or whose power leaves the float range so
-    that the prefactor would be zero, infinite or raise, is a ValueError
-    naming it.
+    A distance whose power leaves the float range, so that the prefactor
+    would be zero, infinite or raise, is a ValueError naming it.
     """
     prefactors = []
     for d in distances.tolist():
-        if not d > 0.0:
-            raise ValueError(f"{name} must be positive, got {d!r}")
         try:
             value = numerator / (coefficient * d**power)
         except (OverflowError, ZeroDivisionError):
@@ -139,34 +148,6 @@ def _prefactors(
             )
         prefactors.append(value)
     return np.array(prefactors)
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorPotential:
-    """Per-channel single-atom potential at one distance, in J."""
-
-    electric: float
-    paramagnetic: float
-    diamagnetic: float
-
-    @property
-    def magnetic(self) -> float:
-        return self.paramagnetic + self.diamagnetic
-
-    @property
-    def total(self) -> float:
-        return self.electric + self.magnetic
-
-
-@dataclass(frozen=True, slots=True)
-class PairPotential:
-    """Nine-channel two-atom potential at one separation, in J."""
-
-    channels: dict[Channel, float]
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.channels[ch] for ch in PAIR_CHANNELS)
 
 
 def _mirror_values(
@@ -210,29 +191,6 @@ def _mirror_values(
         else:
             row[:] = plate.sign * bases * consts.mu0 * static * integrals
     return values
-
-
-def cp_mirror(
-    atom: AtomModel,
-    z: float,
-    plate: PlateKind,
-    consts: Constants,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> MirrorPotential:
-    """Ground-state potential of an atom at distance z from a perfect mirror.
-
-    Electric channel: (hbar/2 pi eps0) int dxi alpha(i xi) Tr Gee1(z, z, i xi);
-    paramagnetic and diamagnetic channels carry (hbar mu0 / 2 pi) and the
-    magnetic trace instead. After x = 2 z xi / c each channel becomes an
-    analytic prefactor ~1/z^4 times int response_ratio * mirror_kernel dx.
-    In front of a conductor the electric channel is attractive and both
-    magnetic ones repulsive for paramagnetic / attractive for diamagnetic
-    response; a permeable mirror flips every sign.
-    """
-    electric, paramagnetic, diamagnetic = _mirror_values(
-        atom, np.array([z], dtype=float), plate, consts, spec
-    )[:, 0].tolist()
-    return MirrorPotential(electric, paramagnetic, diamagnetic)
 
 
 def cp_mirror_diamagnetic_closed(
@@ -292,7 +250,7 @@ def _pair_values(
 ) -> np.ndarray:
     """Every pair channel at every separation, one row per PAIR_CHANNELS entry.
 
-    The one pair evaluation path; see vdw_pair for the integrals. One
+    The one pair evaluation path; see pair_curve for the integrals. One
     integrate_columns call per channel integrates every separation. A
     channel with diamagnetic response on both sides integrates the bare like
     kernel, the same moment at every separation, once per call; a channel
@@ -335,32 +293,6 @@ def _pair_values(
     return values
 
 
-def vdw_pair(
-    atom_a: AtomModel,
-    atom_b: AtomModel,
-    l: float,
-    consts: Constants,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> PairPotential:
-    """Two-atom dispersion potential at separation l, split into nine channels.
-
-    With x = l xi / c, like-response channels (ee, pp, pd, dp, dd) are
-
-        -hbar mu0^2 c W / (16 pi^3 l^7) * int R_A R_B pair_kernel_same dx
-
-    with W = c^4 for ee and 1 otherwise, while the crossed channels
-    (ep, ed, pe, de) are
-
-        +hbar mu0^2 c^3 / (16 pi^3 l^7) * int x^2 R_e R_m pair_kernel_cross dx,
-
-    R denoting the response evaluated at xi = c x / l (the static magnitudes
-    are inside the prefactor). Like channels inherit their sign from the
-    product of static responses, crossed ones the opposite.
-    """
-    values = _pair_values(atom_a, atom_b, np.array([l], dtype=float), consts, spec)
-    return PairPotential(channels=dict(zip(PAIR_CHANNELS, values[:, 0].tolist())))
-
-
 def vdw_pair_total_direct(
     atom_a: AtomModel,
     atom_b: AtomModel,
@@ -372,7 +304,7 @@ def vdw_pair_total_direct(
 
     Independent path used to check channel additivity: the full responses
     (alpha and total beta = beta_p + beta_d) enter the integrand directly,
-    unfactored, so agreement with the summed vdw_pair channels is a real
+    unfactored, so agreement with the summed pair_curve channels is a real
     cross-check rather than an identity.
     """
     if not l > 0.0:
@@ -473,34 +405,23 @@ def vdw_asymptote(
 
 @dataclass(frozen=True, slots=True)
 class PotentialCurve:
-    """Per-channel potential values over a distance grid, plus provenance."""
+    """Per-channel potential values over a distance grid.
 
-    geometry: str  # "mirror" or "free_pair"
-    plate: PlateKind | None
+    A mirror curve has a plate and carries MIRROR_CHANNELS, a two-atom curve
+    has plate None and carries PAIR_CHANNELS. total is the potential summed
+    over the channels.
+    """
+
     distances: np.ndarray
     values: dict[Channel, np.ndarray]
     total: np.ndarray
-    method: str  # "quadrature" or "closed_form"
-    units: UnitSystem
-    tolerances: QuadratureSpec
+    plate: PlateKind | None = None
 
     def __post_init__(self):
-        if self.geometry not in ("mirror", "free_pair"):
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if (self.geometry == "mirror") != (self.plate is not None):
-            raise ValueError("plate must be set exactly for mirror geometry")
-        if self.method not in ("quadrature", "closed_form"):
-            raise ValueError(f"unknown method {self.method!r}")
-        expected = MIRROR_CHANNELS if self.geometry == "mirror" else PAIR_CHANNELS
+        expected = PAIR_CHANNELS if self.plate is None else MIRROR_CHANNELS
         if set(self.values.keys()) != set(expected):
             raise ValueError(f"curve must carry channels {[c.value for c in expected]}")
-        d = np.asarray(self.distances, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise ValueError("distances must be a non-empty 1d array")
-        if not np.all(d > 0.0):
-            raise ValueError("distances must be positive")
-        if not np.all(np.diff(d) > 0.0):
-            raise ValueError("distances must be strictly increasing")
+        d = _grid(self.distances)
         object.__setattr__(self, "distances", d)
         values = {ch: np.asarray(self.values[ch], dtype=float) for ch in expected}
         for ch, vals in values.items():
@@ -520,18 +441,24 @@ def mirror_curve(
     units: UnitSystem,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> PotentialCurve:
-    """cp_mirror over a distance grid."""
-    d = np.asarray(distances, dtype=float)
+    """Ground-state potential of an atom at each distance z from a perfect mirror.
+
+    Electric channel: (hbar/2 pi eps0) int dxi alpha(i xi) Tr Gee1(z, z, i xi);
+    paramagnetic and diamagnetic channels carry (hbar mu0 / 2 pi) and the
+    magnetic trace instead. After x = 2 z xi / c each channel becomes an
+    analytic prefactor ~1/z^4 times int response_ratio * mirror_kernel dx.
+    In front of a conductor the electric channel is attractive and both
+    magnetic ones repulsive for paramagnetic / attractive for diamagnetic
+    response; a permeable mirror flips every sign. The total is
+    electric + (paramagnetic + diamagnetic).
+    """
+    d = _grid(distances)
     electric, paramagnetic, diamagnetic = _mirror_values(atom, d, plate, constants_for(units), spec)
     return PotentialCurve(
-        geometry="mirror",
-        plate=plate,
         distances=d,
         values={Channel.E: electric, Channel.P: paramagnetic, Channel.D: diamagnetic},
         total=electric + (paramagnetic + diamagnetic),
-        method="quadrature",
-        units=units,
-        tolerances=spec,
+        plate=plate,
     )
 
 
@@ -542,18 +469,28 @@ def pair_curve(
     units: UnitSystem,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> PotentialCurve:
-    """vdw_pair over a separation grid."""
-    d = np.asarray(distances, dtype=float)
+    """Two-atom dispersion potential at each separation l, split into nine channels.
+
+    With x = l xi / c, like-response channels (ee, pp, pd, dp, dd) are
+
+        -hbar mu0^2 c W / (16 pi^3 l^7) * int R_A R_B pair_kernel_same dx
+
+    with W = c^4 for ee and 1 otherwise, while the crossed channels
+    (ep, ed, pe, de) are
+
+        +hbar mu0^2 c^3 / (16 pi^3 l^7) * int x^2 R_e R_m pair_kernel_cross dx,
+
+    R denoting the response evaluated at xi = c x / l (the static magnitudes
+    are inside the prefactor). Like channels inherit their sign from the
+    product of static responses, crossed ones the opposite. The total is the
+    math.fsum of the nine channels.
+    """
+    d = _grid(distances)
     values = _pair_values(atom_a, atom_b, d, constants_for(units), spec)
     return PotentialCurve(
-        geometry="free_pair",
-        plate=None,
         distances=d,
         values=dict(zip(PAIR_CHANNELS, values)),
         total=np.array([math.fsum(point) for point in values.T]),
-        method="quadrature",
-        units=units,
-        tolerances=spec,
     )
 
 

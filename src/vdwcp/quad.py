@@ -75,6 +75,9 @@ TAIL_NODES = _TAIL_OFFSETS.size
 # Columns integrated in lockstep: one integrand call sees at most
 # LOCKSTEP_COLUMNS * PANEL_NODES abscissas.
 LOCKSTEP_COLUMNS = 4
+# Absolute error allowance on top of rel_tol * |value|: a column whose value
+# is exactly zero converges once its error bound is this small.
+ABS_TOL = 1e-300
 
 
 class QuadratureError(Exception):
@@ -104,22 +107,19 @@ class ConvergenceError(QuadratureError):
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
-    """Tolerances and decay hint for integrate_semiinf.
+    """Relative tolerance, decay hint and subdivision budget for integrate_semiinf.
 
     decay_scale is the e^(-x/s) scale of the integrand's far tail; the
     initial integration window is [0, 40*decay_scale].
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-300
     decay_scale: float = 1.0
     max_subdivisions: int = 400
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be non-negative")
         if not self.decay_scale > 0.0:
             raise ValueError("decay_scale must be positive")
         if self.max_subdivisions < 1:
@@ -258,7 +258,7 @@ class _Column:
         value = math.fsum(panels[2::4])
         errors = panels[3::4]
         total_err = math.fsum(errors) + self.tail
-        tolerance = spec.rel_tol * abs(value) + spec.abs_tol
+        tolerance = spec.rel_tol * abs(value) + ABS_TOL
         if total_err <= tolerance:
             return value, total_err
         if self.subdivisions >= spec.max_subdivisions:
@@ -369,7 +369,7 @@ def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> Q
     This is integrate_columns with one column.
 
     Returns a QuadratureResult whose error_estimate satisfies
-    error_estimate <= rel_tol*|value| + abs_tol. Raises IntegrandError on
+    error_estimate <= rel_tol*|value| + ABS_TOL. Raises IntegrandError on
     non-finite integrand values and ConvergenceError (carrying the best
     estimate) if max_subdivisions is exhausted.
     """

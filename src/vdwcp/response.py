@@ -34,6 +34,9 @@ class Transition:
     dipole_sq: squared dipole matrix element magnitude; C^2 m^2 for electric
         transitions, J^2/T^2 for magnetic ones. Finite and >= 0.
     kind: "electric" or "magnetic".
+
+    As computed in floats, omega^2 must also be finite and non-zero and the
+    static term omega |d|^2 / omega^2 of the Lorentzian sum finite.
     """
 
     omega: float
@@ -51,6 +54,16 @@ class Transition:
             )
         if self.kind not in (ELECTRIC, MAGNETIC):
             raise ValueError(f"transition kind must be electric or magnetic, got {self.kind!r}")
+        try:
+            omega_sq = self.omega**2
+        except OverflowError:
+            omega_sq = math.inf
+        if not 0.0 < omega_sq < math.inf or not self.omega * self.dipole_sq / omega_sq < math.inf:
+            raise ValueError(
+                f"transition with omega = {self.omega!r} and squared dipole element "
+                f"{self.dipole_sq!r}: omega^2 must be a finite non-zero float and the "
+                "static term omega |d|^2 / omega^2 a finite one"
+            )
 
 
 @dataclass(frozen=True, slots=True)

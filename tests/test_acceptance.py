@@ -26,11 +26,10 @@ from vdwcp.green import (
 from vdwcp.potentials import (
     Channel,
     Regime,
-    cp_mirror,
     cp_mirror_diamagnetic_closed,
+    mirror_curve,
     pair_curve,
     vdw_asymptote,
-    vdw_pair,
     vdw_pair_total_direct,
 )
 from vdwcp.quad import QuadratureSpec, integrate_semiinf
@@ -75,7 +74,7 @@ def test_mirror_diamagnetic_quartic_law_and_prefactor_adjudication(acceptance_lo
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 5.0):
         for plate in PlateKind:
-            quad = cp_mirror(DIA, z, plate, NAT).diamagnetic
+            quad = mirror_curve(DIA, [z], plate, UnitSystem.NATURAL).values[Channel.D][0]
             closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, NAT)
             worst = max(worst, abs(quad - closed) / abs(closed))
     report = run_selftest()
@@ -99,10 +98,10 @@ def test_diamagnetic_pair_closed_form_across_three_decades(acceptance_log):
     start = perf_counter()
     worst = 0.0
     for l in np.geomspace(0.1, 100.0, 20):
-        quad = vdw_pair(DIA, DIA, float(l), NAT).channels[Channel.DD]
+        quad = pair_curve(DIA, DIA, [l], UnitSystem.NATURAL).values[Channel.DD][0]
         closed = vdw_asymptote(Channel.DD, DIA, DIA, float(l), Regime.RETARDED, NAT)
         worst = max(worst, abs(quad - closed) / abs(closed))
-    spot = vdw_pair(DIA, DIA, 1.0, NAT).channels[Channel.DD]
+    spot = pair_curve(DIA, DIA, [1.0], UnitSystem.NATURAL).values[Channel.DD][0]
     spot_dev = abs(spot - (-1.1590e-2))
     elapsed = perf_counter() - start
     ok = worst <= 1e-9 and spot_dev <= 5e-7 and elapsed < 1.0
@@ -118,8 +117,8 @@ def test_electric_diamagnetic_crossover_slopes_and_limits(acceptance_log):
     start = perf_counter()
     slope_near = _mid_slope(ELEC, DIA, Channel.ED, 1e-3)
     slope_far = _mid_slope(ELEC, DIA, Channel.ED, 1e3)
-    value_near = vdw_pair(ELEC, DIA, 1e-3, NAT).channels[Channel.ED]
-    value_far = vdw_pair(ELEC, DIA, 1e3, NAT).channels[Channel.ED]
+    limits = pair_curve(ELEC, DIA, [1e-3, 1e3], UnitSystem.NATURAL)
+    value_near, value_far = limits.values[Channel.ED]
     ref_near = vdw_asymptote(Channel.ED, ELEC, DIA, 1e-3, Regime.NONRETARDED, NAT)
     ref_far = vdw_asymptote(Channel.ED, ELEC, DIA, 1e3, Regime.RETARDED, NAT)
     dev_near = abs(value_near - ref_near) / abs(ref_near)
@@ -144,8 +143,8 @@ def test_paramagnetic_diamagnetic_crossover_slopes_and_limits(acceptance_log):
     start = perf_counter()
     slope_near = _mid_slope(PARA, DIA, Channel.PD, 1e-3)
     slope_far = _mid_slope(PARA, DIA, Channel.PD, 1e3)
-    value_near = vdw_pair(PARA, DIA, 1e-3, NAT).channels[Channel.PD]
-    value_far = vdw_pair(PARA, DIA, 1e3, NAT).channels[Channel.PD]
+    limits = pair_curve(PARA, DIA, [1e-3, 1e3], UnitSystem.NATURAL)
+    value_near, value_far = limits.values[Channel.PD]
     ref_near = vdw_asymptote(Channel.PD, PARA, DIA, 1e-3, Regime.NONRETARDED, NAT)
     ref_far = vdw_asymptote(Channel.PD, PARA, DIA, 1e3, Regime.RETARDED, NAT)
     dev_near = abs(value_near - ref_near) / abs(ref_near)
@@ -244,19 +243,19 @@ def test_structural_invariants_symmetry_lenz_additivity_qoracle(acceptance_log):
 
     lenz = True
     for l in np.geomspace(0.05, 50.0, 7):
-        para = vdw_pair(ELEC, PARA, float(l), NAT).channels[Channel.EP]
-        dia = vdw_pair(ELEC, DIA, float(l), NAT).channels[Channel.ED]
+        para = pair_curve(ELEC, PARA, [l], UnitSystem.NATURAL).values[Channel.EP][0]
+        dia = pair_curve(ELEC, DIA, [l], UnitSystem.NATURAL).values[Channel.ED][0]
         lenz = lenz and para > 0.0 > dia
-        para_pp = vdw_pair(PARA, PARA, float(l), NAT).channels[Channel.PP]
-        dia_pd = vdw_pair(PARA, DIA, float(l), NAT).channels[Channel.PD]
+        para_pp = pair_curve(PARA, PARA, [l], UnitSystem.NATURAL).values[Channel.PP][0]
+        dia_pd = pair_curve(PARA, DIA, [l], UnitSystem.NATURAL).values[Channel.PD][0]
         lenz = lenz and para_pp < 0.0 < dia_pd
 
     tight = QuadratureSpec(rel_tol=1e-13)
     additivity = 0.0
     for l in (0.5, 1.0, 2.2):
-        split = vdw_pair(COMPOSITE_A, COMPOSITE_B, l, NAT, tight)
+        split = pair_curve(COMPOSITE_A, COMPOSITE_B, [l], UnitSystem.NATURAL, tight).total[0]
         direct = vdw_pair_total_direct(COMPOSITE_A, COMPOSITE_B, l, NAT, tight)
-        additivity = max(additivity, abs(split.total - direct) / abs(direct))
+        additivity = max(additivity, abs(split - direct) / abs(direct))
 
     q_dev = 0.0
     for xi in np.geomspace(0.01, 10.0, 13):

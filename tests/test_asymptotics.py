@@ -18,7 +18,6 @@ from vdwcp.potentials import (
     PotentialCurve,
     mirror_curve,
 )
-from vdwcp.quad import QuadratureSpec
 from vdwcp.units import UnitSystem
 
 
@@ -27,16 +26,7 @@ def _pair_power_curve(power: float, amplitude: float = 2.0) -> PotentialCurve:
     dd = amplitude * distances**power
     values = {ch: np.zeros(9) for ch in PAIR_CHANNELS}
     values[Channel.DD] = dd
-    return PotentialCurve(
-        geometry="free_pair",
-        plate=None,
-        distances=distances,
-        values=values,
-        total=dd,
-        method="closed_form",
-        units=UnitSystem.NATURAL,
-        tolerances=QuadratureSpec(),
-    )
+    return PotentialCurve(distances=distances, values=values, total=dd)
 
 
 def test_exact_power_law_slope():
@@ -58,16 +48,7 @@ def test_zero_and_sign_change_points_are_masked():
     dd[4] = 0.0
     values = dict(curve.values)
     values[Channel.DD] = dd
-    masked = PotentialCurve(
-        geometry="free_pair",
-        plate=None,
-        distances=curve.distances,
-        values=values,
-        total=dd,
-        method="closed_form",
-        units=UnitSystem.NATURAL,
-        tolerances=QuadratureSpec(),
-    )
+    masked = PotentialCurve(distances=curve.distances, values=values, total=dd)
     profile = local_log_slope(masked, Channel.DD)
     # interior points 3, 4 and 5 have the zero in their stencil
     assert profile.distances.size == 4
@@ -84,16 +65,7 @@ def test_non_geometric_grid_rejected():
     distances = curve.distances.copy()
     distances[3] *= 1.01
     values = {ch: np.interp(distances, curve.distances, v) for ch, v in curve.values.items()}
-    bad = PotentialCurve(
-        geometry="free_pair",
-        plate=None,
-        distances=distances,
-        values=values,
-        total=values[Channel.DD],
-        method="closed_form",
-        units=UnitSystem.NATURAL,
-        tolerances=QuadratureSpec(),
-    )
+    bad = PotentialCurve(distances=distances, values=values, total=values[Channel.DD])
     with pytest.raises(ValueError, match="geometric"):
         local_log_slope(bad, Channel.DD)
 
@@ -101,16 +73,7 @@ def test_non_geometric_grid_rejected():
 def test_short_grid_rejected():
     curve = _pair_power_curve(-7.0)
     values = {ch: v[:4] for ch, v in curve.values.items()}
-    short = PotentialCurve(
-        geometry="free_pair",
-        plate=None,
-        distances=curve.distances[:4],
-        values=values,
-        total=values[Channel.DD],
-        method="closed_form",
-        units=UnitSystem.NATURAL,
-        tolerances=QuadratureSpec(),
-    )
+    short = PotentialCurve(distances=curve.distances[:4], values=values, total=values[Channel.DD])
     with pytest.raises(ValueError, match="5"):
         local_log_slope(short, Channel.DD)
 

@@ -259,15 +259,20 @@ def test_unrepresentable_distance_is_a_usage_error(capsys, subcommand, grid, nam
         ("label: x\nelectric_transitions:\n  - omega: 1.0\n    mu_sq: nan\n", 3, "dipole"),
         ("label: x\nmagnetic_transitions:\n  - {omega: inf, m_sq: 1.0}\n", 3, "frequency"),
         ("label: x\nbeta_d: nan\n", 2, "diamagnetisability"),
+        # omega^2 overflows, and omega^2 underflows to zero
+        ("label: x\nelectric_transitions:\n  - {omega: 1e200, mu_sq: 1e300}\n", 3, "omega^2"),
+        ("label: x\nelectric_transitions:\n  - {omega: 1e-200, mu_sq: 1.0}\n", 3, "omega^2"),
     ],
 )
 def test_non_finite_atom_parameter_is_a_usage_error(tmp_path, capsys, text, line, message):
     atom = tmp_path / "atom.yaml"
     atom.write_text(text)
-    code, out, err = _run(
-        capsys, "mirror", "--atom", str(atom), "--plate", "conducting",
-        "--grid", "1:2:3", "--units", "natural",
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            capsys, "mirror", "--atom", str(atom), "--plate", "conducting",
+            "--grid", "1:2:3", "--units", "natural",
+        )
     assert code == 2
     assert out == ""
     assert f"{atom}:{line}:" in err

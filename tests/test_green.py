@@ -10,8 +10,6 @@ from vdwcp.green import (
     _free_tensor_me,
     _free_tensor_mm,
     fg,
-    free_green_scalars,
-    mirror_gee_trace,
     mirror_gmm_trace,
     mirror_gmm_trace_via_q_integral,
     mirror_kernel,
@@ -53,14 +51,6 @@ def test_pair_kernel_cross_matches_squared_form():
     x = RNG.uniform(0.0, 8.0, size=100)
     reference = (1.0 + x) ** 2 * np.exp(-2.0 * x)
     assert np.max(np.abs(pair_kernel_cross(x) / reference - 1.0)) <= 1e-14
-
-
-def test_free_scalars_match_tensor_diagonal():
-    for x in (0.1, 1.0, 4.0):
-        scalars = free_green_scalars(x)
-        f, g = fg(x)
-        assert scalars.coeff_iso == pytest.approx(float(f), rel=1e-15)
-        assert scalars.coeff_rad == pytest.approx(-float(g), rel=1e-15)
 
 
 def _random_direction():
@@ -111,14 +101,6 @@ def test_mirror_trace_static_limit():
     assert mirror_gmm_trace(1.0, 0.0, PlateKind.PERMEABLE, 1.0) == pytest.approx(
         -1.0 / (8.0 * np.pi), rel=1e-15
     )
-
-
-def test_mirror_electric_trace_is_negated_magnetic_trace():
-    for u in (0.0, 0.3, 2.0):
-        for plate in PlateKind:
-            gmm = mirror_gmm_trace(1.0, u, plate, 1.0)
-            gee = mirror_gee_trace(1.0, u, plate, 1.0)
-            assert gee == -gmm
 
 
 @given(st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.0, max_value=5.0))

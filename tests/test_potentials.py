@@ -15,13 +15,11 @@ from vdwcp.potentials import (
     PotentialCurve,
     Regime,
     UnsupportedAsymptoteError,
-    cp_mirror,
     cp_mirror_diamagnetic_closed,
     force_from_curve,
     mirror_curve,
     pair_curve,
     vdw_asymptote,
-    vdw_pair,
     vdw_pair_total_direct,
 )
 from vdwcp.quad import (
@@ -76,13 +74,14 @@ COMPOSITE_B = AtomModel(
 def test_mirror_diamagnetic_quadrature_equals_closed_form():
     for z in (0.5, 1.0, 2.0, 5.0):
         for plate in PlateKind:
-            quad = cp_mirror(DIA, z, plate, NAT).diamagnetic
+            quad = mirror_curve(DIA, [z], plate, UnitSystem.NATURAL).values[Channel.D][0]
             closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, NAT)
             assert quad == pytest.approx(closed, rel=1e-9)
 
 
 def test_mirror_diamagnetic_natural_spot_value():
-    value = cp_mirror(DIA, 1.0, PlateKind.CONDUCTING, NAT).diamagnetic
+    curve = mirror_curve(DIA, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    value = curve.values[Channel.D][0]
     assert value == pytest.approx(-3.0 / (32.0 * np.pi**2), rel=1e-9)
     assert value == pytest.approx(-9.4989e-3, abs=5e-7)
 
@@ -94,43 +93,42 @@ def test_mirror_plate_swap_flips_every_channel():
         magnetic_transitions=PARA.magnetic_transitions,
         diamagnetic=DiamagneticSpec(direct_beta_d=-0.5),
     )
-    cond = cp_mirror(atom, 1.3, PlateKind.CONDUCTING, NAT)
-    perm = cp_mirror(atom, 1.3, PlateKind.PERMEABLE, NAT)
-    assert perm.electric == -cond.electric
-    assert perm.paramagnetic == -cond.paramagnetic
-    assert perm.diamagnetic == -cond.diamagnetic
-    assert perm.total == pytest.approx(-cond.total, rel=1e-15)
+    cond = mirror_curve(atom, [1.3], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    perm = mirror_curve(atom, [1.3], PlateKind.PERMEABLE, UnitSystem.NATURAL)
+    for channel in MIRROR_CHANNELS:
+        assert perm.values[channel][0] == -cond.values[channel][0]
+    assert perm.total[0] == pytest.approx(-cond.total[0], rel=1e-15)
 
 
 def test_mirror_channel_signs_in_front_of_conductor():
-    pot = cp_mirror(
+    pot = mirror_curve(
         AtomModel(
             label="epd",
             electric_transitions=ELEC.electric_transitions,
             magnetic_transitions=PARA.magnetic_transitions,
             diamagnetic=DiamagneticSpec(direct_beta_d=-0.5),
         ),
-        1.0,
+        [1.0],
         PlateKind.CONDUCTING,
-        NAT,
+        UnitSystem.NATURAL,
     )
-    assert pot.electric < 0.0
-    assert pot.paramagnetic > 0.0
-    assert pot.diamagnetic < 0.0
-    assert pot.magnetic == pot.paramagnetic + pot.diamagnetic
+    electric, paramagnetic, diamagnetic = (pot.values[ch][0] for ch in MIRROR_CHANNELS)
+    assert electric < 0.0
+    assert paramagnetic > 0.0
+    assert diamagnetic < 0.0
+    assert pot.total[0] == electric + (paramagnetic + diamagnetic)
 
 
 def test_mirror_absent_channels_are_exactly_zero():
-    pot = cp_mirror(ELEC, 1.0, PlateKind.CONDUCTING, NAT)
-    assert pot.paramagnetic == 0.0
-    assert pot.diamagnetic == 0.0
-    assert pot.magnetic == 0.0
-    assert pot.total == pot.electric
+    pot = mirror_curve(ELEC, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    assert pot.values[Channel.P][0] == 0.0
+    assert pot.values[Channel.D][0] == 0.0
+    assert pot.total[0] == pot.values[Channel.E][0]
 
 
 def test_mirror_validation():
     with pytest.raises(ValueError):
-        cp_mirror(DIA, 0.0, PlateKind.CONDUCTING, NAT)
+        mirror_curve(DIA, [0.0], PlateKind.CONDUCTING, UnitSystem.NATURAL)
     with pytest.raises(ValueError):
         cp_mirror_diamagnetic_closed(-1.0, -2.0, PlateKind.CONDUCTING, NAT)
     with pytest.raises(ValueError):
@@ -142,23 +140,23 @@ def test_mirror_validation():
 
 def test_dd_channel_matches_closed_form_everywhere():
     for l in np.geomspace(0.1, 100.0, 20):
-        quad = vdw_pair(DIA, DIA, float(l), NAT).channels[Channel.DD]
+        quad = pair_curve(DIA, DIA, [l], UnitSystem.NATURAL).values[Channel.DD][0]
         closed = vdw_asymptote(Channel.DD, DIA, DIA, float(l), Regime.RETARDED, NAT)
         assert quad == pytest.approx(closed, rel=1e-9)
 
 
 def test_dd_natural_spot_value():
-    value = vdw_pair(DIA, DIA, 1.0, NAT).channels[Channel.DD]
+    value = pair_curve(DIA, DIA, [1.0], UnitSystem.NATURAL).values[Channel.DD][0]
     assert value == pytest.approx(-23.0 / (64.0 * np.pi**3), rel=1e-9)
     assert value == pytest.approx(-1.1590e-2, abs=5e-7)
 
 
 def test_pair_channels_absent_without_response():
-    pot = vdw_pair(DIA, DIA, 1.0, NAT)
+    pot = pair_curve(DIA, DIA, [1.0], UnitSystem.NATURAL)
     for channel in PAIR_CHANNELS:
         if channel is not Channel.DD:
-            assert pot.channels[channel] == 0.0
-    assert pot.total == pot.channels[Channel.DD]
+            assert pot.values[channel][0] == 0.0
+    assert pot.total[0] == pot.values[Channel.DD][0]
 
 
 def test_atom_swap_is_byte_identical():
@@ -174,21 +172,21 @@ def test_atom_swap_is_byte_identical():
         Channel.DD: Channel.DD,
     }
     for l in (0.5, 1.0, 2.0):
-        forward = vdw_pair(COMPOSITE_A, COMPOSITE_B, l, NAT)
-        backward = vdw_pair(COMPOSITE_B, COMPOSITE_A, l, NAT)
+        forward = pair_curve(COMPOSITE_A, COMPOSITE_B, [l], UnitSystem.NATURAL)
+        backward = pair_curve(COMPOSITE_B, COMPOSITE_A, [l], UnitSystem.NATURAL)
         for channel, partner in swapped.items():
-            assert forward.channels[channel] == backward.channels[partner]
-        assert forward.total == backward.total
+            assert forward.values[channel][0] == backward.values[partner][0]
+        assert forward.total[0] == backward.total[0]
 
 
 def test_lenz_rule_flips_mixed_channel_signs():
     for l in np.geomspace(0.05, 50.0, 7):
-        ep = vdw_pair(ELEC, PARA, float(l), NAT).channels[Channel.EP]
-        ed = vdw_pair(ELEC, DIA, float(l), NAT).channels[Channel.ED]
+        ep = pair_curve(ELEC, PARA, [l], UnitSystem.NATURAL).values[Channel.EP][0]
+        ed = pair_curve(ELEC, DIA, [l], UnitSystem.NATURAL).values[Channel.ED][0]
         assert ep > 0.0
         assert ed < 0.0
-        pp = vdw_pair(PARA, PARA, float(l), NAT).channels[Channel.PP]
-        pd = vdw_pair(PARA, DIA, float(l), NAT).channels[Channel.PD]
+        pp = pair_curve(PARA, PARA, [l], UnitSystem.NATURAL).values[Channel.PP][0]
+        pd = pair_curve(PARA, DIA, [l], UnitSystem.NATURAL).values[Channel.PD][0]
         assert pp < 0.0
         assert pd > 0.0
 
@@ -196,15 +194,15 @@ def test_lenz_rule_flips_mixed_channel_signs():
 def test_channel_sum_matches_unfactored_total():
     tight = QuadratureSpec(rel_tol=1e-13)
     for l in (0.5, 1.0, 2.2):
-        split = vdw_pair(COMPOSITE_A, COMPOSITE_B, l, NAT, tight).total
+        split = pair_curve(COMPOSITE_A, COMPOSITE_B, [l], UnitSystem.NATURAL, tight).total[0]
         direct = vdw_pair_total_direct(COMPOSITE_A, COMPOSITE_B, l, NAT, tight)
         assert split == pytest.approx(direct, rel=1e-12)
 
 
 @given(st.floats(min_value=0.2, max_value=20.0), st.floats(min_value=1.05, max_value=3.0))
 def test_dd_attraction_strengthens_at_shorter_separation(l, factor):
-    near = vdw_pair(DIA, DIA, l, NAT).channels[Channel.DD]
-    far = vdw_pair(DIA, DIA, l * factor, NAT).channels[Channel.DD]
+    near = pair_curve(DIA, DIA, [l], UnitSystem.NATURAL).values[Channel.DD][0]
+    far = pair_curve(DIA, DIA, [l * factor], UnitSystem.NATURAL).values[Channel.DD][0]
     assert near < far < 0.0
 
 
@@ -254,40 +252,33 @@ def test_asymptote_rejects_unsupported_combinations():
 def test_mirror_curve_matches_pointwise_evaluation():
     distances = np.geomspace(0.5, 2.0, 5)
     curve = mirror_curve(DIA, distances, PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    assert curve.geometry == "mirror"
     assert curve.plate is PlateKind.CONDUCTING
-    assert set(curve.values) == set(MIRROR_CHANNELS)
-    single = cp_mirror(DIA, float(distances[2]), PlateKind.CONDUCTING, NAT)
-    assert curve.values[Channel.D][2] == single.diamagnetic
-    assert curve.total[2] == single.total
+    assert list(curve.values) == list(MIRROR_CHANNELS)
+    single = mirror_curve(DIA, distances[2:3], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    assert curve.values[Channel.D][2] == single.values[Channel.D][0]
+    assert curve.total[2] == single.total[0]
 
 
 def test_pair_curve_matches_pointwise_evaluation():
     distances = np.geomspace(0.5, 2.0, 5)
     curve = pair_curve(COMPOSITE_A, COMPOSITE_B, distances, UnitSystem.NATURAL)
-    assert curve.geometry == "free_pair"
-    assert set(curve.values) == set(PAIR_CHANNELS)
-    single = vdw_pair(COMPOSITE_A, COMPOSITE_B, float(distances[1]), NAT)
+    assert curve.plate is None
+    assert list(curve.values) == list(PAIR_CHANNELS)
+    single = pair_curve(COMPOSITE_A, COMPOSITE_B, distances[1:2], UnitSystem.NATURAL)
     for channel in PAIR_CHANNELS:
-        assert curve.values[channel][1] == single.channels[channel]
+        assert curve.values[channel][1] == single.values[channel][0]
+    assert curve.total[1] == single.total[0]
 
 
 def test_curve_validation():
     distances = np.array([1.0, 2.0, 3.0])
     values = {ch: np.zeros(3) for ch in MIRROR_CHANNELS}
-    good = dict(
-        geometry="mirror",
-        plate=PlateKind.CONDUCTING,
-        distances=distances,
-        values=values,
-        total=np.zeros(3),
-        method="quadrature",
-        units=UnitSystem.NATURAL,
-        tolerances=QuadratureSpec(),
-    )
+    good = dict(distances=distances, values=values, total=np.zeros(3), plate=PlateKind.CONDUCTING)
     PotentialCurve(**good)
     with pytest.raises(ValueError):
         PotentialCurve(**{**good, "distances": np.array([2.0, 1.0, 3.0])})
+    with pytest.raises(ValueError):
+        PotentialCurve(**{**good, "distances": distances[None]})
     with pytest.raises(ValueError):
         PotentialCurve(**{**good, "total": np.ones(3)})
     with pytest.raises(ValueError):
@@ -320,16 +311,7 @@ def test_force_to_potential_ratio_for_dd_pair():
 def test_force_needs_at_least_three_points():
     distances = np.array([1.0, 2.0])
     values = {ch: np.zeros(2) for ch in MIRROR_CHANNELS}
-    curve = PotentialCurve(
-        geometry="mirror",
-        plate=PlateKind.CONDUCTING,
-        distances=distances,
-        values=values,
-        total=np.zeros(2),
-        method="closed_form",
-        units=UnitSystem.NATURAL,
-        tolerances=QuadratureSpec(),
-    )
+    curve = PotentialCurve(distances, values, np.zeros(2), PlateKind.CONDUCTING)
     with pytest.raises(ValueError):
         force_from_curve(curve)
 
@@ -440,8 +422,8 @@ def test_mirror_curve_is_bitwise_the_per_point_reference(atom, plate):
         expected = [
             _reference_mirror(atom, ch.value, z, plate, NAT, spec) for ch in MIRROR_CHANNELS
         ]
-        point = cp_mirror(atom, z, plate, NAT, spec)
-        assert [point.electric, point.paramagnetic, point.diamagnetic] == expected
+        point = mirror_curve(atom, [z], plate, UnitSystem.NATURAL, spec)
+        assert [point.values[ch][0] for ch in MIRROR_CHANNELS] == expected
         assert [curve.values[ch][i] for ch in MIRROR_CHANNELS] == expected
 
 
@@ -455,8 +437,8 @@ def test_pair_curve_is_bitwise_the_per_point_reference(atom_a, atom_b):
     curve = pair_curve(atom_a, atom_b, BITWISE_GRID, UnitSystem.NATURAL, spec)
     for i, l in enumerate(BITWISE_GRID.tolist()):
         expected = [_reference_pair(ch, atom_a, atom_b, l, NAT, spec) for ch in PAIR_CHANNELS]
-        point = vdw_pair(atom_a, atom_b, l, NAT, spec)
-        assert [point.channels[ch] for ch in PAIR_CHANNELS] == expected
+        point = pair_curve(atom_a, atom_b, [l], UnitSystem.NATURAL, spec)
+        assert [point.values[ch][0] for ch in PAIR_CHANNELS] == expected
         assert [curve.values[ch][i] for ch in PAIR_CHANNELS] == expected
     if atom_a is atom_b:
         for a, b in ((Channel.EP, Channel.PE), (Channel.ED, Channel.DE), (Channel.PD, Channel.DP)):
@@ -474,6 +456,28 @@ def _count_columns(monkeypatch) -> list:
 
     monkeypatch.setattr(vdwcp.potentials, "integrate_columns", counting)
     return columns
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.geomspace(2.0, 1.0, 101),
+        [1.0, 1.0, 2.0],
+        [[1.0]],
+        [],
+        [-1.0, 2.0],
+        [0.0, 1.0],
+        [1.0, np.nan],
+    ],
+    ids=["decreasing", "repeated", "2d", "empty", "negative", "zero", "nan"],
+)
+def test_bad_grid_is_rejected_before_any_quadrature(monkeypatch, grid):
+    columns = _count_columns(monkeypatch)
+    with pytest.raises(ValueError, match="distances must be"):
+        mirror_curve(COMPOSITE_A, grid, PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    with pytest.raises(ValueError, match="distances must be"):
+        pair_curve(COMPOSITE_A, COMPOSITE_B, grid, UnitSystem.NATURAL)
+    assert columns == []
 
 
 def test_diamagnetic_moment_is_integrated_once_per_curve(monkeypatch):
@@ -515,16 +519,14 @@ def test_curves_are_bitwise_one_point_runs(
     mirror = mirror_curve(atom, grid, plate, UnitSystem.NATURAL, spec)
     pair = pair_curve(atom, partner, grid, UnitSystem.NATURAL, spec)
     for i, d in enumerate(grid.tolist()):
-        point = cp_mirror(atom, d, plate, NAT, spec)
-        assert [mirror.values[ch][i] for ch in MIRROR_CHANNELS] == [
-            point.electric,
-            point.paramagnetic,
-            point.diamagnetic,
-        ]
-        channels = vdw_pair(atom, partner, d, NAT, spec).channels
-        assert [pair.values[ch][i] for ch in PAIR_CHANNELS] == [
-            channels[ch] for ch in PAIR_CHANNELS
-        ]
+        point = mirror_curve(atom, [d], plate, UnitSystem.NATURAL, spec)
+        for ch in MIRROR_CHANNELS:
+            assert mirror.values[ch][i] == point.values[ch][0]
+        assert mirror.total[i] == point.total[0]
+        point = pair_curve(atom, partner, [d], UnitSystem.NATURAL, spec)
+        for ch in PAIR_CHANNELS:
+            assert pair.values[ch][i] == point.values[ch][0]
+        assert pair.total[i] == point.total[0]
 
 
 @pytest.mark.parametrize("electric", [1, 3, 4, 9, 30])
@@ -557,5 +559,5 @@ def test_batch_failure_is_the_lowest_distance_error(monkeypatch):
     with pytest.raises(IntegrandError) as curve_error:
         mirror_curve(ELEC, grid, PlateKind.CONDUCTING, UnitSystem.NATURAL)
     with pytest.raises(IntegrandError) as point_error:
-        cp_mirror(ELEC, float(grid[0]), PlateKind.CONDUCTING, NAT)
+        mirror_curve(ELEC, grid[:1], PlateKind.CONDUCTING, UnitSystem.NATURAL)
     assert curve_error.value.abscissa == point_error.value.abscissa

@@ -118,7 +118,6 @@ def test_nonfinite_integrand_reports_abscissa():
         {"rel_tol": 0.0},
         {"rel_tol": 0.5},
         {"rel_tol": -1e-10},
-        {"abs_tol": -1.0},
         {"decay_scale": 0.0},
         {"decay_scale": -2.0},
         {"max_subdivisions": 0},

@@ -11,12 +11,14 @@ import pytest
 
 from vdwcp.green import PlateKind
 from vdwcp.potentials import (
+    MIRROR_CHANNELS,
+    PAIR_CHANNELS,
     Channel,
     Regime,
-    cp_mirror,
+    _mirror_values,
+    _pair_values,
     cp_mirror_diamagnetic_closed,
     vdw_asymptote,
-    vdw_pair,
 )
 from vdwcp.quad import QuadratureSpec
 from vdwcp.response import ELECTRIC, MAGNETIC, AtomModel, DiamagneticSpec, Transition
@@ -67,10 +69,26 @@ L_NEAR = 1e-3 * FAKE.c
 L_FAR = 1e3 * FAKE.c
 
 
+def _mirror(atom, z, plate, channel):
+    """One channel at one distance in the fake constants.
+
+    Curves take a UnitSystem, so the fake constants go straight to the one
+    evaluation path, _mirror_values / _pair_values.
+    """
+    values = _mirror_values(atom, np.array([z]), plate, FAKE, SPEC)
+    return values[MIRROR_CHANNELS.index(channel), 0]
+
+
+def _pair(atom_a, atom_b, l, channel):
+    """One pair channel at one separation, in the fake constants."""
+    values = _pair_values(atom_a, atom_b, np.array([l]), FAKE, SPEC)
+    return values[PAIR_CHANNELS.index(channel), 0]
+
+
 def test_mirror_diamagnetic_closed_form_scales_with_constants():
     for z in (0.7, 3.0):
         for plate in PlateKind:
-            quad = cp_mirror(DIA, z, plate, FAKE, SPEC).diamagnetic
+            quad = _mirror(DIA, z, plate, Channel.D)
             closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, FAKE)
             assert quad == pytest.approx(closed, rel=1e-9)
 
@@ -80,7 +98,7 @@ def test_mirror_electric_retarded_limit_scales_with_constants():
     z = L_FAR
     alpha0 = 2.0 / (3.0 * FAKE.hbar)  # single unit-weight transition at omega = 1
     expected = -3.0 * FAKE.hbar * FAKE.c * alpha0 / (32.0 * np.pi**2 * FAKE.eps0 * z**4)
-    quad = cp_mirror(ELEC, z, PlateKind.CONDUCTING, FAKE, SPEC).electric
+    quad = _mirror(ELEC, z, PlateKind.CONDUCTING, Channel.E)
     assert quad == pytest.approx(expected, rel=1e-2)
 
 
@@ -89,7 +107,7 @@ def test_mirror_paramagnetic_retarded_limit_scales_with_constants():
     z = L_FAR
     beta0 = 2.0 / (3.0 * FAKE.hbar)
     expected = 3.0 * FAKE.hbar * FAKE.mu0 * FAKE.c * beta0 / (32.0 * np.pi**2 * z**4)
-    quad = cp_mirror(PARA, z, PlateKind.CONDUCTING, FAKE, SPEC).paramagnetic
+    quad = _mirror(PARA, z, PlateKind.CONDUCTING, Channel.P)
     assert quad == pytest.approx(expected, rel=1e-2)
 
 
@@ -107,7 +125,7 @@ def test_mirror_paramagnetic_retarded_limit_scales_with_constants():
     ],
 )
 def test_pair_asymptotes_scale_with_constants(channel, atom_a, atom_b, l, regime):
-    quad = vdw_pair(atom_a, atom_b, l, FAKE, SPEC).channels[channel]
+    quad = _pair(atom_a, atom_b, l, channel)
     closed = vdw_asymptote(channel, atom_a, atom_b, l, regime, FAKE)
     assert quad == pytest.approx(closed, rel=1e-2)
 
@@ -115,6 +133,6 @@ def test_pair_asymptotes_scale_with_constants(channel, atom_a, atom_b, l, regime
 def test_pair_dd_is_exact_in_fake_constants():
     # dd has no regime: closed form holds at every separation
     for l in (0.3, 1.0, 40.0):
-        quad = vdw_pair(DIA, DIA, l, FAKE, SPEC).channels[Channel.DD]
+        quad = _pair(DIA, DIA, l, Channel.DD)
         closed = vdw_asymptote(Channel.DD, DIA, DIA, l, Regime.RETARDED, FAKE)
         assert quad == pytest.approx(closed, rel=1e-9)
