@@ -1,8 +1,10 @@
 """Command-line surface: curve sweeps, slope reports, table checks, selftest.
 
 Exit codes: 0 success, 1 failed check (tables/selftest), 2 usage or
-configuration error, 3 numerical failure. Output is byte-deterministic for a
-fixed command line; every file carries its configuration as metadata.
+configuration error, 3 numerical failure, 4 internal error (any other
+exception, reported as one "internal error: <type>: <message>" line on
+stderr). Output is byte-deterministic for a fixed command line; every file
+carries its configuration as metadata.
 """
 from __future__ import annotations
 
@@ -349,6 +351,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -91,20 +91,34 @@ class UnsupportedAsymptoteError(ValueError):
     """No closed asymptotic coefficient is implemented for this channel/regime."""
 
 
+_STATIC_NAMES = {
+    ELECTRIC_LETTER: "polarisability alpha(0)",
+    PARA_LETTER: "paramagnetisability beta_p(0)",
+    DIA_LETTER: "diamagnetisability beta_d",
+}
+
+
 def _response(atom: AtomModel, letter: str, hbar: float) -> tuple[float, LorentzTable | None]:
     """Static response of one letter and the table of its frequency dependence.
 
     The table is None where the ratio to the static value needs none: for
     the frequency-independent diamagnetic response, whose ratio is the
-    constant 1, and for a zero static response, whose channels are zero.
+    constant 1, and for a zero static response, whose channels are zero. A
+    static response that leaves the float range, although each of its terms
+    is finite, is a ValueError naming the atom and the response.
     """
     if letter == DIA_LETTER:
-        return diamagnetisability(atom.diamagnetic), None
-    if letter == ELECTRIC_LETTER:
+        static, transitions = diamagnetisability(atom.diamagnetic), ()
+    elif letter == ELECTRIC_LETTER:
         static, transitions = alpha_iso(atom, 0.0, hbar), atom.electric_transitions
     else:
         static, transitions = beta_para_iso(atom, 0.0, hbar), atom.magnetic_transitions
-    return static, LorentzTable(transitions, hbar) if static != 0.0 else None
+    if not math.isfinite(static):
+        raise ValueError(
+            f"atom {atom.label!r}: the static {_STATIC_NAMES[letter]} is {static!r}; "
+            "it must be a finite float"
+        )
+    return static, LorentzTable(transitions, hbar) if transitions and static != 0.0 else None
 
 
 def _with_decay_scale(spec: QuadratureSpec, decay_scale: float) -> QuadratureSpec:
@@ -169,9 +183,9 @@ def _mirror_values(
     bases = _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, distances, 4, "mirror distance z")
     mirror_spec = _with_decay_scale(spec, 1.0)
     scales = consts.c / (2.0 * distances)  # xi = scale * x
+    responses = [_response(atom, ch.value, consts.hbar) for ch in MIRROR_CHANNELS]
     values = np.zeros((len(MIRROR_CHANNELS), distances.size))
-    for row, ch in zip(values, MIRROR_CHANNELS):
-        static, table = _response(atom, ch.value, consts.hbar)
+    for row, ch, (static, table) in zip(values, MIRROR_CHANNELS, responses):
         if static == 0.0:
             continue
         if table is None:

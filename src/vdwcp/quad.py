@@ -8,16 +8,22 @@ extended automatically whenever the analytic exponential tail bound, which is
 always part of the reported error estimate, dominates the error budget.
 
 integrate_columns runs that algorithm for many integrands ("columns", for
-instance one channel at every distance of a curve) in lockstep: each
-integrand call evaluates the next panel or tail bound of up to
-LOCKSTEP_COLUMNS columns at once, so numpy's per-call cost is shared. A
-column's arithmetic does not depend on the other columns in its batch: the
-abscissas and the integrand are elementwise, and every weighted sum is a dot
-product of one row (a stack of (1, n) @ (n, 1) products, never one gemv over
-the batch). A column therefore gives bit for bit what integrate_semiinf, its
-one-column case, gives for it alone. The working set is bounded by the batch:
-at most LOCKSTEP_COLUMNS * PANEL_NODES abscissas per integrand call, and per
-column in flight only a flat array of its current panels.
+instance one channel at every distance of a curve) in lockstep, up to
+LOCKSTEP_COLUMNS columns at a time, so numpy's per-call cost is shared. Each
+panel call fills up to LOCKSTEP_COLUMNS rows, one panel each: the next
+pending panel of every column in flight and, while fewer columns are in
+flight, further pending panels of the columns with the most of them, so a
+row may repeat a column and even a single integral fills its calls. A
+column's tail bound goes into the step of its last pending panel, one call
+for all tail bounds of a step. A column's arithmetic does not depend on the
+other rows of a call: its panels are created and its steps taken after the
+same evaluations as on its own, the abscissas and the integrand are
+elementwise, and every weighted sum is a dot product of one row (a stack of
+(1, n) @ (n, 1) products, never one gemv over the batch). A column therefore
+gives bit for bit what integrate_semiinf, its one-column case, gives for it
+alone. The working set is bounded by the batch: at most LOCKSTEP_COLUMNS *
+PANEL_NODES abscissas per integrand call, and per column in flight only a
+flat array of its current panels.
 
 Deterministic by construction: panel ordering is tie-broken by creation index
 and the panel values are summed with math.fsum, which rounds the exact sum
@@ -141,8 +147,8 @@ def _values(f: Callable, cols: list, x: np.ndarray):
     """
     y = f(cols, x)
     if not (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape):
-        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape[1:]:
-            y = y.reshape(x.shape)  # the one row as a 1d array
+        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == (x.size,):
+            y = y.reshape(x.shape)  # the rows as one 1d array
         else:
             y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
     finite = np.isfinite(y)
@@ -278,15 +284,40 @@ class _Column:
         return None
 
 
+_FULL_STEP = (1,) * LOCKSTEP_COLUMNS
+
+
+def _shares(live: list) -> list:
+    """Panels each of fewer than LOCKSTEP_COLUMNS live columns evaluates in one step.
+
+    Every column takes its next pending panel; each spare row then goes to
+    the column with the most panels still pending, the first in column order
+    among equals, until the rows or the pending panels run out.
+    """
+    left = [len(column.points) - 2 - column.next for column in live]
+    takes = [1] * len(live)
+    for _ in range(LOCKSTEP_COLUMNS - len(live)):
+        most = max(left)
+        if most == 0:
+            break
+        j = left.index(most)
+        takes[j] += 1
+        left[j] -= 1
+    return takes
+
+
 def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Integrate n integrands over [0, inf) to the tolerances in spec, in lockstep.
 
     f(cols, x) gets a list of column indices and a (len(cols), m) array of
     abscissas, row i for column cols[i], and returns the matching array of
     values; m is 15 for a panel and 3 for a tail bound, and len(cols) <=
-    LOCKSTEP_COLUMNS. Each column runs integrate_semiinf's algorithm on its
-    own, so a column's result does not depend on the others in its batch as
-    long as f evaluates each row on its own.
+    LOCKSTEP_COLUMNS. An index may repeat: a column's rows of one call are
+    consecutive panels in its evaluation order, and with LOCKSTEP_COLUMNS
+    columns in flight every panel call takes one row of each. Each column
+    runs integrate_semiinf's algorithm on its own, so a column's result does
+    not depend on the other rows of a call as long as f evaluates each row
+    on its own.
 
     Returns a (3, n) array: per column its value, error estimate and
     evaluation count. Raises the IntegrandError or ConvergenceError of the
@@ -301,31 +332,38 @@ def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec
     failed, failure = n, None  # the lowest failing column and its exception
 
     while live:
-        # Each column's next evaluation; a column is ready to take its next
-        # step once its last pending evaluation is in.
+        # This step's panels: the next pending one of every live column and,
+        # while fewer than LOCKSTEP_COLUMNS columns are live, spare rows from
+        # the columns with the most panels pending. A column's tail bound goes
+        # with its last pending panel, and the column is then ready to take
+        # its next step.
+        takes = _FULL_STEP if len(live) == LOCKSTEP_COLUMNS else _shares(live)
         panel_cols, lo, hi, tail_cols, cutoffs, ready = [], [], [], [], [], []
-        for column in live:
-            points, i = column.points, column.next + 1
-            if i < len(points):
+        for column, take in zip(live, takes):
+            points, i = column.points, column.next
+            stop = i + take
+            if take == 1:
                 panel_cols.append(column)
-                lo.append(points[i - 1])
-                hi.append(points[i])
-                column.next = i
-                if i + 1 == len(points) and not column.tail_due:
-                    ready.append(column)
+                lo.append(points[i])
+                hi.append(points[stop])
             else:
-                tail_cols.append(column)
-                cutoffs.append(points[-1])
-                column.tail_due = False
+                panel_cols += [column] * take
+                lo += points[i:stop]
+                hi += points[i + 1 : stop + 1]
+            column.next = stop
+            if stop + 1 == len(points):
+                if column.tail_due:
+                    tail_cols.append(column)
+                    cutoffs.append(points[-1])
+                    column.tail_due = False
                 ready.append(column)
         bad = []
-        if panel_cols:
-            values, errors, rows = _panels(f, [c.index for c in panel_cols], lo, hi)
-            for column, a, b, value, err in zip(panel_cols, lo, hi, values, errors):
-                column.panels.extend((a, b, value, err))
-                column.evaluations += PANEL_NODES
-            if rows:
-                bad += [(panel_cols[row], IntegrandError(x)) for row, x in rows]
+        values, errors, rows = _panels(f, [c.index for c in panel_cols], lo, hi)
+        for column, a, b, value, err in zip(panel_cols, lo, hi, values, errors):
+            column.panels.extend((a, b, value, err))
+            column.evaluations += PANEL_NODES
+        if rows:
+            bad += [(panel_cols[row], IntegrandError(x)) for row, x in rows]
         if tail_cols:
             tails, rows = _tail_bounds(f, [c.index for c in tail_cols], cutoffs, s)
             for column, tail in zip(tail_cols, tails):
@@ -363,15 +401,17 @@ def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec
 def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
     """Integrate f over [0, inf) to the tolerances in spec.
 
-    f must accept an ndarray of abscissas (15 for a panel, 3 for a tail
-    bound) and return the matching ndarray of values; it is assumed smooth
-    and decaying at least like exp(-x/decay_scale) beyond ~10*decay_scale.
-    This is integrate_columns with one column.
+    f must accept a 1d ndarray of abscissas, 15 per panel for up to
+    LOCKSTEP_COLUMNS panels (at most 60) or 3 for a tail bound, and return
+    the matching ndarray of values, each value depending on its own
+    abscissa only; it is assumed smooth and decaying at least like
+    exp(-x/decay_scale) beyond ~10*decay_scale. This is integrate_columns
+    with one column, whose packed rows f gets as one array.
 
     Returns a QuadratureResult whose error_estimate satisfies
     error_estimate <= rel_tol*|value| + ABS_TOL. Raises IntegrandError on
     non-finite integrand values and ConvergenceError (carrying the best
     estimate) if max_subdivisions is exhausted.
     """
-    value, error, evaluations = integrate_columns(lambda cols, x: f(x[0]), 1, spec)[:, 0].tolist()
+    value, error, evaluations = integrate_columns(lambda cols, x: f(x.ravel()), 1, spec)[:, 0].tolist()
     return QuadratureResult(value=value, error_estimate=error, evaluations=int(evaluations))

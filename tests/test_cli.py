@@ -292,6 +292,38 @@ def test_all_zero_atom_is_a_usage_error(tmp_path, capsys):
     assert "every static response is zero" in err
 
 
+@pytest.mark.parametrize(
+    "units, text, message",
+    [
+        # finite terms: alpha(0) = 1e280 * 2/(3 hbar) overflows only in SI
+        ("si", "electric_transitions:\n  - {omega: 1.0, mu_sq: 1e280}\n", "polarisability alpha(0) is inf"),
+        # two finite terms whose sum overflows
+        (
+            "natural",
+            "electric_transitions:\n  - {omega: 1.0, mu_sq: 1e308}\n  - {omega: 1.0, mu_sq: 1e308}\n",
+            "polarisability alpha(0) is inf",
+        ),
+        ("si", "magnetic_transitions:\n  - {omega: 1.0, m_sq: 1e280}\n", "paramagnetisability beta_p(0) is inf"),
+        # q^2 is not a float, and a finite q^2 <r^2> / 6m that is not either
+        ("natural", "particles:\n  - {q: 1e200, m: 1.0, r_sq: 1.0}\n", "diamagnetisability beta_d is -inf"),
+        ("natural", "particles:\n  - {q: 1e150, m: 1e-300, r_sq: 1e10}\n", "diamagnetisability beta_d is -inf"),
+    ],
+)
+def test_static_response_out_of_float_range_is_a_usage_error(tmp_path, capsys, units, text, message):
+    atom = tmp_path / "atom.yaml"
+    atom.write_text("label: huge\n" + text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            capsys, "mirror", "--atom", str(atom), "--plate", "conducting",
+            "--grid", "1:2:3", "--units", units,
+        )
+    assert code == 2
+    assert out == ""
+    assert "atom 'huge'" in err
+    assert message in err
+
+
 def test_batch_quadrature_failure_exits_three(capsys, monkeypatch):
     # a kernel that turns non-finite fails every distance of the curve in the engine
     monkeypatch.setattr("vdwcp.potentials.mirror_kernel", lambda x: np.where(x < 5.0, 1.0, np.nan))
@@ -313,6 +345,19 @@ def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
     )
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_unexpected_exception_maps_to_exit_four(capsys, monkeypatch):
+    def explode(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("vdwcp.cli.cmd_mirror", explode)
+    code, out, err = _run(
+        capsys, "mirror", "--atom", DIA, "--plate", "conducting", "--grid", "1:2:5",
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_output_file_is_byte_deterministic(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdwcp.green import mirror_kernel
 from vdwcp.quad import (
     LOCKSTEP_COLUMNS,
     PANEL_NODES,
@@ -234,16 +235,93 @@ def test_integrand_calls_stay_within_the_lockstep_bound():
     batched, _ = _damped(0.5 + 2.5 * grid, 2.0 * grid, 9.0 * grid)
 
     def recording(cols, x):
-        calls.append((list(cols), x.shape))
+        calls.append((list(cols), x.copy()))
         return batched(cols, x)
 
     integrate_columns(recording, 23, QuadratureSpec(rel_tol=1e-12))
     assert calls
-    for cols, shape in calls:
-        assert len(set(cols)) == len(cols) == shape[0] <= LOCKSTEP_COLUMNS
-        assert shape[1] in (PANEL_NODES, TAIL_NODES)
-        assert shape[0] * shape[1] <= LOCKSTEP_COLUMNS * PANEL_NODES
+    for cols, x in calls:
+        assert len(cols) == x.shape[0] <= LOCKSTEP_COLUMNS
+        assert x.shape[1] in (PANEL_NODES, TAIL_NODES)
+        assert x.size <= LOCKSTEP_COLUMNS * PANEL_NODES
+    # A column is in flight from its first call to its last, and takes part
+    # in every panel call in between.
+    first, last = {}, {}
+    for k, (cols, _) in enumerate(calls):
+        for col in cols:
+            first.setdefault(col, k)
+            last[col] = k
+    full_calls = repeated = 0
+    for k, (cols, x) in enumerate(calls):
+        if x.shape[1] == TAIL_NODES:
+            assert len(set(cols)) == len(cols)
+            continue
+        for col in set(cols):
+            lows = x[[i for i, c in enumerate(cols) if c == col], 0].tolist()
+            assert lows == sorted(lows) and len(set(lows)) == len(lows)
+            repeated += len(lows) >= 2
+        live = sorted(col for col in first if first[col] <= k <= last[col])
+        if len(live) == LOCKSTEP_COLUMNS:
+            assert cols == live
+            full_calls += 1
+    assert full_calls and repeated
     assert max(len(cols) for cols, _ in calls) == LOCKSTEP_COLUMNS
+
+
+@pytest.mark.parametrize(
+    "n, opening",
+    [
+        (1, [[0, 0, 0, 0], [0, 0, 0]]),
+        (2, [[0, 0, 1, 1]] * 3 + [[0, 1]]),
+        (4, [[0, 1, 2, 3]] * 7),
+    ],
+)
+def test_opening_window_fills_panel_calls_then_takes_one_tail_call(n, opening):
+    # the seven opening panels of each column packed into as few calls as the
+    # rows allow (one column: 2 calls, not 7), then one tail call for all
+    calls = []
+
+    def recording(cols, x):
+        calls.append((list(cols), x.shape[1]))
+        return np.exp(-x)
+
+    integrate_columns(recording, n)
+    tail = [width for _, width in calls].index(TAIL_NODES)
+    assert [cols for cols, _ in calls[:tail]] == opening
+    assert calls[tail] == (list(range(n)), TAIL_NODES)
+
+
+def test_mirror_kernel_takes_four_integrand_calls():
+    # f gets the packed rows as one 1d array: 4 + 3 opening panels, the tail
+    # bound, then the two halves of one bisection
+    sizes = []
+
+    def recording(x):
+        assert x.ndim == 1
+        sizes.append(x.size)
+        return mirror_kernel(x)
+
+    result = integrate_semiinf(recording)
+    assert sizes == [4 * PANEL_NODES, 3 * PANEL_NODES, TAIL_NODES, 2 * PANEL_NODES]
+    assert result.evaluations == sum(sizes) == 138
+    assert result.value == pytest.approx(3.0, rel=1e-10)
+
+
+def test_packed_rows_report_the_first_bad_abscissa_of_the_earlier_panel():
+    # the opening call packs [0, 1/2], [1/2, 1], [1, 2] and [2, 5]: the last
+    # two turn non-finite, and a one-row-per-call run meets [1, 2] first
+    calls = []
+
+    def bad(x):
+        calls.append(x.copy())
+        return np.where(x > 1.2, np.nan, np.exp(-x))
+
+    with pytest.raises(IntegrandError) as excinfo:
+        integrate_semiinf(bad)
+    assert len(calls) == 1
+    rows = calls[0].reshape(LOCKSTEP_COLUMNS, PANEL_NODES)
+    assert (rows[3] > 1.2).all()
+    assert excinfo.value.abscissa == rows[2][rows[2] > 1.2][0]
 
 
 def test_row_sums_do_not_depend_on_the_other_rows():
