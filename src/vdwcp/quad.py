@@ -284,26 +284,25 @@ class _Column:
         return None
 
 
-_FULL_STEP = (1,) * LOCKSTEP_COLUMNS
+def _spare_rows(live: list) -> list:
+    """The columns that take a step's spare rows, one entry per row.
 
-
-def _shares(live: list) -> list:
-    """Panels each of fewer than LOCKSTEP_COLUMNS live columns evaluates in one step.
-
-    Every column takes its next pending panel; each spare row then goes to
-    the column with the most panels still pending, the first in column order
-    among equals, until the rows or the pending panels run out.
+    While fewer than LOCKSTEP_COLUMNS columns are live, each spare row goes
+    to the column with the most panels still pending after its first row,
+    the first in column order among equals, until the rows or the pending
+    panels run out.
     """
-    left = [len(column.points) - 2 - column.next for column in live]
-    takes = [1] * len(live)
-    for _ in range(LOCKSTEP_COLUMNS - len(live)):
+    spare = LOCKSTEP_COLUMNS - len(live)
+    left = [len(column.points) - 2 - column.next for column in live] if spare else ()
+    rows = []
+    for _ in range(spare):
         most = max(left)
         if most == 0:
             break
         j = left.index(most)
-        takes[j] += 1
         left[j] -= 1
-    return takes
+        rows.append(live[j])
+    return rows
 
 
 def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
@@ -312,12 +311,12 @@ def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec
     f(cols, x) gets a list of column indices and a (len(cols), m) array of
     abscissas, row i for column cols[i], and returns the matching array of
     values; m is 15 for a panel and 3 for a tail bound, and len(cols) <=
-    LOCKSTEP_COLUMNS. An index may repeat: a column's rows of one call are
-    consecutive panels in its evaluation order, and with LOCKSTEP_COLUMNS
-    columns in flight every panel call takes one row of each. Each column
-    runs integrate_semiinf's algorithm on its own, so a column's result does
-    not depend on the other rows of a call as long as f evaluates each row
-    on its own.
+    LOCKSTEP_COLUMNS. An index may repeat: a column's rows of one call are,
+    in row order, consecutive panels in its evaluation order, and with
+    LOCKSTEP_COLUMNS columns in flight every panel call takes one row of
+    each. Each column runs integrate_semiinf's algorithm on its own, so a
+    column's result does not depend on the other rows of a call as long as
+    f evaluates each row on its own.
 
     Returns a (3, n) array: per column its value, error estimate and
     evaluation count. Raises the IntegrandError or ConvergenceError of the
@@ -332,26 +331,21 @@ def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec
     failed, failure = n, None  # the lowest failing column and its exception
 
     while live:
-        # This step's panels: the next pending one of every live column and,
-        # while fewer than LOCKSTEP_COLUMNS columns are live, spare rows from
-        # the columns with the most panels pending. A column's tail bound goes
-        # with its last pending panel, and the column is then ready to take
-        # its next step.
-        takes = _FULL_STEP if len(live) == LOCKSTEP_COLUMNS else _shares(live)
-        panel_cols, lo, hi, tail_cols, cutoffs, ready = [], [], [], [], [], []
-        for column, take in zip(live, takes):
-            points, i = column.points, column.next
-            stop = i + take
-            if take == 1:
-                panel_cols.append(column)
-                lo.append(points[i])
-                hi.append(points[stop])
-            else:
-                panel_cols += [column] * take
-                lo += points[i:stop]
-                hi += points[i + 1 : stop + 1]
-            column.next = stop
-            if stop + 1 == len(points):
+        # This step's panels: the next pending one of every live column, then
+        # the spare rows. A column's rows come in its evaluation order. A
+        # column's tail bound goes with its last pending panel, and the column
+        # is then ready to take its next step.
+        panel_cols = live + _spare_rows(live)
+        lo, hi = [], []
+        for column in panel_cols:
+            i = column.next
+            lo.append(column.points[i])
+            hi.append(column.points[i + 1])
+            column.next = i + 1
+        tail_cols, cutoffs, ready = [], [], []
+        for column in live:
+            points = column.points
+            if column.next + 1 == len(points):
                 if column.tail_due:
                     tail_cols.append(column)
                     cutoffs.append(points[-1])

@@ -151,25 +151,18 @@ class AtomModel:
 def _lorentz_sum(transitions: tuple[Transition, ...], xi, hbar: float):
     """(2/3 hbar) sum_k omega_k |d_k|^2 / (omega_k^2 + xi^2), vectorized in xi.
 
-    A scalar xi, such as the 0 of a static response, is summed in Python
-    floats: the same operations in the same order, so the same bits, but a
-    sum that leaves the float range is inf without a numpy warning.
+    A sum that leaves the float range is inf, without a numpy warning; the
+    callers that need a finite response check for it.
     """
-    if np.isscalar(xi):
-        xi = float(xi)
-        if xi < 0.0:
-            raise ValueError("imaginary-axis frequency xi must be >= 0")
-        total = 0.0
-        for t in transitions:
-            total = total + t.omega * t.dipole_sq / (t.omega**2 + xi * xi)
-        return total * (2.0 / (3.0 * hbar))
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr < 0.0):
         raise ValueError("imaginary-axis frequency xi must be >= 0")
     total = np.zeros_like(xi_arr)
-    for t in transitions:
-        total = total + t.omega * t.dipole_sq / (t.omega**2 + xi_arr**2)
-    return total * (2.0 / (3.0 * hbar))
+    with np.errstate(over="ignore"):
+        for t in transitions:
+            total = total + t.omega * t.dipole_sq / (t.omega**2 + xi_arr**2)
+        total = total * (2.0 / (3.0 * hbar))
+    return float(total) if np.isscalar(xi) else total
 
 
 class LorentzTable:

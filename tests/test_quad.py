@@ -272,7 +272,7 @@ def test_integrand_calls_stay_within_the_lockstep_bound():
     "n, opening",
     [
         (1, [[0, 0, 0, 0], [0, 0, 0]]),
-        (2, [[0, 0, 1, 1]] * 3 + [[0, 1]]),
+        (2, [[0, 1, 0, 1]] * 3 + [[0, 1]]),
         (4, [[0, 1, 2, 3]] * 7),
     ],
 )
