@@ -114,40 +114,29 @@ def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol)
 
 
-def _load_mirror_inputs(args):
+def _curve(args, units: UnitSystem) -> tuple[PotentialCurve, dict[str, str]]:
+    """The curve the arguments ask for and its atoms' metadata.
+
+    Two atoms give a pair curve; one atom gives a mirror curve at args.plate.
+    """
     atom = load_atom_file(args.atom)
+    atom_b_path = getattr(args, "atom_b", None)
+    if atom_b_path:
+        atom_b = load_atom_file(atom_b_path)
+        curve = pair_curve(atom, atom_b, parse_grid(args.grid), units, _quad_spec(args))
+        return curve, {"atom": atom.label, "atom_b": atom_b.label}
     plate = PlateKind(args.plate)
-    grid = parse_grid(args.grid)
-    return atom, plate, grid
+    curve = mirror_curve(atom, parse_grid(args.grid), plate, units, _quad_spec(args))
+    return curve, {"atom": atom.label, "plate": plate.value}
 
 
-def cmd_mirror(args) -> int:
-    atom, plate, grid = _load_mirror_inputs(args)
+def cmd_curve(args) -> int:
     units = _units_for(args)
-    curve = mirror_curve(atom, grid, plate, units, _quad_spec(args))
+    curve, atoms = _curve(args, units)
     meta = _metadata(
         args,
         units=units.value,
-        atom=atom.label,
-        plate=plate.value,
-        grid=f"{args.grid} (geometric)",
-        method="quadrature",
-    )
-    _emit(args, _render_curve(args, curve, meta))
-    return 0
-
-
-def cmd_pair(args) -> int:
-    atom_a = load_atom_file(args.atom)
-    atom_b = load_atom_file(args.atom_b)
-    grid = parse_grid(args.grid)
-    units = _units_for(args)
-    curve = pair_curve(atom_a, atom_b, grid, units, _quad_spec(args))
-    meta = _metadata(
-        args,
-        units=units.value,
-        atom=atom_a.label,
-        atom_b=atom_b.label,
+        **atoms,
         grid=f"{args.grid} (geometric)",
         method="quadrature",
     )
@@ -156,22 +145,12 @@ def cmd_pair(args) -> int:
 
 
 def cmd_slopes(args) -> int:
+    if not args.atom_b and args.plate is None:
+        raise ValueError(
+            "slopes over a mirror curve need --plate; give --atom-b for pair geometry"
+        )
     units = _units_for(args)
-    grid = parse_grid(args.grid)
-    spec = _quad_spec(args)
-    if args.atom_b:
-        atom_a = load_atom_file(args.atom)
-        atom_b = load_atom_file(args.atom_b)
-        curve = pair_curve(atom_a, atom_b, grid, units, spec)
-        meta_atoms = {"atom": atom_a.label, "atom_b": atom_b.label}
-    else:
-        if args.plate is None:
-            raise ValueError(
-                "slopes over a mirror curve need --plate; give --atom-b for pair geometry"
-            )
-        atom, plate, grid = _load_mirror_inputs(args)
-        curve = mirror_curve(atom, grid, plate, units, spec)
-        meta_atoms = {"atom": atom.label, "plate": plate.value}
+    curve, atoms = _curve(args, units)
     channel = "total" if args.channel == "total" else Channel(args.channel)
     if channel != "total" and channel not in curve.values:
         raise ValueError(
@@ -181,7 +160,7 @@ def cmd_slopes(args) -> int:
     meta = _metadata(
         args,
         units=units.value,
-        **meta_atoms,
+        **atoms,
         grid=f"{args.grid} (geometric)",
         channel=args.channel,
     )
@@ -293,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     mirror.add_argument("--plate", choices=["conducting", "permeable"], required=True)
     mirror.add_argument("--grid", required=True, help="min:max:points, geometric spacing")
     _add_common(mirror)
-    mirror.set_defaults(handler=cmd_mirror)
+    mirror.set_defaults(handler=cmd_curve)
 
     pair = sub.add_parser("pair", help="two-atom potential over a separation grid")
     pair.add_argument("--atom", required=True, help="first atom definition file")
@@ -301,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="second atom definition file")
     pair.add_argument("--grid", required=True, help="min:max:points, geometric spacing")
     _add_common(pair)
-    pair.set_defaults(handler=cmd_pair)
+    pair.set_defaults(handler=cmd_curve)
 
     slopes = sub.add_parser("slopes", help="local log-log slopes of a computed curve")
     slopes.add_argument("--atom", required=True, help="atom definition file")

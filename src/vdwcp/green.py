@@ -100,15 +100,14 @@ def mirror_gmm_trace(z: float, xi: float, plate: PlateKind, c: float) -> float:
     """Scattering-part trace Tr Gmm1(z, z, i xi) at height z above a perfect mirror.
 
     +-(1/(8 pi z^3)) e^(-2 z xi/c) (1 + 2 z xi/c + 2 (z xi/c)^2), upper sign
-    for a perfectly conducting plate, lower for an infinitely permeable one.
+    for a perfectly conducting plate, lower for an infinitely permeable one:
+    the production mirror_kernel at x = 2 z xi / c over 8 pi z^3.
     """
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
     if xi < 0.0:
         raise ValueError("xi must be >= 0")
-    u = z * xi / c
-    bracket = 1.0 + 2.0 * u * (1.0 + u)
-    return plate.sign * bracket * np.exp(-2.0 * u) / (8.0 * np.pi * z**3)
+    return plate.sign * float(mirror_kernel(2.0 * z * xi / c)) / (8.0 * np.pi * z**3)
 
 
 def mirror_gmm_trace_via_q_integral(
@@ -138,7 +137,7 @@ def mirror_gmm_trace_via_q_integral(
     if not xi > 0.0:
         raise ValueError("the transverse-momentum oracle needs xi > 0")
     if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-10, decay_scale=1.0)
+        spec = QuadratureSpec(rel_tol=1e-10)
     if plate is PlateKind.CONDUCTING:
         r_s, r_p = -1.0, 1.0
     else:

@@ -4,13 +4,19 @@ Every value is an imaginary-frequency integral. Internally the integration
 variable is made dimensionless (x = 2 z xi / c at a mirror, x = l xi / c for a
 pair) and the static response magnitudes are factored out of the integrand,
 so the quadrature always sees O(1) ratios times the universal kernels of the
-green module; the physical scale returns through an analytic prefactor. A
-channel whose static response vanishes is exactly zero and skips quadrature.
-Every value is a point of a PotentialCurve, a single distance being a
-one-point curve, and one loop over channels and distances computes it. The
-diamagnetic response is frequency independent, so the integrals of the
-mirror d and pair dd channels do not depend on the distance and are
-integrated once per call.
+green module; the physical scale returns through an analytic prefactor. One
+integrand, built by _channel_integrals, serves every channel of both
+geometries: the response ratios of the channel's sides (one at a mirror, two
+for a pair), times x^2 in the crossed pair channels, times the channel's
+kernel, integrated at every distance of a curve in one integrate_columns
+call with the kernel's decay scale (1 for mirror_kernel, 1/2 for the pair
+kernels). The geometries differ only in prefactors and signs. A channel
+whose static response vanishes is exactly zero and skips quadrature. The
+diamagnetic response is frequency independent, its ratio is 1, so the
+mirror d and pair dd channels integrate the bare kernel once per call. A
+channel value that leaves the float range is a ValueError naming the
+channel and the distance. Every value is a point of a PotentialCurve, a
+single distance being a one-point curve.
 
 Sign conventions that the whole module hangs on: the mirror magnetic trace is
 positive for a conducting plate and the electric trace is its negative; in
@@ -121,15 +127,6 @@ def _response(atom: AtomModel, letter: str, hbar: float) -> tuple[float, Lorentz
     return static, LorentzTable(transitions, hbar) if transitions and static != 0.0 else None
 
 
-def _with_decay_scale(spec: QuadratureSpec, decay_scale: float) -> QuadratureSpec:
-    """spec with another decay scale, built without dataclasses.replace's kwargs dicts."""
-    return QuadratureSpec(
-        rel_tol=spec.rel_tol,
-        decay_scale=decay_scale,
-        max_subdivisions=spec.max_subdivisions,
-    )
-
-
 def _grid(distances) -> np.ndarray:
     """distances as a float array, checked: 1-d, non-empty, positive and strictly increasing."""
     d = np.asarray(distances, dtype=float)
@@ -164,6 +161,57 @@ def _prefactors(
     return np.array(prefactors)
 
 
+def _channel_integrals(
+    sides, kernel, weighted: bool, scales: np.ndarray, decay_scale: float, spec: QuadratureSpec
+) -> np.ndarray:
+    """int [x^2] * product of R(scale x) * kernel(x) dx for every scale, R a side's response ratio.
+
+    sides are the (static, table) pairs of _response, multiplied left to
+    right in the order given, so that the caller fixes which side comes
+    first and swapping two atoms reproduces bit-identical products; x^2
+    enters when weighted. A side without a table has R = 1 and is left out,
+    which changes no bit. When no side has a table the integrand does not
+    depend on the scale: the bare kernel moment is integrated once, in one
+    column, and its one-element result broadcasts over the distances. Only
+    the crossed pair channels are weighted, and their electric side always
+    has a table.
+    """
+    # a list: tuple(<generator>) resizes, and resized tuples pile up on CPython's free list
+    ratios = [(table, static) for static, table in sides if table is not None]
+    if not ratios:
+        return integrate_columns(lambda cols, x: kernel(x), 1, spec, decay_scale=decay_scale)[0]
+    (table, static), *rest = ratios
+
+    def integrand(cols, x):
+        # row i of x belongs to the distance with scale scales[cols[i]]
+        xi = scales[cols, None] * x
+        ratio = table(xi)
+        ratio /= static
+        for other, other_static in rest:
+            other_ratio = other(xi)
+            other_ratio /= other_static
+            ratio *= other_ratio
+        del xi
+        # in place, the same products: ratio * x^2 * kernel = x^2 * ratio * kernel bit for bit
+        if weighted:
+            ratio *= x**2
+        ratio *= kernel(x)
+        return ratio
+
+    return integrate_columns(integrand, scales.size, spec, decay_scale=decay_scale)[0]
+
+
+def _check_channel(row: np.ndarray, channel: Channel, distances: np.ndarray, name: str) -> None:
+    """A ValueError naming the channel and the first distance at which its value is not finite."""
+    finite = np.isfinite(row)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"channel {channel.value!r} at {name} {float(distances[i])!r} is {float(row[i])!r}; "
+            "it must be a finite float"
+        )
+
+
 def _mirror_values(
     atom: AtomModel,
     distances: np.ndarray,
@@ -175,35 +223,25 @@ def _mirror_values(
 
     The one mirror evaluation path. Channel value = prefactor(z) *
     int R(c x / 2z) mirror_kernel(x) dx, with R the response over its static
-    value; one integrate_columns call per channel integrates every distance.
-    R = 1 for the diamagnetic channel, whose integral is therefore the same
-    kernel moment at every distance and is integrated once per call. A
-    channel with zero static response stays exactly zero and skips quadrature.
+    value, integrated by _channel_integrals. A channel with zero static
+    response stays exactly zero and skips quadrature.
     """
     bases = _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, distances, 4, "mirror distance z")
-    mirror_spec = _with_decay_scale(spec, 1.0)
     scales = consts.c / (2.0 * distances)  # xi = scale * x
     responses = [_response(atom, ch.value, consts.hbar) for ch in MIRROR_CHANNELS]
     values = np.zeros((len(MIRROR_CHANNELS), distances.size))
-    for row, ch, (static, table) in zip(values, MIRROR_CHANNELS, responses):
+    for row, ch, side in zip(values, MIRROR_CHANNELS, responses):
+        static = side[0]
         if static == 0.0:
             continue
-        if table is None:
-            integrals, _, _ = integrate_columns(lambda cols, x: mirror_kernel(x), 1, mirror_spec)
-        else:
-
-            def integrand(cols, x):
-                ratio = table(scales[cols, None] * x)
-                ratio /= static
-                ratio *= mirror_kernel(x)
-                return ratio
-
-            integrals, _, _ = integrate_columns(integrand, distances.size, mirror_spec)
-        if ch is Channel.E:
-            # electric trace = -(magnetic trace), hence the opposite sign
-            row[:] = -plate.sign * bases / consts.eps0 * static * integrals
-        else:
-            row[:] = plate.sign * bases * consts.mu0 * static * integrals
+        integrals = _channel_integrals([side], mirror_kernel, False, scales, 1.0, spec)
+        with np.errstate(over="ignore"):
+            if ch is Channel.E:
+                # electric trace = -(magnetic trace), hence the opposite sign
+                row[:] = -plate.sign * bases / consts.eps0 * static * integrals
+            else:
+                row[:] = plate.sign * bases * consts.mu0 * static * integrals
+        _check_channel(row, ch, distances, "mirror distance z")
     return values
 
 
@@ -224,37 +262,6 @@ def cp_mirror_diamagnetic_closed(
     )
 
 
-def _pair_integrand(ratios, crossed: bool, scales: np.ndarray):
-    """(cols, x) -> [x^2] * product of R(scale x) * kernel(x), evaluated left to right.
-
-    Row i of x belongs to the separation with scale scales[cols[i]]. ratios
-    are (table, static) pairs, atom A's before atom B's for like channels and
-    the electric side first for crossed ones, so that swapping the atoms
-    reproduces bit-identical products. A diamagnetic side has R = 1 and is
-    left out, which changes no bit.
-    """
-    (table, static), *rest = ratios
-
-    def integrand(cols, x):
-        xi = scales[cols, None] * x
-        ratio = table(xi)
-        ratio /= static
-        for other, other_static in rest:
-            other_ratio = other(xi)
-            other_ratio /= other_static
-            ratio *= other_ratio
-        del xi
-        # in place, the same products: ratio * x^2 * kernel = x^2 * ratio * kernel bit for bit
-        if crossed:
-            ratio *= x**2
-            ratio *= pair_kernel_cross(x)
-        else:
-            ratio *= pair_kernel_same(x)
-        return ratio
-
-    return integrand
-
-
 def _pair_values(
     atom_a: AtomModel,
     atom_b: AtomModel,
@@ -264,15 +271,12 @@ def _pair_values(
 ) -> np.ndarray:
     """Every pair channel at every separation, one row per PAIR_CHANNELS entry.
 
-    The one pair evaluation path; see pair_curve for the integrals. One
-    integrate_columns call per channel integrates every separation. A
-    channel with diamagnetic response on both sides integrates the bare like
-    kernel, the same moment at every separation, once per call; a channel
-    with a zero static response stays exactly zero and skips quadrature.
+    The one pair evaluation path; see pair_curve for the integrals, which
+    _channel_integrals evaluates. A channel with a zero static response stays
+    exactly zero and skips quadrature.
     """
     hbar, c = consts.hbar, consts.c
     bases = _prefactors(hbar * consts.mu0**2 * c, 16.0 * np.pi**3, distances, 7, "separation l")
-    pair_spec = _with_decay_scale(spec, 0.5)
     scales = c / distances  # xi = scale * x
     letters = (ELECTRIC_LETTER, PARA_LETTER, DIA_LETTER)
     responses_a = {letter: _response(atom_a, letter, hbar) for letter in letters}
@@ -290,20 +294,17 @@ def _pair_values(
         product = side_a[0] * side_b[0]
         electric_sides = (letter_a == ELECTRIC_LETTER) + (letter_b == ELECTRIC_LETTER)
         crossed = electric_sides == 1
-        if crossed and letter_b == ELECTRIC_LETTER:
-            side_a, side_b = side_b, side_a
-        # a list: tuple(<generator>) resizes, and resized tuples pile up on CPython's free list
-        ratios = [(table, static) for static, table in (side_a, side_b) if table is not None]
-        if ratios:
-            integrand = _pair_integrand(ratios, crossed, scales)
-            integrals, _, _ = integrate_columns(integrand, distances.size, pair_spec)
-        else:
-            integrals, _, _ = integrate_columns(lambda cols, x: pair_kernel_same(x), 1, pair_spec)
-        if crossed:
-            row[:] = bases * c**2 * product * integrals
-        else:
-            weight = c**4 if electric_sides == 2 else 1.0
-            row[:] = -bases * weight * product * integrals
+        # the electric side first in crossed channels, atom A's first in like ones
+        sides = [side_b, side_a] if crossed and letter_b == ELECTRIC_LETTER else [side_a, side_b]
+        kernel = pair_kernel_cross if crossed else pair_kernel_same
+        integrals = _channel_integrals(sides, kernel, crossed, scales, 0.5, spec)
+        with np.errstate(over="ignore"):
+            if crossed:
+                row[:] = bases * c**2 * product * integrals
+            else:
+                weight = c**4 if electric_sides == 2 else 1.0
+                row[:] = -bases * weight * product * integrals
+        _check_channel(row, ch, distances, "separation l")
     return values
 
 
@@ -325,7 +326,6 @@ def vdw_pair_total_direct(
         raise ValueError(f"separation l must be positive, got {l!r}")
     hbar, c = consts.hbar, consts.c
     scale = c / l
-    pair_spec = _with_decay_scale(spec, 0.5)
 
     def like_integrand(x):
         xi = scale * np.asarray(x, dtype=float)
@@ -347,8 +347,8 @@ def vdw_pair_total_direct(
         )
 
     base = hbar * consts.mu0**2 * c / (16.0 * np.pi**3 * l**7)
-    like = integrate_semiinf(like_integrand, pair_spec).value
-    cross = integrate_semiinf(cross_integrand, pair_spec).value
+    like = integrate_semiinf(like_integrand, spec, decay_scale=0.5).value
+    cross = integrate_semiinf(cross_integrand, spec, decay_scale=0.5).value
     return -base * like + base * c**2 * cross
 
 

@@ -6,6 +6,11 @@ exp(-2x) factors (no oscillation). A nested 7/15-point Gauss-Kronrod rule with
 worst-error-first bisection on a finite window [0, X] is enough; the window is
 extended automatically whenever the analytic exponential tail bound, which is
 always part of the reported error estimate, dominates the error budget.
+The caller gives the relative tolerance in a QuadratureSpec and the decay
+scale of the integrand's tail, a property of its kernel, as the integrators'
+decay_scale keyword: the window starts as [0, 40*decay_scale] and each
+extension adds 10*decay_scale. A column fails to converge after
+MAX_SUBDIVISIONS bisections and extensions.
 
 integrate_columns runs that algorithm for many integrands ("columns", for
 instance one channel at every distance of a curve) in lockstep, up to
@@ -81,6 +86,8 @@ TAIL_NODES = _TAIL_OFFSETS.size
 # Columns integrated in lockstep: one integrand call sees at most
 # LOCKSTEP_COLUMNS * PANEL_NODES abscissas.
 LOCKSTEP_COLUMNS = 4
+# Bisections and window extensions a column may take before it fails to converge.
+MAX_SUBDIVISIONS = 400
 # Absolute error allowance on top of rel_tol * |value|: a column whose value
 # is exactly zero converges once its error bound is this small.
 ABS_TOL = 1e-300
@@ -113,23 +120,13 @@ class ConvergenceError(QuadratureError):
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
-    """Relative tolerance, decay hint and subdivision budget for integrate_semiinf.
-
-    decay_scale is the e^(-x/s) scale of the integrand's far tail; the
-    initial integration window is [0, 40*decay_scale].
-    """
+    """Relative tolerance of integrate_semiinf and integrate_columns."""
 
     rel_tol: float = 1e-10
-    decay_scale: float = 1.0
-    max_subdivisions: int = 400
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
-        if not self.decay_scale > 0.0:
-            raise ValueError("decay_scale must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,18 +184,8 @@ def _panels(f: Callable, cols: list, lo: list, hi: list):
 
     The integrand and the elementwise arithmetic run on the whole batch and
     every weighted sum on one row at a time, so a row's results do not depend
-    on the other rows. A single row takes scalar operands and 1d dots, the
-    same arithmetic without the cost of (1, n) arrays.
+    on the other rows.
     """
-    if len(lo) == 1:
-        a, b = lo[0], hi[0]
-        half = 0.5 * (b - a)
-        y, failures = _values(f, cols, (0.5 * (a + b) + half * _NODES)[None])
-        y = y[0]
-        resk = half * float(_WGK @ y)
-        deviation = np.abs(y - resk / (b - a))
-        sums = float(_WG @ y[1::2]), float(_WGK @ np.abs(y)), float(_WGK @ deviation)
-        return [resk], [_error(half, resk, *sums)], failures
     halves = [0.5 * (b - a) for a, b in zip(lo, hi)]
     x = np.array(halves)[:, None] * _NODES
     x += np.array([0.5 * (a + b) for a, b in zip(lo, hi)])[:, None]
@@ -253,7 +240,7 @@ class _Column:
         self.subdivisions = 0
         self.evaluations = 0
 
-    def advance(self, spec: QuadratureSpec):
+    def advance(self, rel_tol: float, decay_scale: float):
         """One step of the per-column algorithm once its evaluations are in.
 
         Returns (value, error estimate) when converged, else None with the
@@ -264,16 +251,16 @@ class _Column:
         value = math.fsum(panels[2::4])
         errors = panels[3::4]
         total_err = math.fsum(errors) + self.tail
-        tolerance = spec.rel_tol * abs(value) + ABS_TOL
+        tolerance = rel_tol * abs(value) + ABS_TOL
         if total_err <= tolerance:
             return value, total_err
-        if self.subdivisions >= spec.max_subdivisions:
+        if self.subdivisions >= MAX_SUBDIVISIONS:
             best = QuadratureResult(value, total_err, self.evaluations)
             raise ConvergenceError(best, tolerance)
         if self.tail > 0.5 * tolerance:
             # Bisection cannot reduce the tail; push the window outward instead.
             cutoff = self.points[-1]
-            self.points, self.tail_due = [cutoff, cutoff + 10.0 * spec.decay_scale], True
+            self.points, self.tail_due = [cutoff, cutoff + 10.0 * decay_scale], True
         else:
             worst = 4 * errors.index(max(errors))  # the first of equal errors: creation order
             a, b = panels[worst], panels[worst + 1]
@@ -305,8 +292,10 @@ def _spare_rows(live: list) -> list:
     return rows
 
 
-def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Integrate n integrands over [0, inf) to the tolerances in spec, in lockstep.
+def integrate_columns(
+    f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec(), decay_scale: float = 1.0
+) -> np.ndarray:
+    """Integrate n integrands over [0, inf) to spec.rel_tol, in lockstep.
 
     f(cols, x) gets a list of column indices and a (len(cols), m) array of
     abscissas, row i for column cols[i], and returns the matching array of
@@ -316,14 +305,16 @@ def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec
     LOCKSTEP_COLUMNS columns in flight every panel call takes one row of
     each. Each column runs integrate_semiinf's algorithm on its own, so a
     column's result does not depend on the other rows of a call as long as
-    f evaluates each row on its own.
+    f evaluates each row on its own. decay_scale is as for integrate_semiinf.
 
     Returns a (3, n) array: per column its value, error estimate and
     evaluation count. Raises the IntegrandError or ConvergenceError of the
     lowest-index column that fails; the other columns' results are then
     discarded.
     """
-    s = spec.decay_scale
+    if not decay_scale > 0.0:
+        raise ValueError(f"decay_scale must be positive, got {decay_scale!r}")
+    s, rel_tol = decay_scale, spec.rel_tol
     edges = [0.0, 0.5 * s, s, 2.0 * s, 5.0 * s, 10.0 * s, 20.0 * s, 40.0 * s]
     results = np.zeros((3, n))
     live = [_Column(i, edges) for i in range(min(n, LOCKSTEP_COLUMNS))]
@@ -369,7 +360,7 @@ def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec
         done = []
         for column in ready:
             try:
-                result = column.advance(spec)
+                result = column.advance(rel_tol, s)
             except ConvergenceError as exc:
                 bad.append((column, exc))
                 continue
@@ -392,8 +383,10 @@ def integrate_columns(f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec
     return results
 
 
-def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
-    """Integrate f over [0, inf) to the tolerances in spec.
+def integrate_semiinf(
+    f: Callable, spec: QuadratureSpec = QuadratureSpec(), decay_scale: float = 1.0
+) -> QuadratureResult:
+    """Integrate f over [0, inf) to spec.rel_tol.
 
     f must accept a 1d ndarray of abscissas, 15 per panel for up to
     LOCKSTEP_COLUMNS panels (at most 60) or 3 for a tail bound, and return
@@ -405,7 +398,8 @@ def integrate_semiinf(f: Callable, spec: QuadratureSpec = QuadratureSpec()) -> Q
     Returns a QuadratureResult whose error_estimate satisfies
     error_estimate <= rel_tol*|value| + ABS_TOL. Raises IntegrandError on
     non-finite integrand values and ConvergenceError (carrying the best
-    estimate) if max_subdivisions is exhausted.
+    estimate) once a column has taken MAX_SUBDIVISIONS subdivisions.
     """
-    value, error, evaluations = integrate_columns(lambda cols, x: f(x.ravel()), 1, spec)[:, 0].tolist()
+    results = integrate_columns(lambda cols, x: f(x.ravel()), 1, spec, decay_scale=decay_scale)
+    value, error, evaluations = results[:, 0].tolist()
     return QuadratureResult(value=value, error_estimate=error, evaluations=int(evaluations))

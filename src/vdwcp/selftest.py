@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import default_fixtures, local_log_slope
+from .asymptotics import _grid_around, default_fixtures, local_log_slope
 from .green import (
     PlateKind,
     _free_tensor_em,
@@ -144,14 +144,13 @@ def _check_tensor_traces(rng) -> CheckResult:
 
 
 def _check_kernel_integrals(spec: QuadratureSpec, tol: float) -> CheckResult:
-    kernel_spec = QuadratureSpec(rel_tol=spec.rel_tol, decay_scale=0.5)
     cases = (
         ("same", pair_kernel_same, 23.0 / 4.0),
         ("cross", pair_kernel_cross, 5.0 / 4.0),
         ("x^2 cross", lambda x: np.asarray(x) ** 2 * pair_kernel_cross(x), 7.0 / 4.0),
     )
     devs = [
-        _max_rel_dev(integrate_semiinf(f, kernel_spec).value, ref)
+        _max_rel_dev(integrate_semiinf(f, spec, decay_scale=0.5).value, ref)
         for _, f, ref in cases
     ]
     dev = max(devs)
@@ -179,16 +178,9 @@ def _check_q_integral(spec: QuadratureSpec, tol: float) -> CheckResult:
     )
 
 
-def _diamagnetic_fixture() -> AtomModel:
-    return AtomModel(
-        label="diamagnetic-fixture",
-        diamagnetic=DiamagneticSpec(direct_beta_d=-1.0),
-    )
-
-
 def _check_mirror_diamagnetic(spec: QuadratureSpec, tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
-    atom = _diamagnetic_fixture()
+    atom = default_fixtures()["d"]
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 5.0):
         for plate in PlateKind:
@@ -204,7 +196,7 @@ def _check_mirror_diamagnetic(spec: QuadratureSpec, tol: float) -> CheckResult:
 
 def _check_prefactor_adjudication(spec: QuadratureSpec, tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
-    atom = _diamagnetic_fixture()
+    atom = default_fixtures()["d"]
     curve = mirror_curve(atom, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL, spec)
     quad = curve.values[Channel.D][0]
     candidate_sq = cp_mirror_diamagnetic_closed(-1.0, 1.0, PlateKind.CONDUCTING, consts)
@@ -233,7 +225,7 @@ def _check_prefactor_adjudication(spec: QuadratureSpec, tol: float) -> CheckResu
 
 def _check_pair_dd(spec: QuadratureSpec, tol: float, rel_tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
-    atom = _diamagnetic_fixture()
+    atom = default_fixtures()["d"]
     worst = 0.0
     for l in np.geomspace(0.1, 100.0, 20):
         quad = pair_curve(atom, atom, [l], UnitSystem.NATURAL, spec).values[Channel.DD][0]
@@ -254,18 +246,16 @@ def _check_pair_dd(spec: QuadratureSpec, tol: float, rel_tol: float) -> CheckRes
 
 
 def _asymptote_check(
-    name: str,
-    atom_a: AtomModel,
-    atom_b: AtomModel,
     channel: Channel,
     cases: tuple[tuple[float, Regime, float], ...],
     spec: QuadratureSpec,
 ) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
+    atom_a, atom_b = [default_fixtures()[letter] for letter in channel.value]
     problems = []
     summaries = []
     for center, regime, expected_slope in cases:
-        grid = center * 1.02 ** np.arange(-2, 3)
+        grid = _grid_around(center)
         curve = pair_curve(atom_a, atom_b, grid, UnitSystem.NATURAL, spec)
         profile = local_log_slope(curve, channel)
         slope = float(profile.exponent[profile.exponent.size // 2])
@@ -280,23 +270,9 @@ def _asymptote_check(
         if value_dev > 0.01:
             problems.append(f"value at l={center:g} off closed form by more than 1%")
     return CheckResult(
-        name=name,
+        name=f"pair-{channel.value}-asymptotes",
         passed=not problems,
         detail="; ".join(summaries + problems),
-    )
-
-
-def _electric_fixture() -> AtomModel:
-    return AtomModel(
-        label="electric-fixture",
-        electric_transitions=(Transition(omega=1.0, dipole_sq=1.0, kind=ELECTRIC),),
-    )
-
-
-def _paramagnetic_fixture() -> AtomModel:
-    return AtomModel(
-        label="paramagnetic-fixture",
-        magnetic_transitions=(Transition(omega=1.0, dipole_sq=1.0, kind=MAGNETIC),),
     )
 
 
@@ -426,20 +402,10 @@ def run_selftest(rel_tol: float = 1e-10) -> SelftestReport:
         _check_prefactor_adjudication(spec, closed_tol),
         _check_pair_dd(spec, closed_tol, rel_tol),
         _asymptote_check(
-            "pair-ed-asymptotes",
-            _electric_fixture(),
-            _diamagnetic_fixture(),
-            Channel.ED,
-            ((1e-3, Regime.NONRETARDED, -5.0), (1e3, Regime.RETARDED, -7.0)),
-            spec,
+            Channel.ED, ((1e-3, Regime.NONRETARDED, -5.0), (1e3, Regime.RETARDED, -7.0)), spec
         ),
         _asymptote_check(
-            "pair-dp-asymptotes",
-            _diamagnetic_fixture(),
-            _paramagnetic_fixture(),
-            Channel.DP,
-            ((1e-3, Regime.NONRETARDED, -6.0), (1e3, Regime.RETARDED, -7.0)),
-            spec,
+            Channel.DP, ((1e-3, Regime.NONRETARDED, -6.0), (1e3, Regime.RETARDED, -7.0)), spec
         ),
         _check_swap_symmetry(spec),
         _check_lenz_flip(spec),

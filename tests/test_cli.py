@@ -324,6 +324,32 @@ def test_static_response_out_of_float_range_is_a_usage_error(tmp_path, capsys, u
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, grid, named",
+    [
+        # alpha(0) is finite, alpha(0) / (eps0 z^4) is not
+        ("mirror", "1e-70:1e-69:3", "channel 'e' at mirror distance z 1e-70 is -inf"),
+        # alpha(0)^2 is not finite although each factor is
+        ("pair", "1e-40:1e-39:3", "channel 'ee' at separation l 1e-40 is -inf"),
+    ],
+)
+def test_channel_value_out_of_float_range_is_a_usage_error(
+    tmp_path, capsys, subcommand, grid, named
+):
+    atom = tmp_path / "atom.yaml"
+    atom.write_text("label: huge\nelectric_transitions:\n  - {omega: 1.0, mu_sq: 1e266}\n")
+    if subcommand == "pair":
+        atoms = ["--atom", str(atom), "--atom-b", str(atom)]
+    else:
+        atoms = ["--atom", str(atom), "--plate", "conducting"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, subcommand, *atoms, "--grid", grid, "--units", "si")
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 def test_batch_quadrature_failure_exits_three(capsys, monkeypatch):
     # a kernel that turns non-finite fails every distance of the curve in the engine
     monkeypatch.setattr("vdwcp.potentials.mirror_kernel", lambda x: np.where(x < 5.0, 1.0, np.nan))
@@ -351,7 +377,7 @@ def test_unexpected_exception_maps_to_exit_four(capsys, monkeypatch):
     def explode(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("vdwcp.cli.cmd_mirror", explode)
+    monkeypatch.setattr("vdwcp.cli.cmd_curve", explode)
     code, out, err = _run(
         capsys, "mirror", "--atom", DIA, "--plate", "conducting", "--grid", "1:2:5",
     )

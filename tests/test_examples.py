@@ -15,7 +15,7 @@ def _script(name: str):
     return module
 
 
-@pytest.mark.parametrize("script", ["crossover_scan", "mirror_sweep"])
+@pytest.mark.parametrize("script", ["crossover_scan"])
 @pytest.mark.parametrize("grid", ["1:0:5", "1e-3:1e3", "1:inf:5", "a:b:c"])
 def test_script_rejects_a_bad_grid_in_one_line(capsys, script, grid):
     code = _script(script).main(["--grid", grid])
@@ -25,7 +25,7 @@ def test_script_rejects_a_bad_grid_in_one_line(capsys, script, grid):
     assert err.startswith("error: grid") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("script, rows", [("crossover_scan", 3), ("mirror_sweep", 6 * 5)])
+@pytest.mark.parametrize("script, rows", [("crossover_scan", 3)])
 def test_script_writes_its_csv(tmp_path, script, rows):
     out = tmp_path / "out.csv"
     assert _script(script).main(["--grid", "0.5:2:5", "--out", str(out)]) == 0

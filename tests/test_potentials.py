@@ -1,5 +1,4 @@
 """Potential channels against closed forms, symmetries and curve plumbing."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -368,7 +367,7 @@ def _reference_mirror(atom, letter, z, plate, consts, spec):
     def integrand(x):
         return ratio(scale * x) * mirror_kernel(x)
 
-    integral = integrate_semiinf(integrand, dataclasses.replace(spec, decay_scale=1.0)).value
+    integral = integrate_semiinf(integrand, spec, decay_scale=1.0).value
     base = consts.hbar * consts.c / (32.0 * np.pi**2 * z**4)
     if letter == "e":
         return -plate.sign * base / consts.eps0 * static * integral
@@ -383,7 +382,6 @@ def _reference_pair(channel, atom_a, atom_b, l, consts, spec):
         return 0.0
     scale = consts.c / l
     base = consts.hbar * consts.mu0**2 * consts.c / (16.0 * np.pi**3 * l**7)
-    pair_spec = dataclasses.replace(spec, decay_scale=0.5)
     electric_sides = (letter_a == "e") + (letter_b == "e")
     if electric_sides != 1:
         ratio_a = _reference_ratio(atom_a, letter_a, consts.hbar)
@@ -406,7 +404,7 @@ def _reference_pair(channel, atom_a, atom_b, l, consts, spec):
             return x**2 * (ratio_e(scale * x) * ratio_m(scale * x)) * pair_kernel_cross(x)
 
         prefactor = base * consts.c**2 * (static_a * static_b)
-    return prefactor * integrate_semiinf(integrand, pair_spec).value
+    return prefactor * integrate_semiinf(integrand, spec, decay_scale=0.5).value
 
 
 SEEDED = _seeded_atom()
@@ -450,9 +448,9 @@ def _count_columns(monkeypatch) -> list:
     columns = []
     real = vdwcp.potentials.integrate_columns
 
-    def counting(f, n, spec):
+    def counting(f, n, spec, decay_scale):
         columns.append(n)
-        return real(f, n, spec)
+        return real(f, n, spec, decay_scale=decay_scale)
 
     monkeypatch.setattr(vdwcp.potentials, "integrate_columns", counting)
     return columns

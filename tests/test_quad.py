@@ -41,8 +41,7 @@ def test_gamma_moments(n):
 
 @pytest.mark.parametrize("scale", [0.1, 10.0])
 def test_decay_scale_invariance(scale):
-    spec = QuadratureSpec(decay_scale=scale)
-    result = integrate_semiinf(lambda x: np.exp(-x / scale) / scale, spec)
+    result = integrate_semiinf(lambda x: np.exp(-x / scale) / scale, decay_scale=scale)
     assert result.value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -91,11 +90,12 @@ def test_positive_integrand_gives_positive_value():
     assert result.value > 0.0
 
 
-def test_convergence_error_carries_best_result():
+def test_convergence_error_carries_best_result(monkeypatch):
     # oscillation far faster than four subdivisions can resolve
+    monkeypatch.setattr("vdwcp.quad.MAX_SUBDIVISIONS", 4)
     rough = lambda x: np.exp(-x) * np.cos(500.0 * x)
     with pytest.raises(ConvergenceError) as excinfo:
-        integrate_semiinf(rough, QuadratureSpec(rel_tol=1e-12, max_subdivisions=4))
+        integrate_semiinf(rough, QuadratureSpec(rel_tol=1e-12))
     err = excinfo.value
     assert math.isfinite(err.best.value)
     assert err.best.error_estimate > 0.0
@@ -119,9 +119,6 @@ def test_nonfinite_integrand_reports_abscissa():
         {"rel_tol": 0.0},
         {"rel_tol": 0.5},
         {"rel_tol": -1e-10},
-        {"decay_scale": 0.0},
-        {"decay_scale": -2.0},
-        {"max_subdivisions": 0},
     ],
 )
 def test_spec_validation(kwargs):
@@ -129,10 +126,18 @@ def test_spec_validation(kwargs):
         QuadratureSpec(**kwargs)
 
 
+@pytest.mark.parametrize("scale", [0.0, -2.0, math.nan])
+def test_decay_scale_validation(scale):
+    with pytest.raises(ValueError, match="decay_scale"):
+        integrate_semiinf(lambda x: np.exp(-x), decay_scale=scale)
+    with pytest.raises(ValueError, match="decay_scale"):
+        integrate_columns(lambda cols, x: np.exp(-x), 2, decay_scale=scale)
+
+
 @given(st.floats(min_value=0.3, max_value=5.0), st.floats(min_value=0.3, max_value=5.0))
 def test_exponential_rate_property(a, b):
     # int e^(-a x) dx = 1/a, and results respect integrand ordering a <= b
-    fa = integrate_semiinf(lambda x: np.exp(-a * x), QuadratureSpec(decay_scale=1.0 / a))
+    fa = integrate_semiinf(lambda x: np.exp(-a * x), decay_scale=1.0 / a)
     assert fa.value == pytest.approx(1.0 / a, rel=1e-10)
 
 
@@ -219,11 +224,12 @@ def test_columns_raise_the_lowest_index_integrand_error():
     assert 3.0 <= excinfo.value.abscissa
 
 
-def test_columns_raise_the_lowest_index_convergence_error():
+def test_columns_raise_the_lowest_index_convergence_error(monkeypatch):
     # columns 3 and 5 oscillate too fast for four subdivisions
+    monkeypatch.setattr("vdwcp.quad.MAX_SUBDIVISIONS", 4)
     freqs = [0.0, 1.0, 0.5, 500.0, 0.0, 300.0, 1.0]
     batched, singles = _damped([1.0] * len(freqs), [0.0] * len(freqs), freqs)
-    spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=4)
+    spec = QuadratureSpec(rel_tol=1e-12)
     _assert_columns_match(batched, singles, spec)
     with pytest.raises(ConvergenceError):
         integrate_columns(batched, len(freqs), spec)
