@@ -15,7 +15,6 @@ import sys
 from vdwcp.asymptotics import default_fixtures, local_log_slope
 from vdwcp.cli import parse_grid
 from vdwcp.potentials import Channel, Regime, pair_curve, vdw_asymptote
-from vdwcp.quad import QuadratureSpec
 from vdwcp.units import UnitSystem, constants_for
 
 
@@ -23,7 +22,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", default="1e-3:1e3:61",
                         help="min:max:points, geometric (default 1e-3:1e3:61)")
-    parser.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
     parser.add_argument("--out", default=None, help="output CSV (default stdout)")
     args = parser.parse_args(argv)
 
@@ -31,8 +29,7 @@ def main(argv=None) -> int:
     consts = constants_for(UnitSystem.NATURAL)
     try:
         grid = parse_grid(args.grid)
-        spec = QuadratureSpec(rel_tol=args.rel_tol)
-        curve = pair_curve(fixtures["e"], fixtures["d"], grid, UnitSystem.NATURAL, spec)
+        curve = pair_curve(fixtures["e"], fixtures["d"], grid, UnitSystem.NATURAL)
         profile = local_log_slope(curve, Channel.ED)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

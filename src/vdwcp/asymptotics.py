@@ -224,8 +224,8 @@ def verify_tables(
 ) -> TableReport:
     """Check every sign/power cell against curves computed in the deep regimes.
 
-    Deterministic: fixture atoms, grids and quadrature are all fixed; runs in
-    natural units where the fixture magnitudes are O(1).
+    Deterministic: fixture atoms and grids are fixed and the curves exact (rel_tol
+    bounds no quadrature here); runs in natural units with O(1) fixture magnitudes.
     """
     if fixtures is None:
         fixtures = default_fixtures()

@@ -138,7 +138,7 @@ def cmd_curve(args) -> int:
         units=units.value,
         **atoms,
         grid=f"{args.grid} (geometric)",
-        method="quadrature",
+        method="closed-form",
     )
     _emit(args, _render_curve(args, curve, meta))
     return 0
@@ -249,7 +249,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str | None = "c
     parser.add_argument("--units", choices=["si", "natural"], default=None,
                         help="unit system (default: si for curves, natural for checks)")
     parser.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol",
-                        help="relative quadrature tolerance (default 1e-10)")
+                        help="relative tolerance of the selftest's quadratures (default 1e-10)")
     parser.add_argument("--format", choices=["csv", "json"], default=default_format,
                         help="output format")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")

@@ -1,22 +1,14 @@
 """Dispersion potentials: single atom at a perfect mirror, two atoms in free space.
 
-Every value is an imaginary-frequency integral. Internally the integration
-variable is made dimensionless (x = 2 z xi / c at a mirror, x = l xi / c for a
-pair) and the static response magnitudes are factored out of the integrand,
-so the quadrature always sees O(1) ratios times the universal kernels of the
-green module; the physical scale returns through an analytic prefactor. One
-integrand, built by _channel_integrals, serves every channel of both
-geometries: the response ratios of the channel's sides (one at a mirror, two
-for a pair), times x^2 in the crossed pair channels, times the channel's
-kernel, integrated at every distance of a curve in one integrate_columns
-call with the kernel's decay scale (1 for mirror_kernel, 1/2 for the pair
-kernels). The geometries differ only in prefactors and signs. A channel
-whose static response vanishes is exactly zero and skips quadrature. The
-diamagnetic response is frequency independent, its ratio is 1, so the
-mirror d and pair dd channels integrate the bare kernel once per call. A
-channel value that leaves the float range is a ValueError naming the
-channel and the distance. Every value is a point of a PotentialCurve, a
-single distance being a one-point curve.
+Every value is an imaginary-frequency integral in closed form: with
+t = 2 d xi / c, d the distance, a response over its static value is a sum of
+poles v_k A_k^2 / (A_k^2 + t^2), A_k = 2 omega_k d / c, and each kernel is a
+polynomial in t times e^-t (Abramowitz & Stegun 5.2), see _channel_integrals.
+The frequency-independent diamagnetic channels integrate the bare kernels,
+3 (mirror d) and 23/4 (pair dd). A channel whose static response vanishes is
+exactly zero; a channel value outside the float range is a ValueError naming
+the channel and the distance. Every value is a point of a PotentialCurve. A
+QuadratureSpec bounds only the quadrature oracles (vdw_pair_total_direct, selftest).
 
 Sign conventions that the whole module hangs on: the mirror magnetic trace is
 positive for a conducting plate and the electric trace is its negative; in
@@ -26,27 +18,54 @@ signs of the static responses themselves (alpha, beta_p >= 0, beta_d <= 0).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same
-from .quad import QuadratureSpec, integrate_columns, integrate_semiinf
-from .response import (
-    AtomModel,
-    LorentzTable,
-    alpha_iso,
-    beta_para_iso,
-    beta_total,
-    diamagnetisability,
-)
+# mirror_kernel is not used here; bench/tracer.py wraps the kernels where this module binds them
+from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same  # noqa: F401
+from .quad import QuadratureSpec, integrate_semiinf
+from .response import AtomModel, alpha_iso, beta_para_iso, beta_total, diamagnetisability
 from .units import Constants, UnitSystem, constants_for
 
 ELECTRIC_LETTER = "e"
 PARA_LETTER = "p"
 DIA_LETTER = "d"
+
+# Bare kernel moments: int mirror_kernel dx and int pair_kernel_same dx.
+MIRROR_D_MOMENT = 3.0
+PAIR_DD_MOMENT = 23.0 / 4.0
+
+# _moments: series below _SERIES_BELOW, fraction up to _ASYMPTOTIC_FROM, asymptotic beyond.
+_SERIES_BELOW = 2.0
+_FRACTION_DEPTH = 100
+_ASYMPTOTIC_FROM = 100.0
+# From here on every term has reached its limit in double precision; a^2 stays finite.
+_A_LIMIT = 1e100
+_EULER_GAMMA = 0.5772156649015329
+# Pole pairs whose squared frequencies differ by at most this share of their sum are double poles.
+_CLOSE = 1e-2
+# 4-point Gauss-Legendre nodes on [-1, 1] and half their weights, which sum to 1.
+_GAUSS_NODES = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
+_GAUSS_WEIGHTS = (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269)
+# Elements per _moments call, and of a block of distances where several fit.
+_BLOCK = 32
+# q_n of the sums sum_n q_n M_n of _term_values per unit of x (for a pair dx = dt/2, x^2 = t^2/4):
+# e^-t (1 + t + t^2/2), (3 + 3t + 5t^2/4 + t^3/4 + t^4/16) e^-t / 2, t^2 (1 + t/2)^2 e^-t / 8 and
+# that with t^2 out; same2, cross2 are double poles, N_n = ((1 - n) M_n + M_(n+1)) / (2 A^2),
+# cross2_near is cross2 by N_(n+2) = M_n - A^2 N_n, which does not cancel below _SERIES_BELOW.
+_KERNELS = {
+    "mirror": (1.0, 1.0, 0.5),
+    "same": (1.5, 1.5, 0.625, 0.125, 0.03125),
+    "same2": (0.75, 0.75, 0.4375, 0.1875, 0.015625, 0.015625),
+    "cross": (0.0, 0.0, 0.125, 0.125, 0.03125),
+    "cross_out": (0.125, 0.125, 0.03125),
+    "cross2": (0.0, 0.0, -0.0625, -0.0625, 0.015625, 0.015625),
+    "cross2_near": (0.0625, 0.0625, -0.015625, -0.015625),
+}
 
 
 class Channel(Enum):
@@ -104,14 +123,13 @@ _STATIC_NAMES = {
 }
 
 
-def _response(atom: AtomModel, letter: str, hbar: float) -> tuple[float, LorentzTable | None]:
-    """Static response of one letter and the table of its frequency dependence.
+def _response(atom: AtomModel, letter: str, hbar: float):
+    """Static response of one letter and the poles of its ratio to the static value.
 
-    The table is None where the ratio to the static value needs none: for
-    the frequency-independent diamagnetic response, whose ratio is the
-    constant 1, and for a zero static response, whose channels are zero. A
-    static response that leaves the float range, although each of its terms
-    is finite, is a ValueError naming the atom and the response.
+    The poles are arrays (omega_k, v_k) of R(xi) = sum v_k omega_k^2 / (omega_k^2 + xi^2),
+    v_k the share of transition k in the static value; None for the constant
+    diamagnetic ratio 1 and for a zero static response. A static response
+    outside the float range is a ValueError naming the atom and the response.
     """
     if letter == DIA_LETTER:
         static, transitions = diamagnetisability(atom.diamagnetic), ()
@@ -124,7 +142,11 @@ def _response(atom: AtomModel, letter: str, hbar: float) -> tuple[float, Lorentz
             f"atom {atom.label!r}: the static {_STATIC_NAMES[letter]} is {static!r}; "
             "it must be a finite float"
         )
-    return static, LorentzTable(transitions, hbar) if transitions and static != 0.0 else None
+    shares = [(t.omega, t.omega * t.dipole_sq / t.omega**2) for t in transitions if t.dipole_sq]
+    if not shares or static == 0.0:
+        return static, None
+    terms = np.array([share for _, share in shares])
+    return static, (np.array([omega for omega, _ in shares]), terms / math.fsum(terms))
 
 
 def _grid(distances) -> np.ndarray:
@@ -161,44 +183,208 @@ def _prefactors(
     return np.array(prefactors)
 
 
-def _channel_integrals(
-    sides, kernel, weighted: bool, scales: np.ndarray, decay_scale: float, spec: QuadratureSpec
-) -> np.ndarray:
-    """int [x^2] * product of R(scale x) * kernel(x) dx for every scale, R a side's response ratio.
+def _moments(a: np.ndarray) -> np.ndarray:
+    """M_n(a) = int_0^inf t^n e^-t / (a^2 + t^2) dt for n = 0..5, one row per n, elementwise.
 
-    sides are the (static, table) pairs of _response, multiplied left to
-    right in the order given, so that the caller fixes which side comes
-    first and swapping two atoms reproduces bit-identical products; x^2
-    enters when weighted. A side without a table has R = 1 and is left out,
-    which changes no bit. When no side has a table the integrand does not
-    depend on the scale: the bare kernel moment is integrated once, in one
-    column, and its one-element result broadcasts over the distances. Only
-    the crossed pair channels are weighted, and their electric side always
-    has a table.
+    Below _SERIES_BELOW upward by M_(n+2) = n! - a^2 M_n from a M_0 = f(a), M_1 = g(a)
+    of the series of Ci and Si; above it downward from a U_4 = M_5 + i a M_4, with
+    U_4 = 4! / (z + 5 - 1*5 / (z + 7 - 2*6 / (z + 9 - ...))), z = -i a, or from
+    _ASYMPTOTIC_FROM on M_n = sum_k (-1)^k (n + 2k)! / a^(2k + 2). In place on
+    1d arrays, where numpy takes no hidden buffers.
     """
-    # a list: tuple(<generator>) resizes, and resized tuples pile up on CPython's free list
-    ratios = [(table, static) for static, table in sides if table is not None]
-    if not ratios:
-        return integrate_columns(lambda cols, x: kernel(x), 1, spec, decay_scale=decay_scale)[0]
-    (table, static), *rest = ratios
+    moments = np.empty((6, a.size))
+    near = np.flatnonzero(a < _SERIES_BELOW)
+    if near.size:
+        x = a[near]
+        y = x * x
+        # (Ci(x) - gamma - ln x) / y and Si(x) / x - 1, by Horner in y
+        ci, si = np.zeros(x.size), np.zeros(x.size)
+        for m in range(14, 0, -1):
+            ci *= y
+            ci += (-1) ** m / (2 * m * math.factorial(2 * m))
+            si *= y
+            si += (-1) ** m / ((2 * m + 1) * math.factorial(2 * m + 1))
+        ci *= y
+        ci += np.log(x) + _EULER_GAMMA  # Ci(x)
+        si *= -y * x
+        si += 0.5 * math.pi - x  # pi/2 - Si(x)
+        sin, cos = np.sin(x), np.cos(x)
+        f, g = ci * sin + si * cos, si * sin - ci * cos
+        del ci, si, sin, cos
+        moments[0][near] = f / x
+        moments[1][near] = g
+        for n, row, factor in ((2, f, x), (3, g, y), (4, f, y), (5, g, y)):
+            row *= -factor
+            row += math.factorial(n - 2)
+            moments[n][near] = row
+    far = np.flatnonzero(a >= _SERIES_BELOW)
+    if far.size:
+        x = a[far]
+        asymptotic = np.flatnonzero(x >= _ASYMPTOTIC_FROM)
+        if asymptotic.size:
+            w = -1.0 / x[asymptotic] ** 2
+            for n in (4, 5):
+                total = np.zeros(w.size)
+                for k in range(13, -1, -1):
+                    total *= w
+                    total += math.factorial(n + 2 * k)
+                moments[n][far[asymptotic]] = -w * total
+        fraction = np.flatnonzero(x < _ASYMPTOTIC_FROM)
+        if fraction.size:
+            z = -1j * x[fraction]
+            tail = np.zeros(z.size, dtype=complex)
+            for k in range(_FRACTION_DEPTH, -1, -1):
+                np.subtract(z, tail, out=tail)
+                tail += 2 * k + 5
+                np.divide(k * (k + 4) if k else 24.0, tail, out=tail)  # U_4 at k = 0
+            moments[4][far[fraction]] = tail.imag / x[fraction]
+            moments[5][far[fraction]] = tail.real.copy()  # a strided source takes a hidden buffer
+        x *= x
+        np.divide(1.0, x, out=x)
+        for n in (3, 2, 1, 0):
+            row = moments[n + 2][far]
+            np.subtract(math.factorial(n), row, out=row)
+            row *= x
+            moments[n][far] = row
+    return moments
 
-    def integrand(cols, x):
-        # row i of x belongs to the distance with scale scales[cols[i]]
-        xi = scales[cols, None] * x
-        ratio = table(xi)
-        ratio /= static
-        for other, other_static in rest:
-            other_ratio = other(xi)
-            other_ratio /= other_static
-            ratio *= other_ratio
-        del xi
-        # in place, the same products: ratio * x^2 * kernel = x^2 * ratio * kernel bit for bit
-        if weighted:
-            ratio *= x**2
-        ratio *= kernel(x)
-        return ratio
 
-    return integrate_columns(integrand, scales.size, spec, decay_scale=decay_scale)[0]
+def _term_values(kind: str, a: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """The integral of a pole at each a against a kind of kernel: a^2 sum q_n M_n.
+
+    That holds for a simple pole a^2 / (a^2 + t^2) and a double pole a^4 / (a^2 + t^2)^2;
+    cross_out, t^2 = (a^2 + t^2) - a^2 without the constant, gives -a^4 sum q_n M_n.
+    """
+    def combine(kind):
+        return sum(q * row for q, row in zip(_KERNELS[kind], moments) if q)
+
+    a2 = a * a
+    values = combine(kind)
+    if kind == "cross2":
+        near = np.flatnonzero(a < _SERIES_BELOW)
+        values[near] = (a2 * combine("cross2_near"))[near]
+    elif kind == "cross_out":
+        values *= -a2
+    values *= a2
+    return values
+
+
+def _partial_fractions(sides) -> list:
+    """The product of two sides' response ratios as groups (kind suffix, frequencies, index, c).
+
+    Squared frequencies W, N with shares v, u give v u N/(N - W) to the simple
+    pole W/(W + xi^2), and the mirror image to N/(N + xi^2); closer than _CLOSE
+    they give v u W N times the Gauss-Legendre mean of 1/(rho + xi^2)^2 over rho
+    between W and N: double poles c A^4 / (A^2 + t^2)^2, A = 2 sqrt(rho) d / c,
+    one at the first side's frequency of index if W = N. Each depends on W + N,
+    |N - W| and products, so swapping the sides changes no bit.
+    """
+    (omegas, shares), (others, other_shares) = sides
+
+    def residues(squares, partners, partner_shares):
+        sums, close = np.empty(squares.size), []
+        for j, square in enumerate(squares.tolist()):
+            gap = partners - square
+            near = np.abs(gap) <= _CLOSE * (partners + square)
+            far = np.flatnonzero(~near)
+            sums[j] = np.sum(partner_shares[far] * partners[far] / gap[far])
+            close += [(j, k) for k in np.flatnonzero(near).tolist()]
+        return sums, close
+
+    sums, close = residues(omegas**2, others**2, other_shares)
+    if others is omegas:  # a self-pair: the other side's terms are the same
+        groups = [("", omegas, None, 2.0 * shares * sums)]
+    else:
+        other_sums = residues(others**2, omegas**2, shares)[0]
+        groups = [("", omegas, None, shares * sums), ("", others, None, other_shares * other_sums)]
+    coincident, nodes = [], []
+    for j, k in close:
+        w, n = omegas[j].item() ** 2, others[k].item() ** 2
+        product = shares[j].item() * other_shares[k].item()
+        middle, half = 0.5 * (w + n), 0.5 * abs(n - w)
+        if not half:
+            coincident.append((j, product))
+        for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS) if half else ():
+            rho = middle + half * node
+            nodes.append((math.sqrt(rho), product * (w * n / rho**2) * weight))
+    if coincident:
+        index, coefficients = zip(*coincident)
+        groups.append(("2", omegas, np.array(index), np.array(coefficients)))
+    if nodes:
+        frequencies, coefficients = map(np.array, zip(*nodes))
+        groups.append(("2", frequencies, None, coefficients))
+    return groups
+
+
+def _channel_integrals(channels, scales: np.ndarray):
+    """The integral over x of each channel at every scale 2 d / c, an iterator of rows.
+
+    A channel is (kernel, sides): "mirror", "same" or "cross" and the poles of
+    _response of the sides whose ratio is not 1. Its row integrates their
+    product times the kernel (times x^2 for cross) as math.fsum of its terms:
+    a distance gets the same bits in a curve as alone, and a swap changes no
+    bit. Every frequency array takes its moments once per distance, _BLOCK
+    elements per _moments call. A two-sided crossed channel takes t^2 out
+    (cross_out) where all its simple poles have A < _SERIES_BELOW: keeping it
+    in cancels to the order of A there, taking it out to A^-2 elsewhere.
+    """
+    ranges, plans = [], []  # ranges: (frequencies, kinds of terms)
+    for kernel, sides in channels:
+        (omegas, shares), *other = sides
+        crossed_pair = kernel == "cross" and bool(other)
+        terms = []
+        for suffix, frequencies, index, coefficients in (
+            _partial_fractions(sides) if other else [("", omegas, None, shares)]
+        ):
+            r = next((r for r, (placed, _) in enumerate(ranges) if placed is frequencies), len(ranges))
+            if r == len(ranges):
+                ranges.append((frequencies, []))
+            kind = kernel + suffix
+            for needed in [kind] + ["cross_out"] * (crossed_pair and kind == "cross"):
+                if needed not in ranges[r][1]:
+                    ranges[r][1].append(needed)
+            terms.append((kind, r, index, coefficients))
+        plans.append((crossed_pair, max(float(omegas.max()) for omegas, _ in sides), terms))
+    if not plans:
+        return iter(())
+
+    # values: per range and kind a segment of term values of a block of distances, distance-major
+    sizes = [frequencies.size for frequencies, _ in ranges]
+    step = min(max(1, _BLOCK // sum(sizes)), scales.size)
+    offsets, total = [], 0
+    for size, (_, kinds) in zip(sizes, ranges):
+        offsets.append({kind: total + n * size * step for n, kind in enumerate(kinds)})
+        total += len(kinds) * size * step
+    values = np.empty(total)
+    kinds_used = sorted({kind for _, kinds in ranges for kind in kinds})
+    integrals = np.empty((len(plans), scales.size))
+    for first in range(0, scales.size, step):
+        block = scales[first : first + step]
+        a = np.concatenate([np.multiply.outer(block, frequencies).ravel() for frequencies, _ in ranges])
+        np.minimum(a, _A_LIMIT, out=a)
+        bounds = list(itertools.accumulate([size * block.size for size in sizes], initial=0))
+        for start in range(0, a.size, _BLOCK):
+            part = a[start : start + _BLOCK]
+            moments = _moments(part)
+            for kind in kinds_used:
+                chunk = _term_values(kind, part, moments)
+                for lo, hi, at in zip(bounds, bounds[1:], offsets):
+                    begin, end = max(start, lo), min(start + part.size, hi)
+                    if begin < end and kind in at:
+                        values[at[kind] - lo + begin : at[kind] - lo + end] = chunk[begin - start : end - start]
+                del chunk
+            del moments
+        for i, scale in enumerate(block.tolist()):
+            for out, (crossed_pair, top, terms) in zip(integrals, plans):
+                t2_out = crossed_pair and top * scale < _SERIES_BELOW
+                products = (
+                    c * (segment if index is None else segment[index])
+                    for kind, r, index, c in terms
+                    for at in [offsets[r]["cross_out" if t2_out and kind == "cross" else kind] + i * sizes[r]]
+                    for segment in [values[at : at + sizes[r]]]
+                )
+                out[first + i] = math.fsum(itertools.chain.from_iterable(products))
+    return iter(integrals)
 
 
 def _check_channel(row: np.ndarray, channel: Channel, distances: np.ndarray, name: str) -> None:
@@ -213,34 +399,29 @@ def _check_channel(row: np.ndarray, channel: Channel, distances: np.ndarray, nam
 
 
 def _mirror_values(
-    atom: AtomModel,
-    distances: np.ndarray,
-    plate: PlateKind,
-    consts: Constants,
-    spec: QuadratureSpec,
+    atom: AtomModel, distances: np.ndarray, plate: PlateKind, consts: Constants
 ) -> np.ndarray:
     """Every mirror channel at every distance, one row per MIRROR_CHANNELS entry.
 
-    The one mirror evaluation path. Channel value = prefactor(z) *
-    int R(c x / 2z) mirror_kernel(x) dx, with R the response over its static
-    value, integrated by _channel_integrals. A channel with zero static
-    response stays exactly zero and skips quadrature.
+    The one mirror evaluation path: prefactor(z) * static * int R(c x / 2z)
+    mirror_kernel(x) dx, the integral from _channel_integrals or, for the
+    diamagnetic ratio 1, MIRROR_D_MOMENT. A zero static response stays zero.
     """
     bases = _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, distances, 4, "mirror distance z")
-    scales = consts.c / (2.0 * distances)  # xi = scale * x
     responses = [_response(atom, ch.value, consts.hbar) for ch in MIRROR_CHANNELS]
+    channels = [("mirror", [poles]) for _, poles in responses if poles is not None]
+    integrals = _channel_integrals(channels, 2.0 * distances / consts.c)
     values = np.zeros((len(MIRROR_CHANNELS), distances.size))
-    for row, ch, side in zip(values, MIRROR_CHANNELS, responses):
-        static = side[0]
+    for row, ch, (static, poles) in zip(values, MIRROR_CHANNELS, responses):
         if static == 0.0:
             continue
-        integrals = _channel_integrals([side], mirror_kernel, False, scales, 1.0, spec)
+        integral = MIRROR_D_MOMENT if poles is None else next(integrals)
         with np.errstate(over="ignore"):
             if ch is Channel.E:
                 # electric trace = -(magnetic trace), hence the opposite sign
-                row[:] = -plate.sign * bases / consts.eps0 * static * integrals
+                row[:] = -plate.sign * bases / consts.eps0 * static * integral
             else:
-                row[:] = plate.sign * bases * consts.mu0 * static * integrals
+                row[:] = plate.sign * bases * consts.mu0 * static * integral
         _check_channel(row, ch, distances, "mirror distance z")
     return values
 
@@ -263,21 +444,16 @@ def cp_mirror_diamagnetic_closed(
 
 
 def _pair_values(
-    atom_a: AtomModel,
-    atom_b: AtomModel,
-    distances: np.ndarray,
-    consts: Constants,
-    spec: QuadratureSpec,
+    atom_a: AtomModel, atom_b: AtomModel, distances: np.ndarray, consts: Constants
 ) -> np.ndarray:
     """Every pair channel at every separation, one row per PAIR_CHANNELS entry.
 
-    The one pair evaluation path; see pair_curve for the integrals, which
-    _channel_integrals evaluates. A channel with a zero static response stays
-    exactly zero and skips quadrature.
+    The one pair evaluation path, see pair_curve, with dd = PAIR_DD_MOMENT. The
+    prefactor takes the smaller static response first, then the larger: no
+    product of statics can leave the float range, and a swap changes no bit.
     """
     hbar, c = consts.hbar, consts.c
     bases = _prefactors(hbar * consts.mu0**2 * c, 16.0 * np.pi**3, distances, 7, "separation l")
-    scales = c / distances  # xi = scale * x
     letters = (ELECTRIC_LETTER, PARA_LETTER, DIA_LETTER)
     responses_a = {letter: _response(atom_a, letter, hbar) for letter in letters}
     if atom_b is atom_a:
@@ -285,26 +461,29 @@ def _pair_values(
     else:
         responses_b = {letter: _response(atom_b, letter, hbar) for letter in letters}
 
+    live = []  # a self-pair's ep, ed and pd stand for pe, de and dp too
+    for ch in PAIR_CHANNELS:
+        (static_a, poles_a), (static_b, poles_b) = responses_a[ch.value[0]], responses_b[ch.value[1]]
+        if static_a != 0.0 and static_b != 0.0 and not (atom_b is atom_a and ch.value[0] > ch.value[1]):
+            sides = [poles for poles in (poles_a, poles_b) if poles is not None]
+            live.append((ch, ch.value.count(ELECTRIC_LETTER) == 1, sorted((static_a, static_b)), sides))
+    channels = [("cross" if crossed else "same", sides) for _, crossed, _, sides in live if sides]
+    integrals = _channel_integrals(channels, 2.0 * distances / c)
+
     values = np.zeros((len(PAIR_CHANNELS), distances.size))
-    for row, ch in zip(values, PAIR_CHANNELS):
-        letter_a, letter_b = ch.value
-        side_a, side_b = responses_a[letter_a], responses_b[letter_b]
-        if side_a[0] == 0.0 or side_b[0] == 0.0:
-            continue
-        product = side_a[0] * side_b[0]
-        electric_sides = (letter_a == ELECTRIC_LETTER) + (letter_b == ELECTRIC_LETTER)
-        crossed = electric_sides == 1
-        # the electric side first in crossed channels, atom A's first in like ones
-        sides = [side_b, side_a] if crossed and letter_b == ELECTRIC_LETTER else [side_a, side_b]
-        kernel = pair_kernel_cross if crossed else pair_kernel_same
-        integrals = _channel_integrals(sides, kernel, crossed, scales, 0.5, spec)
+    for ch, crossed, (smaller, larger), sides in live:
+        row = values[PAIR_CHANNELS.index(ch)]
+        integral = next(integrals) if sides else PAIR_DD_MOMENT
         with np.errstate(over="ignore"):
             if crossed:
-                row[:] = bases * c**2 * product * integrals
+                row[:] = bases * c**2 * smaller * larger * integral
             else:
-                weight = c**4 if electric_sides == 2 else 1.0
-                row[:] = -bases * weight * product * integrals
+                weight = c**4 if ch is Channel.EE else 1.0
+                row[:] = -bases * weight * smaller * larger * integral
         _check_channel(row, ch, distances, "separation l")
+    for row, ch in zip(values, PAIR_CHANNELS):
+        if atom_b is atom_a and ch.value[0] > ch.value[1]:
+            row[:] = values[PAIR_CHANNELS.index(Channel(ch.value[::-1]))]
     return values
 
 
@@ -464,10 +643,11 @@ def mirror_curve(
     In front of a conductor the electric channel is attractive and both
     magnetic ones repulsive for paramagnetic / attractive for diamagnetic
     response; a permeable mirror flips every sign. The total is
-    electric + (paramagnetic + diamagnetic).
+    electric + (paramagnetic + diamagnetic). spec bounds no part of the
+    closed forms; it is kept for callers that pass one.
     """
     d = _grid(distances)
-    electric, paramagnetic, diamagnetic = _mirror_values(atom, d, plate, constants_for(units), spec)
+    electric, paramagnetic, diamagnetic = _mirror_values(atom, d, plate, constants_for(units))
     return PotentialCurve(
         distances=d,
         values={Channel.E: electric, Channel.P: paramagnetic, Channel.D: diamagnetic},
@@ -497,10 +677,11 @@ def pair_curve(
     R denoting the response evaluated at xi = c x / l (the static magnitudes
     are inside the prefactor). Like channels inherit their sign from the
     product of static responses, crossed ones the opposite. The total is the
-    math.fsum of the nine channels.
+    math.fsum of the nine channels. spec bounds no part of the closed forms;
+    it is kept for callers that pass one.
     """
     d = _grid(distances)
-    values = _pair_values(atom_a, atom_b, d, constants_for(units), spec)
+    values = _pair_values(atom_a, atom_b, d, constants_for(units))
     return PotentialCurve(
         distances=d,
         values=dict(zip(PAIR_CHANNELS, values)),

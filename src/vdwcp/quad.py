@@ -1,34 +1,13 @@
-"""Adaptive semi-infinite quadrature for smooth, exponentially decaying integrands.
+"""Adaptive semi-infinite quadrature: the independent route of the oracle checks.
 
-Every potential evaluation in this package reduces to integrals of the form
-int_0^inf w(x) dx where w is a smooth product of Lorentzians and exp(-x) or
-exp(-2x) factors (no oscillation). A nested 7/15-point Gauss-Kronrod rule with
-worst-error-first bisection on a finite window [0, X] is enough; the window is
-extended automatically whenever the analytic exponential tail bound, which is
-always part of the reported error estimate, dominates the error budget.
-The caller gives the relative tolerance in a QuadratureSpec and the decay
-scale of the integrand's tail, a property of its kernel, as the integrators'
-decay_scale keyword: the window starts as [0, 40*decay_scale] and each
-extension adds 10*decay_scale. A column fails to converge after
-MAX_SUBDIVISIONS bisections and extensions.
-
-integrate_columns runs that algorithm for many integrands ("columns", for
-instance one channel at every distance of a curve) in lockstep, up to
-LOCKSTEP_COLUMNS columns at a time, so numpy's per-call cost is shared. Each
-panel call fills up to LOCKSTEP_COLUMNS rows, one panel each: the next
-pending panel of every column in flight and, while fewer columns are in
-flight, further pending panels of the columns with the most of them, so a
-row may repeat a column and even a single integral fills its calls. A
-column's tail bound goes into the step of its last pending panel, one call
-for all tail bounds of a step. A column's arithmetic does not depend on the
-other rows of a call: its panels are created and its steps taken after the
-same evaluations as on its own, the abscissas and the integrand are
-elementwise, and every weighted sum is a dot product of one row (a stack of
-(1, n) @ (n, 1) products, never one gemv over the batch). A column therefore
-gives bit for bit what integrate_semiinf, its one-column case, gives for it
-alone. The working set is bounded by the batch: at most LOCKSTEP_COLUMNS *
-PANEL_NODES abscissas per integrand call, and per column in flight only a
-flat array of its current panels.
+The potentials are closed forms; this module integrates the same smooth,
+exponentially decaying kernels numerically for the selftest,
+vdw_pair_total_direct and the tests. A nested 7/15-point Gauss-Kronrod rule
+bisects the worst panel first on a window [0, 40*decay_scale], which grows
+by 10*decay_scale whenever the analytic exponential tail bound, always part
+of the error estimate, dominates the budget; MAX_SUBDIVISIONS bisections and
+extensions are allowed. An integrand call evaluates up to PANELS_PER_CALL
+pending panels, and a due tail bound follows the last of them.
 
 Deterministic by construction: panel ordering is tie-broken by creation index
 and the panel values are summed with math.fsum, which rounds the exact sum
@@ -83,12 +62,11 @@ _TAIL_OFFSETS = np.array([0.2, 0.1, 0.0])
 
 PANEL_NODES = _NODES.size
 TAIL_NODES = _TAIL_OFFSETS.size
-# Columns integrated in lockstep: one integrand call sees at most
-# LOCKSTEP_COLUMNS * PANEL_NODES abscissas.
-LOCKSTEP_COLUMNS = 4
-# Bisections and window extensions a column may take before it fails to converge.
+# Pending panels evaluated by one integrand call.
+PANELS_PER_CALL = 4
+# Bisections and window extensions an integral may take before it fails to converge.
 MAX_SUBDIVISIONS = 400
-# Absolute error allowance on top of rel_tol * |value|: a column whose value
+# Absolute error allowance on top of rel_tol * |value|: an integral whose value
 # is exactly zero converges once its error bound is this small.
 ABS_TOL = 1e-300
 
@@ -120,7 +98,7 @@ class ConvergenceError(QuadratureError):
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
-    """Relative tolerance of integrate_semiinf and integrate_columns."""
+    """Relative tolerance of integrate_semiinf."""
 
     rel_tol: float = 1e-10
 
@@ -136,24 +114,18 @@ class QuadratureResult:
     evaluations: int
 
 
-def _values(f: Callable, cols: list, x: np.ndarray):
-    """f(cols, x) as a float array of x's shape, and the rows that are not finite.
+def _values(f: Callable, x: np.ndarray):
+    """f of the rows of x, given as one 1d array, in x's shape, and the first bad abscissa.
 
-    The failures are (row, first non-finite abscissa of that row) pairs; their
-    values are replaced by zeros so the caller's arithmetic stays quiet.
+    That is the first non-finite value's abscissa in the first row that has
+    one, whose values become zeros; None when every value is finite.
     """
-    y = f(cols, x)
-    if not (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape):
-        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == (x.size,):
-            y = y.reshape(x.shape)  # the rows as one 1d array
-        else:
-            y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
+    y = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), (x.size,)).reshape(x.shape)
     finite = np.isfinite(y)
     if finite.all():
-        return y, ()
-    rows = np.flatnonzero(~finite.all(axis=1)).tolist()
-    failures = [(row, float(x[row, np.argmin(finite[row])])) for row in rows]
-    return np.where(finite, y, 0.0), failures
+        return y, None
+    row = int(np.argmin(finite.all(axis=1)))
+    return np.where(finite, y, 0.0), float(x[row, np.argmin(finite[row])])
 
 
 def _dots(rows: np.ndarray, weights: np.ndarray) -> list:
@@ -179,69 +151,61 @@ def _error(half: float, resk: float, gauss: float, absolute: float, deviation: f
     return max(err, 50.0 * _EPS * resabs)
 
 
-def _panels(f: Callable, cols: list, lo: list, hi: list):
-    """One Gauss-Kronrod panel [lo_i, hi_i] per row; returns (values, errors, failures).
+def _panels(f: Callable, lo: list, hi: list):
+    """One Gauss-Kronrod panel [lo_i, hi_i] per row; returns (values, errors, bad abscissa).
 
-    The integrand and the elementwise arithmetic run on the whole batch and
-    every weighted sum on one row at a time, so a row's results do not depend
-    on the other rows.
+    Every weighted sum runs on one row at a time: a row's results do not
+    depend on the others.
     """
     halves = [0.5 * (b - a) for a, b in zip(lo, hi)]
     x = np.array(halves)[:, None] * _NODES
     x += np.array([0.5 * (a + b) for a, b in zip(lo, hi)])[:, None]
-    y, failures = _values(f, cols, x)
+    y, bad = _values(f, x)
     del x
     values = [half * s for half, s in zip(halves, _dots(y, _WGK))]
     deviations = y - np.array([value / (b - a) for value, a, b in zip(values, lo, hi)])[:, None]
     np.abs(deviations, out=deviations)
     sums = zip(_dots(y[:, 1::2], _WG), _dots(np.abs(y), _WGK), _dots(deviations, _WGK))
     errors = [_error(half, resk, *row) for half, resk, row in zip(halves, values, sums)]
-    return values, errors, failures
+    return values, errors, bad
 
 
-def _tail_bounds(f: Callable, cols: list, cutoffs: list, scale: float):
-    """Bound |int_cutoff^inf f| per row assuming |f| decays at least like e^(-x/s).
+def _tail_bound(f: Callable, cutoff: float, scale: float):
+    """Bound |int_cutoff^inf f| assuming |f| decays at least like e^(-x/scale).
 
     The amplitude at the cutoff is taken as the worst forward extrapolation of
     three samples just inside it, doubled for margin, so polynomial-times-
-    exponential integrands stay covered. Returns (bounds, failures).
+    exponential integrands stay covered. Returns (bound, bad abscissa).
     """
-    cutoff = np.array(cutoffs)[:, None]
-    x = cutoff - scale * _TAIL_OFFSETS
-    y, failures = _values(f, cols, x)
+    x = cutoff - scale * _TAIL_OFFSETS[None, :]
+    y, bad = _values(f, x)
     x -= cutoff
     x /= scale
     y = np.abs(y)
     y *= np.exp(x)
-    amplitude = np.max(y, axis=1)
-    return (2.0 * amplitude * scale).tolist(), failures
+    return 2.0 * float(np.max(y)) * scale, bad
 
 
 class _Column:
-    """One column in flight: its panels in creation order and its next evaluations.
+    """One integral in progress: its panels in creation order and its next evaluations.
 
-    panels holds lo, hi, value and error of every panel of the current
-    partition, four entries per panel in creation order. A bisection deletes
-    the worst panel and appends its halves, so max() and index() find the
-    worst error with the tie-break of a heap keyed on (-error, creation). The
-    next evaluations are the panels between consecutive entries of points,
-    from points[next] on, then a tail bound at points[-1] if tail_due.
+    panels holds lo, hi, value and error of every panel, four entries each; a
+    bisection deletes the worst and appends its halves, so max() and index()
+    break ties by creation. Next come the panels between consecutive points,
+    then a tail bound at points[-1] if tail_due.
     """
 
-    __slots__ = (
-        "index", "panels", "points", "next", "tail_due", "tail", "subdivisions", "evaluations",
-    )
+    __slots__ = ("panels", "points", "tail_due", "tail", "subdivisions", "evaluations")
 
-    def __init__(self, index: int, edges: list):
-        self.index = index
+    def __init__(self, edges: list):
         self.panels = array("d")
-        self.points, self.next, self.tail_due = edges, 0, True
+        self.points, self.tail_due = edges, True
         self.tail = 0.0
         self.subdivisions = 0
         self.evaluations = 0
 
     def advance(self, rel_tol: float, decay_scale: float):
-        """One step of the per-column algorithm once its evaluations are in.
+        """One step of the algorithm once its evaluations are in.
 
         Returns (value, error estimate) when converged, else None with the
         next evaluations set; raises ConvergenceError when the subdivision
@@ -266,121 +230,8 @@ class _Column:
             a, b = panels[worst], panels[worst + 1]
             del panels[worst : worst + 4]
             self.points = [a, 0.5 * (a + b), b]
-        self.next = 0
         self.subdivisions += 1
         return None
-
-
-def _spare_rows(live: list) -> list:
-    """The columns that take a step's spare rows, one entry per row.
-
-    While fewer than LOCKSTEP_COLUMNS columns are live, each spare row goes
-    to the column with the most panels still pending after its first row,
-    the first in column order among equals, until the rows or the pending
-    panels run out.
-    """
-    spare = LOCKSTEP_COLUMNS - len(live)
-    left = [len(column.points) - 2 - column.next for column in live] if spare else ()
-    rows = []
-    for _ in range(spare):
-        most = max(left)
-        if most == 0:
-            break
-        j = left.index(most)
-        left[j] -= 1
-        rows.append(live[j])
-    return rows
-
-
-def integrate_columns(
-    f: Callable, n: int, spec: QuadratureSpec = QuadratureSpec(), decay_scale: float = 1.0
-) -> np.ndarray:
-    """Integrate n integrands over [0, inf) to spec.rel_tol, in lockstep.
-
-    f(cols, x) gets a list of column indices and a (len(cols), m) array of
-    abscissas, row i for column cols[i], and returns the matching array of
-    values; m is 15 for a panel and 3 for a tail bound, and len(cols) <=
-    LOCKSTEP_COLUMNS. An index may repeat: a column's rows of one call are,
-    in row order, consecutive panels in its evaluation order, and with
-    LOCKSTEP_COLUMNS columns in flight every panel call takes one row of
-    each. Each column runs integrate_semiinf's algorithm on its own, so a
-    column's result does not depend on the other rows of a call as long as
-    f evaluates each row on its own. decay_scale is as for integrate_semiinf.
-
-    Returns a (3, n) array: per column its value, error estimate and
-    evaluation count. Raises the IntegrandError or ConvergenceError of the
-    lowest-index column that fails; the other columns' results are then
-    discarded.
-    """
-    if not decay_scale > 0.0:
-        raise ValueError(f"decay_scale must be positive, got {decay_scale!r}")
-    s, rel_tol = decay_scale, spec.rel_tol
-    edges = [0.0, 0.5 * s, s, 2.0 * s, 5.0 * s, 10.0 * s, 20.0 * s, 40.0 * s]
-    results = np.zeros((3, n))
-    live = [_Column(i, edges) for i in range(min(n, LOCKSTEP_COLUMNS))]
-    admitted = len(live)
-    failed, failure = n, None  # the lowest failing column and its exception
-
-    while live:
-        # This step's panels: the next pending one of every live column, then
-        # the spare rows. A column's rows come in its evaluation order. A
-        # column's tail bound goes with its last pending panel, and the column
-        # is then ready to take its next step.
-        panel_cols = live + _spare_rows(live)
-        lo, hi = [], []
-        for column in panel_cols:
-            i = column.next
-            lo.append(column.points[i])
-            hi.append(column.points[i + 1])
-            column.next = i + 1
-        tail_cols, cutoffs, ready = [], [], []
-        for column in live:
-            points = column.points
-            if column.next + 1 == len(points):
-                if column.tail_due:
-                    tail_cols.append(column)
-                    cutoffs.append(points[-1])
-                    column.tail_due = False
-                ready.append(column)
-        bad = []
-        values, errors, rows = _panels(f, [c.index for c in panel_cols], lo, hi)
-        for column, a, b, value, err in zip(panel_cols, lo, hi, values, errors):
-            column.panels.extend((a, b, value, err))
-            column.evaluations += PANEL_NODES
-        if rows:
-            bad += [(panel_cols[row], IntegrandError(x)) for row, x in rows]
-        if tail_cols:
-            tails, rows = _tail_bounds(f, [c.index for c in tail_cols], cutoffs, s)
-            for column, tail in zip(tail_cols, tails):
-                column.tail = tail
-                column.evaluations += TAIL_NODES
-            if rows:
-                bad += [(tail_cols[row], IntegrandError(x)) for row, x in rows]
-
-        done = []
-        for column in ready:
-            try:
-                result = column.advance(rel_tol, s)
-            except ConvergenceError as exc:
-                bad.append((column, exc))
-                continue
-            if result is not None:
-                i = column.index
-                results[0, i], results[1, i] = result
-                results[2, i] = column.evaluations
-                done.append(column)
-        for column, exc in bad:
-            if column.index < failed:
-                failed, failure = column.index, exc
-        if done or bad:
-            live = [column for column in live if column.index < failed and column not in done]
-            while len(live) < LOCKSTEP_COLUMNS and admitted < failed:
-                live.append(_Column(admitted, edges))
-                admitted += 1
-
-    if failure is not None:
-        raise failure
-    return results
 
 
 def integrate_semiinf(
@@ -388,18 +239,34 @@ def integrate_semiinf(
 ) -> QuadratureResult:
     """Integrate f over [0, inf) to spec.rel_tol.
 
-    f must accept a 1d ndarray of abscissas, 15 per panel for up to
-    LOCKSTEP_COLUMNS panels (at most 60) or 3 for a tail bound, and return
-    the matching ndarray of values, each value depending on its own
-    abscissa only; it is assumed smooth and decaying at least like
-    exp(-x/decay_scale) beyond ~10*decay_scale. This is integrate_columns
-    with one column, whose packed rows f gets as one array.
-
-    Returns a QuadratureResult whose error_estimate satisfies
-    error_estimate <= rel_tol*|value| + ABS_TOL. Raises IntegrandError on
-    non-finite integrand values and ConvergenceError (carrying the best
-    estimate) once a column has taken MAX_SUBDIVISIONS subdivisions.
+    f maps a 1d ndarray of abscissas, 15 per panel for up to PANELS_PER_CALL
+    panels or 3 for a tail bound, to their values elementwise; it should be
+    smooth and decay at least like exp(-x/decay_scale) beyond
+    ~10*decay_scale. Returns a QuadratureResult with error_estimate <=
+    rel_tol*|value| + ABS_TOL. Raises IntegrandError at the first
+    non-finite value of the earliest panel, and ConvergenceError (carrying
+    the best estimate) after MAX_SUBDIVISIONS subdivisions.
     """
-    results = integrate_columns(lambda cols, x: f(x.ravel()), 1, spec, decay_scale=decay_scale)
-    value, error, evaluations = results[:, 0].tolist()
-    return QuadratureResult(value=value, error_estimate=error, evaluations=int(evaluations))
+    if not decay_scale > 0.0:
+        raise ValueError(f"decay_scale must be positive, got {decay_scale!r}")
+    s = decay_scale
+    column = _Column([0.0, 0.5 * s, s, 2.0 * s, 5.0 * s, 10.0 * s, 20.0 * s, 40.0 * s])
+    while True:
+        points = column.points
+        for start in range(0, len(points) - 1, PANELS_PER_CALL):
+            stop = min(start + PANELS_PER_CALL, len(points) - 1)
+            values, errors, bad = _panels(f, points[start:stop], points[start + 1 : stop + 1])
+            for a, b, value, err in zip(points[start:stop], points[start + 1 :], values, errors):
+                column.panels.extend((a, b, value, err))
+            column.evaluations += PANEL_NODES * len(values)
+            tail_bad = None
+            if stop == len(points) - 1 and column.tail_due:
+                column.tail, tail_bad = _tail_bound(f, points[-1], s)
+                column.evaluations += TAIL_NODES
+                column.tail_due = False
+            if bad is not None or tail_bad is not None:
+                raise IntegrandError(tail_bad if bad is None else bad)
+        result = column.advance(spec.rel_tol, s)
+        if result is not None:
+            value, error = result
+            return QuadratureResult(value=value, error_estimate=error, evaluations=column.evaluations)

@@ -16,8 +16,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .quad import LOCKSTEP_COLUMNS, PANEL_NODES
-
 ELECTRIC = "electric"
 MAGNETIC = "magnetic"
 
@@ -163,61 +161,6 @@ def _lorentz_sum(transitions: tuple[Transition, ...], xi, hbar: float):
             total = total + t.omega * t.dipole_sq / (t.omega**2 + xi_arr**2)
         total = total * (2.0 / (3.0 * hbar))
     return float(total) if np.isscalar(xi) else total
-
-
-class LorentzTable:
-    """_lorentz_sum of one non-empty transition list, tabulated for many evaluations.
-
-    The columns omega_k |d_k|^2 and omega_k^2 are built once; a call
-    evaluates (transitions x abscissas) terms in one array and adds its rows
-    with np.add.reduce over axis 0. For at least two abscissas numpy adds
-    those rows in transition order, the order of _lorentz_sum, so both give
-    bit-identical sums; the quadrature's 15- and 3-point rows qualify. A 2d
-    xi is taken in blocks of whole rows so that no term array holds more than
-    max(transitions, LOCKSTEP_COLUMNS) * PANEL_NODES terms, the working set of
-    one panel or of one lockstep call of the quadrature. A single transition
-    needs no term array and is evaluated with scalar operands, in the same
-    order. xi is not checked for sign.
-    """
-
-    __slots__ = ("weights", "omega_sq", "factor", "block")
-
-    def __init__(self, transitions: tuple[Transition, ...], hbar: float):
-        self.weights = np.array([[t.omega * t.dipole_sq] for t in transitions])
-        self.omega_sq = np.array([[t.omega**2] for t in transitions])
-        self.factor = 2.0 / (3.0 * hbar)
-        # abscissas per term array
-        self.block = max(len(transitions), LOCKSTEP_COLUMNS) * PANEL_NODES // len(transitions)
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        if len(self.weights) == 1:
-            total = xi**2
-            total += self.omega_sq.item()
-            np.divide(self.weights.item(), total, out=total)
-            total *= self.factor
-            return total
-        total = np.empty(xi.shape)
-        rows = max(1, self.block // xi.shape[-1])
-        if xi.ndim == 1 or len(xi) <= rows:
-            self._sum(xi, total)
-        else:
-            for start in range(0, len(xi), rows):
-                self._sum(xi[start : start + rows], total[start : start + rows])
-        total *= self.factor
-        return total
-
-    def _sum(self, xi: np.ndarray, out: np.ndarray) -> None:
-        # A broadcasting ufunc allocates an iteration buffer as large as its
-        # output. The division takes its numerators from a full copy instead,
-        # so at most two (transitions x abscissas) arrays are alive at a time.
-        terms = np.empty((len(self.weights), xi.size))
-        terms[...] = self.omega_sq
-        terms += (xi**2).reshape(-1)
-        numerators = np.empty(terms.shape)
-        numerators[...] = self.weights
-        np.divide(numerators, terms, out=terms)
-        del numerators
-        np.add.reduce(terms, axis=0, out=out.reshape(-1))
 
 
 def alpha_iso(atom: AtomModel, xi, hbar: float):

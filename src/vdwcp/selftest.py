@@ -26,12 +26,15 @@ from .green import (
     fg,
     mirror_gmm_trace,
     mirror_gmm_trace_via_q_integral,
+    mirror_kernel,
     pair_kernel_cross,
     pair_kernel_same,
     trace_gme_gem_free,
     trace_gmm_gmm_free,
 )
 from .potentials import (
+    MIRROR_D_MOMENT,
+    PAIR_DD_MOMENT,
     Channel,
     Regime,
     cp_mirror_diamagnetic_closed,
@@ -145,20 +148,21 @@ def _check_tensor_traces(rng) -> CheckResult:
 
 def _check_kernel_integrals(spec: QuadratureSpec, tol: float) -> CheckResult:
     cases = (
-        ("same", pair_kernel_same, 23.0 / 4.0),
-        ("cross", pair_kernel_cross, 5.0 / 4.0),
-        ("x^2 cross", lambda x: np.asarray(x) ** 2 * pair_kernel_cross(x), 7.0 / 4.0),
+        (mirror_kernel, 1.0, 3.0),
+        (pair_kernel_same, 0.5, 23.0 / 4.0),
+        (pair_kernel_cross, 0.5, 5.0 / 4.0),
+        (lambda x: np.asarray(x) ** 2 * pair_kernel_cross(x), 0.5, 7.0 / 4.0),
     )
     devs = [
-        _max_rel_dev(integrate_semiinf(f, spec, decay_scale=0.5).value, ref)
-        for _, f, ref in cases
+        _max_rel_dev(integrate_semiinf(f, spec, decay_scale=scale).value, ref)
+        for f, scale, ref in cases
     ]
     dev = max(devs)
     return CheckResult(
         name="kernel-moment-integrals",
         passed=dev <= tol,
         detail=(
-            f"23/4, 5/4, 7/4 moments reproduced, max rel dev {dev:.2e} (tol {tol:.0e})"
+            f"3, 23/4, 5/4, 7/4 moments reproduced, max rel dev {dev:.2e} (tol {tol:.0e})"
         ),
     )
 
@@ -181,10 +185,12 @@ def _check_q_integral(spec: QuadratureSpec, tol: float) -> CheckResult:
 def _check_mirror_diamagnetic(spec: QuadratureSpec, tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
     atom = default_fixtures()["d"]
+    # the quadrature route: the curve with its exact kernel moment replaced by integrate_semiinf's
+    ratio = integrate_semiinf(mirror_kernel, spec).value / MIRROR_D_MOMENT
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 5.0):
         for plate in PlateKind:
-            quad = mirror_curve(atom, [z], plate, UnitSystem.NATURAL, spec).values[Channel.D][0]
+            quad = mirror_curve(atom, [z], plate, UnitSystem.NATURAL, spec).values[Channel.D][0] * ratio
             closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, consts)
             worst = max(worst, _max_rel_dev(quad, closed))
     return CheckResult(
@@ -198,7 +204,7 @@ def _check_prefactor_adjudication(spec: QuadratureSpec, tol: float) -> CheckResu
     consts = constants_for(UnitSystem.NATURAL)
     atom = default_fixtures()["d"]
     curve = mirror_curve(atom, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL, spec)
-    quad = curve.values[Channel.D][0]
+    quad = curve.values[Channel.D][0] * integrate_semiinf(mirror_kernel, spec).value / MIRROR_D_MOMENT
     candidate_sq = cp_mirror_diamagnetic_closed(-1.0, 1.0, PlateKind.CONDUCTING, consts)
     candidate_single = candidate_sq * np.pi  # the 1/(32 pi) variant
     dev_sq = _max_rel_dev(quad, candidate_sq)
@@ -226,12 +232,13 @@ def _check_prefactor_adjudication(spec: QuadratureSpec, tol: float) -> CheckResu
 def _check_pair_dd(spec: QuadratureSpec, tol: float, rel_tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
     atom = default_fixtures()["d"]
+    ratio = integrate_semiinf(pair_kernel_same, spec, decay_scale=0.5).value / PAIR_DD_MOMENT
     worst = 0.0
     for l in np.geomspace(0.1, 100.0, 20):
-        quad = pair_curve(atom, atom, [l], UnitSystem.NATURAL, spec).values[Channel.DD][0]
+        quad = pair_curve(atom, atom, [l], UnitSystem.NATURAL, spec).values[Channel.DD][0] * ratio
         closed = vdw_asymptote(Channel.DD, atom, atom, float(l), Regime.RETARDED, consts)
         worst = max(worst, _max_rel_dev(quad, closed))
-    spot = float(pair_curve(atom, atom, [1.0], UnitSystem.NATURAL, spec).values[Channel.DD][0])
+    spot = float(pair_curve(atom, atom, [1.0], UnitSystem.NATURAL, spec).values[Channel.DD][0]) * ratio
     spot_tol = max(5e-7, 10.0 * rel_tol * abs(DD_SPOT_REFERENCE))
     spot_ok = abs(spot - DD_SPOT_REFERENCE) <= spot_tol
     passed = worst <= tol and spot_ok

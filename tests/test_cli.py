@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -350,15 +351,24 @@ def test_channel_value_out_of_float_range_is_a_usage_error(
     assert named in err
 
 
-def test_batch_quadrature_failure_exits_three(capsys, monkeypatch):
-    # a kernel that turns non-finite fails every distance of the curve in the engine
-    monkeypatch.setattr("vdwcp.potentials.mirror_kernel", lambda x: np.where(x < 5.0, 1.0, np.nan))
-    code, out, err = _run(
-        capsys, "mirror", "--atom", ELEC, "--plate", "conducting", "--grid", "1:2:9",
-    )
-    assert code == 3
-    assert out == ""
-    assert "numerical failure" in err
+@pytest.mark.parametrize(
+    "mu_sq, grid",
+    [
+        # alpha(0) ~ 6e159: its square leaves the float range, U_ee ~ -3e292 does not
+        ("1e126", "1e3:1e4:2"),
+        # alpha(0) ~ 6e-167: its square underflows to zero, U_ee ~ -3e-285 does not
+        ("1e-200", "1e-9:1e-8:2"),
+    ],
+)
+def test_pair_of_extreme_statics_keeps_a_representable_ee(tmp_path, capsys, mu_sq, grid):
+    atom = tmp_path / "atom.yaml"
+    atom.write_text(f"label: extreme\nelectric_transitions:\n  - {{omega: 1.0, mu_sq: {mu_sq}}}\n")
+    code, out, err = _run(capsys, "pair", "--atom", str(atom), "--atom-b", str(atom), "--grid", grid)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    column = rows[0].index("channel:ee")
+    values = [float(row[column]) for row in rows[1:]]
+    assert all(math.isfinite(value) and value < 0.0 for value in values)
 
 
 def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):

@@ -1,12 +1,15 @@
 """Potential channels against closed forms, symmetries and curve plumbing."""
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdwcp.potentials
-from vdwcp.green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same
+from vdwcp.green import PlateKind
 from vdwcp.potentials import (
     MIRROR_CHANNELS,
     PAIR_CHANNELS,
@@ -21,24 +24,8 @@ from vdwcp.potentials import (
     vdw_asymptote,
     vdw_pair_total_direct,
 )
-from vdwcp.quad import (
-    LOCKSTEP_COLUMNS,
-    PANEL_NODES,
-    IntegrandError,
-    QuadratureSpec,
-    integrate_semiinf,
-)
-from vdwcp.response import (
-    ELECTRIC,
-    MAGNETIC,
-    AtomModel,
-    DiamagneticSpec,
-    LorentzTable,
-    Transition,
-    alpha_iso,
-    beta_para_iso,
-    diamagnetisability,
-)
+from vdwcp.quad import QuadratureSpec
+from vdwcp.response import ELECTRIC, MAGNETIC, AtomModel, DiamagneticSpec, Transition, alpha_iso
 from vdwcp.units import UnitSystem, constants_for
 
 NAT = constants_for(UnitSystem.NATURAL)
@@ -315,11 +302,17 @@ def test_force_needs_at_least_three_points():
         force_from_curve(curve)
 
 
-# -- the curve loop against the per-point reference ----------------------------
+
+
+# -- curves against an independent route ------------------------------------------
 #
-# The reference restates the per-point evaluation the curve loop replaced: one
-# quadrature per channel and distance, with response ratios built from
-# alpha_iso / beta_para_iso. The loop must reproduce it bit for bit.
+# The reference restates each channel as its imaginary-frequency integral in
+# natural units, the response ratios as plain Lorentzian sums, and integrates
+# it with mpmath's tanh-sinh rule at 30 digits: it shares no code with the
+# closed forms of the engine.
+
+# Relative deviation allowed from the 30-digit reference; exact zeros must stay exact.
+MPMATH_REL = 1e-13
 
 
 def _seeded_atom(seed=11, electric=14, magnetic=10):
@@ -341,70 +334,59 @@ def _seeded_atom(seed=11, electric=14, magnetic=10):
     )
 
 
-def _reference_static(atom, letter, hbar):
-    if letter == "e":
-        return alpha_iso(atom, 0.0, hbar)
-    if letter == "p":
-        return beta_para_iso(atom, 0.0, hbar)
-    return diamagnetisability(atom.diamagnetic)
-
-
-def _reference_ratio(atom, letter, hbar):
+def _mp_response(atom, letter):
+    """(static value, ratio of xi, pole frequencies) of one response at the working precision."""
     if letter == "d":
-        return lambda xi: np.ones_like(np.asarray(xi, dtype=float))
-    response = alpha_iso if letter == "e" else beta_para_iso
-    static = response(atom, 0.0, hbar)
-    return lambda xi: response(atom, xi, hbar) / static
+        return mp.mpf(atom.diamagnetic.direct_beta_d), (lambda xi: 1), []
+    transitions = atom.electric_transitions if letter == "e" else atom.magnetic_transitions
+    terms = [(mp.mpf(t.omega) ** 2, mp.mpf(t.omega) * mp.mpf(t.dipole_sq)) for t in transitions]
+    total = mp.fsum(n / w for w, n in terms)
+
+    def ratio(xi):
+        return mp.fsum(n / (w + xi * xi) for w, n in terms) / total
+
+    return 2 * total / 3, ratio, [mp.sqrt(w) for w, _ in terms]
 
 
-def _reference_mirror(atom, letter, z, plate, consts, spec):
-    static = _reference_static(atom, letter, consts.hbar)
-    if static == 0.0:
-        return 0.0
-    ratio = _reference_ratio(atom, letter, consts.hbar)
-    scale = consts.c / (2.0 * z)
-
-    def integrand(x):
-        return ratio(scale * x) * mirror_kernel(x)
-
-    integral = integrate_semiinf(integrand, spec, decay_scale=1.0).value
-    base = consts.hbar * consts.c / (32.0 * np.pi**2 * z**4)
-    if letter == "e":
-        return -plate.sign * base / consts.eps0 * static * integral
-    return plate.sign * base * consts.mu0 * static * integral
+def _mp_integral(f, poles):
+    points = sorted({mp.mpf(0), mp.mpf(1), *poles}) + [mp.inf]
+    value, error = mp.quad(f, points, error=True)
+    assert abs(error) <= 1e-20 * abs(value)
+    return value
 
 
-def _reference_pair(channel, atom_a, atom_b, l, consts, spec):
-    letter_a, letter_b = channel.value
-    static_a = _reference_static(atom_a, letter_a, consts.hbar)
-    static_b = _reference_static(atom_b, letter_b, consts.hbar)
-    if static_a == 0.0 or static_b == 0.0:
-        return 0.0
-    scale = consts.c / l
-    base = consts.hbar * consts.mu0**2 * consts.c / (16.0 * np.pi**3 * l**7)
-    electric_sides = (letter_a == "e") + (letter_b == "e")
-    if electric_sides != 1:
-        ratio_a = _reference_ratio(atom_a, letter_a, consts.hbar)
-        ratio_b = _reference_ratio(atom_b, letter_b, consts.hbar)
+def _mp_mirror(atom, letter, z, plate):
+    with mp.workdps(30):
+        static, ratio, poles = _mp_response(atom, letter)
+        if static == 0:
+            return 0.0
+        z = mp.mpf(z)
+        poles = [2 * z * p for p in poles]
+        integral = _mp_integral(lambda x: ratio(x / (2 * z)) * mp.exp(-x) * (1 + x + x * x / 2), poles)
+        sign = -plate.sign if letter == "e" else plate.sign
+        return float(sign * static * integral / (32 * mp.pi**2 * z**4))
 
-        def integrand(x):
-            return ratio_a(scale * x) * ratio_b(scale * x) * pair_kernel_same(x)
 
-        weight = consts.c**4 if electric_sides == 2 else 1.0
-        prefactor = -base * weight * (static_a * static_b)
-    else:
-        if letter_a == "e":
-            ratio_e = _reference_ratio(atom_a, letter_a, consts.hbar)
-            ratio_m = _reference_ratio(atom_b, letter_b, consts.hbar)
+def _mp_pair(channel, atom_a, atom_b, l):
+    with mp.workdps(30):
+        static_a, ratio_a, poles_a = _mp_response(atom_a, channel.value[0])
+        static_b, ratio_b, poles_b = _mp_response(atom_b, channel.value[1])
+        if static_a == 0 or static_b == 0:
+            return 0.0
+        l = mp.mpf(l)
+        poles = [l * p for p in poles_a + poles_b]
+        if channel.value.count("e") == 1:
+            kernel = lambda x: x * x * (1 + x) ** 2 * mp.exp(-2 * x)  # noqa: E731
+            sign = 1
         else:
-            ratio_e = _reference_ratio(atom_b, letter_b, consts.hbar)
-            ratio_m = _reference_ratio(atom_a, letter_a, consts.hbar)
+            kernel = lambda x: (3 + x * (6 + x * (5 + x * (2 + x)))) * mp.exp(-2 * x)  # noqa: E731
+            sign = -1
+        integral = _mp_integral(lambda x: ratio_a(x / l) * ratio_b(x / l) * kernel(x), poles)
+        return float(sign * static_a * static_b * integral / (16 * mp.pi**3 * l**7))
 
-        def integrand(x):
-            return x**2 * (ratio_e(scale * x) * ratio_m(scale * x)) * pair_kernel_cross(x)
 
-        prefactor = base * consts.c**2 * (static_a * static_b)
-    return prefactor * integrate_semiinf(integrand, spec, decay_scale=0.5).value
+def _assert_matches_reference(value, reference):
+    assert value == pytest.approx(reference, rel=MPMATH_REL, abs=0.0)
 
 
 SEEDED = _seeded_atom()
@@ -414,15 +396,12 @@ BITWISE_GRID = np.geomspace(1e-2, 1e2, 5)
 @pytest.mark.parametrize("atom", [COMPOSITE_A, SEEDED], ids=["composite", "seeded"])
 @pytest.mark.parametrize("plate", list(PlateKind))
 def test_mirror_curve_is_bitwise_the_per_point_reference(atom, plate):
-    spec = QuadratureSpec()
-    curve = mirror_curve(atom, BITWISE_GRID, plate, UnitSystem.NATURAL, spec)
+    curve = mirror_curve(atom, BITWISE_GRID, plate, UnitSystem.NATURAL)
     for i, z in enumerate(BITWISE_GRID.tolist()):
-        expected = [
-            _reference_mirror(atom, ch.value, z, plate, NAT, spec) for ch in MIRROR_CHANNELS
-        ]
-        point = mirror_curve(atom, [z], plate, UnitSystem.NATURAL, spec)
-        assert [point.values[ch][0] for ch in MIRROR_CHANNELS] == expected
-        assert [curve.values[ch][i] for ch in MIRROR_CHANNELS] == expected
+        point = mirror_curve(atom, [z], plate, UnitSystem.NATURAL)
+        for ch in MIRROR_CHANNELS:
+            assert curve.values[ch][i] == point.values[ch][0]
+            _assert_matches_reference(point.values[ch][0], _mp_mirror(atom, ch.value, z, plate))
 
 
 @pytest.mark.parametrize(
@@ -431,29 +410,34 @@ def test_mirror_curve_is_bitwise_the_per_point_reference(atom, plate):
     ids=["composite", "seeded-self"],
 )
 def test_pair_curve_is_bitwise_the_per_point_reference(atom_a, atom_b):
-    spec = QuadratureSpec()
-    curve = pair_curve(atom_a, atom_b, BITWISE_GRID, UnitSystem.NATURAL, spec)
+    curve = pair_curve(atom_a, atom_b, BITWISE_GRID, UnitSystem.NATURAL)
     for i, l in enumerate(BITWISE_GRID.tolist()):
-        expected = [_reference_pair(ch, atom_a, atom_b, l, NAT, spec) for ch in PAIR_CHANNELS]
-        point = pair_curve(atom_a, atom_b, [l], UnitSystem.NATURAL, spec)
-        assert [point.values[ch][0] for ch in PAIR_CHANNELS] == expected
-        assert [curve.values[ch][i] for ch in PAIR_CHANNELS] == expected
+        point = pair_curve(atom_a, atom_b, [l], UnitSystem.NATURAL)
+        for ch in PAIR_CHANNELS:
+            assert curve.values[ch][i] == point.values[ch][0]
+            if atom_a is not atom_b or ch.value <= ch.value[::-1]:  # the rest are checked below
+                _assert_matches_reference(point.values[ch][0], _mp_pair(ch, atom_a, atom_b, l))
     if atom_a is atom_b:
         for a, b in ((Channel.EP, Channel.PE), (Channel.ED, Channel.DE), (Channel.PD, Channel.DP)):
             assert np.array_equal(curve.values[a], curve.values[b])
 
 
-def _count_columns(monkeypatch) -> list:
-    """Records the column count of every integrate_columns call made by potentials."""
-    columns = []
-    real = vdwcp.potentials.integrate_columns
+def _record_engine_calls(monkeypatch) -> dict:
+    """Counts the quadratures and the closed-form passes that potentials makes."""
+    calls = {"quadratures": 0, "passes": 0}
+    quadrature, closed_form = vdwcp.potentials.integrate_semiinf, vdwcp.potentials._channel_integrals
 
-    def counting(f, n, spec, decay_scale):
-        columns.append(n)
-        return real(f, n, spec, decay_scale=decay_scale)
+    def counting_quadrature(*args, **kwargs):
+        calls["quadratures"] += 1
+        return quadrature(*args, **kwargs)
 
-    monkeypatch.setattr(vdwcp.potentials, "integrate_columns", counting)
-    return columns
+    def counting_pass(*args, **kwargs):
+        calls["passes"] += 1
+        return closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(vdwcp.potentials, "integrate_semiinf", counting_quadrature)
+    monkeypatch.setattr(vdwcp.potentials, "_channel_integrals", counting_pass)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -470,30 +454,32 @@ def _count_columns(monkeypatch) -> list:
     ids=["decreasing", "repeated", "2d", "empty", "negative", "zero", "nan"],
 )
 def test_bad_grid_is_rejected_before_any_quadrature(monkeypatch, grid):
-    columns = _count_columns(monkeypatch)
+    calls = _record_engine_calls(monkeypatch)
     with pytest.raises(ValueError, match="distances must be"):
         mirror_curve(COMPOSITE_A, grid, PlateKind.CONDUCTING, UnitSystem.NATURAL)
     with pytest.raises(ValueError, match="distances must be"):
         pair_curve(COMPOSITE_A, COMPOSITE_B, grid, UnitSystem.NATURAL)
-    assert columns == []
+    assert calls == {"quadratures": 0, "passes": 0}
 
 
 def test_diamagnetic_moment_is_integrated_once_per_curve(monkeypatch):
-    columns = _count_columns(monkeypatch)
-    counts = []
-    for _ in range(2):  # equal counts: nothing is cached between calls
-        columns.clear()
-        pair_curve(COMPOSITE_A, COMPOSITE_B, np.geomspace(1e-3, 1e3, 61), UnitSystem.NATURAL)
-        pair = sum(columns)
-        mirror_curve(
-            COMPOSITE_A, np.geomspace(1e-2, 1e2, 40), PlateKind.CONDUCTING, UnitSystem.NATURAL
-        )
-        counts.append((pair, sum(columns) - pair))
-    # eight distance-dependent pair channels plus dd once; e and p plus d once
-    assert counts == [(8 * 61 + 1, 2 * 40 + 1)] * 2
+    # The diamagnetic moments are the constants 3 and 23/4: a curve makes no
+    # quadrature call, and one closed-form pass covers all its other channels.
+    calls = _record_engine_calls(monkeypatch)
+    pair = pair_curve(COMPOSITE_A, COMPOSITE_B, np.geomspace(1e-3, 1e3, 61), UnitSystem.NATURAL)
+    mirror = mirror_curve(
+        COMPOSITE_A, np.geomspace(1e-2, 1e2, 40), PlateKind.CONDUCTING, UnitSystem.NATURAL
+    )
+    assert calls == {"quadratures": 0, "passes": 2}
+    for l, value in zip(pair.distances.tolist(), pair.values[Channel.DD].tolist()):
+        closed = vdw_asymptote(Channel.DD, COMPOSITE_A, COMPOSITE_B, l, Regime.RETARDED, NAT)
+        assert value == pytest.approx(closed, rel=1e-14)
+    for z, value in zip(mirror.distances.tolist(), mirror.values[Channel.D].tolist()):
+        closed = cp_mirror_diamagnetic_closed(-0.3, z, PlateKind.CONDUCTING, NAT)
+        assert value == pytest.approx(closed, rel=1e-14)
 
 
-# -- curves in lockstep against one-point runs ------------------------------------
+# -- curves against one-point runs ------------------------------------------------
 
 
 @settings(max_examples=6)
@@ -527,35 +513,188 @@ def test_curves_are_bitwise_one_point_runs(
         assert pair.total[i] == point.total[0]
 
 
-@pytest.mark.parametrize("electric", [1, 3, 4, 9, 30])
-def test_response_tables_stay_within_the_term_bound(monkeypatch, electric):
-    sums = []
-    real = LorentzTable._sum
+@pytest.mark.parametrize("electric", [1, 3, 30])
+def test_moment_calls_stay_within_the_block(monkeypatch, electric):
+    # the engine's working set: every _moments call takes at most _BLOCK elements
+    sizes = []
+    real = vdwcp.potentials._moments
 
-    def recording(self, xi, out):
-        sums.append((len(self.weights), xi.size))
-        return real(self, xi, out)
+    def recording(a):
+        sizes.append(a.size)
+        return real(a)
 
-    monkeypatch.setattr(LorentzTable, "_sum", recording)
+    monkeypatch.setattr(vdwcp.potentials, "_moments", recording)
     atom = _seeded_atom(5, electric, 2)
     pair_curve(atom, atom, np.geomspace(0.05, 20.0, 11), UnitSystem.NATURAL)
     mirror_curve(atom, np.geomspace(0.05, 20.0, 11), PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    assert sums
-    for transitions, abscissas in sums:
-        assert transitions * abscissas <= max(transitions, LOCKSTEP_COLUMNS) * PANEL_NODES
-        assert abscissas >= 2  # numpy adds the rows in order only for two or more
+    assert sizes and max(sizes) <= vdwcp.potentials._BLOCK
 
 
-def test_batch_failure_is_the_lowest_distance_error(monkeypatch):
-    # the kernel turns non-finite far out, so every distance fails; the curve
-    # reports the failure of its first distance, as a one-point run does
-    def broken(x):
-        return np.where(x < 30.0, mirror_kernel(x), np.inf)
+def test_batch_failure_is_the_lowest_distance_error():
+    # In SI, alpha(0) ~ 6e249 makes the electric mirror channel overflow below
+    # z ~ 2e-19; the curve names its first failing distance, as a one-point
+    # run there does.
+    atom = AtomModel(
+        label="huge", electric_transitions=(Transition(omega=1.0, dipole_sq=1e216, kind=ELECTRIC),)
+    )
+    grid = np.geomspace(1e-21, 1e-17, 6)
+    with pytest.raises(ValueError, match="channel 'e'") as curve_error:
+        mirror_curve(atom, grid, PlateKind.CONDUCTING, UnitSystem.SI)
+    with pytest.raises(ValueError) as point_error:
+        mirror_curve(atom, grid[:1], PlateKind.CONDUCTING, UnitSystem.SI)
+    assert str(curve_error.value) == str(point_error.value)
+    assert repr(float(grid[0])) in str(curve_error.value)
 
-    monkeypatch.setattr(vdwcp.potentials, "mirror_kernel", broken)
-    grid = np.geomspace(0.5, 2.0, 6)
-    with pytest.raises(IntegrandError) as curve_error:
-        mirror_curve(ELEC, grid, PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    with pytest.raises(IntegrandError) as point_error:
-        mirror_curve(ELEC, grid[:1], PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    assert curve_error.value.abscissa == point_error.value.abscissa
+
+def test_astronomical_omega_times_distance_reaches_the_retarded_limit():
+    # A = 2 omega z / c = 2e160: the ratio is 1 over the whole kernel, so the
+    # electric channel is its static limit, with no overflow of A^2 on the way
+    atom = AtomModel(
+        label="far", electric_transitions=(Transition(omega=1e120, dipole_sq=1.0, kind=ELECTRIC),)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = mirror_curve(atom, [1e40], PlateKind.CONDUCTING, UnitSystem.NATURAL).values[Channel.E][0]
+    static = alpha_iso(atom, 0.0, NAT.hbar)
+    assert value == pytest.approx(-3.0 * static / (32.0 * np.pi**2 * 1e160), rel=1e-14)
+
+
+# -- random multi-transition atoms: oracle and invariants ---------------------------
+
+
+def _random_atom(rng, label, electric, magnetic):
+    def transitions(count, kind):
+        return tuple(
+            Transition(omega=float(np.exp(rng.uniform(-1.5, 1.5))), dipole_sq=float(rng.uniform(0.1, 1.0)), kind=kind)
+            for _ in range(count)
+        )
+
+    return AtomModel(
+        label=label,
+        electric_transitions=transitions(electric, ELECTRIC),
+        magnetic_transitions=transitions(magnetic, MAGNETIC),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-float(rng.uniform(0.1, 1.0))),
+    )
+
+
+def _shifted(atom, rng, gap):
+    """A copy of atom whose frequencies sit a relative gap away, up or down at random."""
+
+    def moved(transitions):
+        return tuple(
+            Transition(omega=t.omega * (1.0 + gap * rng.choice((-1.0, 1.0))), dipole_sq=t.dipole_sq, kind=t.kind)
+            for t in transitions
+        )
+
+    return AtomModel(
+        label="shifted",
+        electric_transitions=moved(atom.electric_transitions),
+        magnetic_transitions=moved(atom.magnetic_transitions),
+        diamagnetic=atom.diamagnetic,
+    )
+
+
+PARTNERS = ("self", "coincident", "close", "independent")
+random_pairs = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(PARTNERS),
+    st.floats(min_value=-12.0, max_value=-1.0),
+)
+
+
+def _pair_of(draw):
+    """Two atoms from a random_pairs draw: a self-pair, poles at gap 0 or 1e-12..1e-1, or independent."""
+    seed, electric, magnetic, partner, gap_exponent = draw
+    rng = np.random.default_rng(seed)
+    atom = _random_atom(rng, "a", electric, magnetic)
+    if partner == "self":
+        return atom, atom
+    if partner == "coincident":
+        return atom, _shifted(atom, rng, 0.0)
+    if partner == "close":
+        return atom, _shifted(atom, rng, 10.0**gap_exponent)
+    return atom, _random_atom(rng, "b", magnetic, electric)
+
+
+@settings(max_examples=12)
+@given(pair=random_pairs, exponent=st.floats(min_value=-6.0, max_value=6.0))
+def test_every_channel_matches_mpmath_on_random_atoms(pair, exponent):
+    atom_a, atom_b = _pair_of(pair)
+    d = 10.0**exponent
+    curve = pair_curve(atom_a, atom_b, [d], UnitSystem.NATURAL)
+    for ch in PAIR_CHANNELS:
+        _assert_matches_reference(curve.values[ch][0], _mp_pair(ch, atom_a, atom_b, d))
+    curve = mirror_curve(atom_a, [d], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    for ch in MIRROR_CHANNELS:
+        _assert_matches_reference(
+            curve.values[ch][0], _mp_mirror(atom_a, ch.value, d, PlateKind.CONDUCTING)
+        )
+
+
+@given(
+    pair=random_pairs,
+    exponent=st.floats(min_value=-5.0, max_value=5.0),
+    stretch=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_channels_depend_on_omega_times_distance_only(pair, exponent, stretch):
+    # (d, omega) -> (s d, omega / s) leaves every integral as it is; the
+    # prefactor d^-7 (d^-4 at a mirror) and the statics, which scale with s,
+    # carry the rest.
+    atom_a, atom_b = _pair_of(pair)
+    s = 10.0**stretch
+
+    def stretched(atom):
+        def moved(transitions):
+            return tuple(Transition(t.omega / s, t.dipole_sq, t.kind) for t in transitions)
+
+        return AtomModel(atom.label, moved(atom.electric_transitions), moved(atom.magnetic_transitions), atom.diamagnetic)
+
+    d = 10.0**exponent
+    scaled_a = stretched(atom_a)
+    scaled_b = scaled_a if atom_b is atom_a else stretched(atom_b)
+    base = pair_curve(atom_a, atom_b, [d], UnitSystem.NATURAL)
+    scaled = pair_curve(scaled_a, scaled_b, [s * d], UnitSystem.NATURAL)
+    for ch in PAIR_CHANNELS:
+        weight = s ** (7 - sum(letter != "d" for letter in ch.value))
+        assert scaled.values[ch][0] * weight == pytest.approx(base.values[ch][0], rel=1e-12, abs=0.0)
+    base = mirror_curve(atom_a, [d], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    scaled = mirror_curve(scaled_a, [s * d], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    for ch in MIRROR_CHANNELS:
+        weight = s ** (4 - (ch is not Channel.D))
+        assert scaled.values[ch][0] * weight == pytest.approx(base.values[ch][0], rel=1e-12, abs=0.0)
+
+
+@given(pair=random_pairs, exponent=st.floats(min_value=-6.0, max_value=6.0))
+def test_atom_swap_is_bitwise_on_random_atoms(pair, exponent):
+    # close and coincident poles take the double-pole nodes, whose order
+    # depends on which atom comes first
+    atom_a, atom_b = _pair_of(pair)
+    grid = [10.0**exponent, 2.0 * 10.0**exponent]
+    forward = pair_curve(atom_a, atom_b, grid, UnitSystem.NATURAL)
+    backward = pair_curve(atom_b, atom_a, grid, UnitSystem.NATURAL)
+    for ch in PAIR_CHANNELS:
+        assert np.array_equal(forward.values[ch], backward.values[Channel(ch.value[::-1])])
+    assert np.array_equal(forward.total, backward.total)
+
+
+@given(pair=random_pairs, exponent=st.floats(min_value=-6.0, max_value=6.0))
+def test_plate_flip_negates_every_mirror_channel_bitwise(pair, exponent):
+    atom, _ = _pair_of(pair)
+    d = 10.0**exponent
+    conducting = mirror_curve(atom, [d], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    permeable = mirror_curve(atom, [d], PlateKind.PERMEABLE, UnitSystem.NATURAL)
+    for ch in MIRROR_CHANNELS:
+        assert permeable.values[ch][0] == -conducting.values[ch][0]
+
+
+@settings(max_examples=15)
+@given(pair=random_pairs, exponent=st.floats(min_value=-2.0, max_value=2.0))
+def test_channel_sum_matches_the_unfactored_quadrature(pair, exponent):
+    atom_a, atom_b = _pair_of(pair)
+    d = 10.0**exponent
+    curve = pair_curve(atom_a, atom_b, [d], UnitSystem.NATURAL)
+    direct = vdw_pair_total_direct(atom_a, atom_b, d, NAT, QuadratureSpec(rel_tol=1e-13))
+    scale = sum(abs(curve.values[ch][0]) for ch in PAIR_CHANNELS)
+    assert abs(curve.total[0] - direct) <= 1e-11 * scale

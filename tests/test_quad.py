@@ -3,20 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from vdwcp.green import mirror_kernel
 from vdwcp.quad import (
-    LOCKSTEP_COLUMNS,
     PANEL_NODES,
+    PANELS_PER_CALL,
     TAIL_NODES,
     ConvergenceError,
     IntegrandError,
-    QuadratureError,
     QuadratureSpec,
     _dots,
-    integrate_columns,
     integrate_semiinf,
 )
 
@@ -130,8 +128,6 @@ def test_spec_validation(kwargs):
 def test_decay_scale_validation(scale):
     with pytest.raises(ValueError, match="decay_scale"):
         integrate_semiinf(lambda x: np.exp(-x), decay_scale=scale)
-    with pytest.raises(ValueError, match="decay_scale"):
-        integrate_columns(lambda cols, x: np.exp(-x), 2, decay_scale=scale)
 
 
 @given(st.floats(min_value=0.3, max_value=5.0), st.floats(min_value=0.3, max_value=5.0))
@@ -141,160 +137,24 @@ def test_exponential_rate_property(a, b):
     assert fa.value == pytest.approx(1.0 / a, rel=1e-10)
 
 
-# -- columns in lockstep ---------------------------------------------------------
+# -- packed panel calls ------------------------------------------------------------
 
 
-def _one_column(f, spec):
-    """integrate_semiinf(f) as (value, error, evaluations), or the exception it raises."""
-    try:
-        result = integrate_semiinf(f, spec)
-    except QuadratureError as exc:
-        return exc
-    return [result.value, result.error_estimate, result.evaluations]
-
-
-def _assert_columns_match(batched, singles, spec):
-    """integrate_columns equals the one-column runs, or raises what the first failing one raises."""
-    expected = [_one_column(f, spec) for f in singles]
-    failures = [outcome for outcome in expected if isinstance(outcome, QuadratureError)]
-    if not failures:
-        results = integrate_columns(batched, len(singles), spec)
-        assert [results[:, i].tolist() for i in range(len(singles))] == expected
-        return
-    first = failures[0]
-    with pytest.raises(type(first)) as excinfo:
-        integrate_columns(batched, len(singles), spec)
-    if isinstance(first, IntegrandError):
-        assert excinfo.value.abscissa == first.abscissa
-    else:
-        assert excinfo.value.best == first.best
-        assert excinfo.value.tolerance == first.tolerance
-
-
-def _damped(rates, slopes, freqs):
-    """Column i: (1 + s_i x)^2 e^(-a_i x) (2 + cos(w_i x)), batched and one by one."""
-    rates, slopes, freqs = map(np.array, (rates, slopes, freqs))
-
-    def batched(cols, x):
-        p = 1.0 + slopes[cols, None] * x
-        return p * p * np.exp(-rates[cols, None] * x) * (2.0 + np.cos(freqs[cols, None] * x))
-
-    def single(a, s, w):
-        def f(x):
-            p = 1.0 + s * x
-            return p * p * np.exp(-a * x) * (2.0 + np.cos(w * x))
-
-        return f
-
-    columns = zip(rates.tolist(), slopes.tolist(), freqs.tolist())
-    return batched, [single(*column) for column in columns]
-
-
-@settings(max_examples=20)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.3, max_value=4.0),
-            st.floats(min_value=0.0, max_value=3.0),
-            st.floats(min_value=0.0, max_value=12.0),
-        ),
-        min_size=1,
-        max_size=70,
-    ),
-    st.floats(min_value=-13.0, max_value=-6.0),
-)
-def test_columns_equal_one_column_runs(params, exponent):
-    batched, singles = _damped(*zip(*params))
-    _assert_columns_match(batched, singles, QuadratureSpec(rel_tol=10.0**exponent))
-
-
-def test_columns_raise_the_lowest_index_integrand_error():
-    # columns 2 and 6 turn non-finite beyond different abscissas
-    limits = np.array([np.inf, np.inf, 3.0, np.inf, np.inf, np.inf, 1.5, np.inf])
-
-    def batched(cols, x):
-        return np.where(x < limits[cols, None], np.exp(-x), np.nan)
-
-    def single(limit):
-        return lambda x: np.where(x < limit, np.exp(-x), np.nan)
-
-    _assert_columns_match(batched, [single(limit) for limit in limits.tolist()], QuadratureSpec())
-    with pytest.raises(IntegrandError) as excinfo:
-        integrate_columns(batched, limits.size, QuadratureSpec())
-    assert 3.0 <= excinfo.value.abscissa
-
-
-def test_columns_raise_the_lowest_index_convergence_error(monkeypatch):
-    # columns 3 and 5 oscillate too fast for four subdivisions
-    monkeypatch.setattr("vdwcp.quad.MAX_SUBDIVISIONS", 4)
-    freqs = [0.0, 1.0, 0.5, 500.0, 0.0, 300.0, 1.0]
-    batched, singles = _damped([1.0] * len(freqs), [0.0] * len(freqs), freqs)
-    spec = QuadratureSpec(rel_tol=1e-12)
-    _assert_columns_match(batched, singles, spec)
-    with pytest.raises(ConvergenceError):
-        integrate_columns(batched, len(freqs), spec)
-
-
-def test_integrand_calls_stay_within_the_lockstep_bound():
-    calls = []
-    grid = np.linspace(0.0, 1.0, 23)
-    batched, _ = _damped(0.5 + 2.5 * grid, 2.0 * grid, 9.0 * grid)
-
-    def recording(cols, x):
-        calls.append((list(cols), x.copy()))
-        return batched(cols, x)
-
-    integrate_columns(recording, 23, QuadratureSpec(rel_tol=1e-12))
-    assert calls
-    for cols, x in calls:
-        assert len(cols) == x.shape[0] <= LOCKSTEP_COLUMNS
-        assert x.shape[1] in (PANEL_NODES, TAIL_NODES)
-        assert x.size <= LOCKSTEP_COLUMNS * PANEL_NODES
-    # A column is in flight from its first call to its last, and takes part
-    # in every panel call in between.
-    first, last = {}, {}
-    for k, (cols, _) in enumerate(calls):
-        for col in cols:
-            first.setdefault(col, k)
-            last[col] = k
-    full_calls = repeated = 0
-    for k, (cols, x) in enumerate(calls):
-        if x.shape[1] == TAIL_NODES:
-            assert len(set(cols)) == len(cols)
-            continue
-        for col in set(cols):
-            lows = x[[i for i, c in enumerate(cols) if c == col], 0].tolist()
-            assert lows == sorted(lows) and len(set(lows)) == len(lows)
-            repeated += len(lows) >= 2
-        live = sorted(col for col in first if first[col] <= k <= last[col])
-        if len(live) == LOCKSTEP_COLUMNS:
-            assert cols == live
-            full_calls += 1
-    assert full_calls and repeated
-    assert max(len(cols) for cols, _ in calls) == LOCKSTEP_COLUMNS
-
-
-@pytest.mark.parametrize(
-    "n, opening",
-    [
-        (1, [[0, 0, 0, 0], [0, 0, 0]]),
-        (2, [[0, 1, 0, 1]] * 3 + [[0, 1]]),
-        (4, [[0, 1, 2, 3]] * 7),
-    ],
-)
+@pytest.mark.parametrize("n, opening", [(1, [[0, 0, 0, 0], [0, 0, 0]])])
 def test_opening_window_fills_panel_calls_then_takes_one_tail_call(n, opening):
-    # the seven opening panels of each column packed into as few calls as the
-    # rows allow (one column: 2 calls, not 7), then one tail call for all
+    # the seven opening panels of the one integral packed into as few calls
+    # as the rows allow (2 calls, not 7), then one tail call
     calls = []
 
-    def recording(cols, x):
-        calls.append((list(cols), x.shape[1]))
+    def recording(x):
+        calls.append(x.size)
         return np.exp(-x)
 
-    integrate_columns(recording, n)
-    tail = [width for _, width in calls].index(TAIL_NODES)
-    assert [cols for cols, _ in calls[:tail]] == opening
-    assert calls[tail] == (list(range(n)), TAIL_NODES)
+    integrate_semiinf(recording)
+    assert calls.count(TAIL_NODES) == n
+    tail = calls.index(TAIL_NODES)
+    assert calls[:tail] == [len(rows) * PANEL_NODES for rows in opening]
+    assert max(calls) <= PANELS_PER_CALL * PANEL_NODES
 
 
 def test_mirror_kernel_takes_four_integrand_calls():
@@ -325,7 +185,7 @@ def test_packed_rows_report_the_first_bad_abscissa_of_the_earlier_panel():
     with pytest.raises(IntegrandError) as excinfo:
         integrate_semiinf(bad)
     assert len(calls) == 1
-    rows = calls[0].reshape(LOCKSTEP_COLUMNS, PANEL_NODES)
+    rows = calls[0].reshape(PANELS_PER_CALL, PANEL_NODES)
     assert (rows[3] > 1.2).all()
     assert excinfo.value.abscissa == rows[2][rows[2] > 1.2][0]
 

@@ -2,7 +2,7 @@
 
 The deep-regime closed forms are exact statements about powers of hbar, mu0
 and c. Natural units (all ones) cannot see a misplaced factor of c, so the
-scaling tests below rerun quadrature-vs-closed-form comparisons with a fake
+scaling tests below rerun engine-vs-closed-form comparisons with a fake
 constant set (c = 2, hbar = 3, mu0 = 5); any wrong power of a constant in
 either path breaks the agreement.
 """
@@ -20,7 +20,6 @@ from vdwcp.potentials import (
     cp_mirror_diamagnetic_closed,
     vdw_asymptote,
 )
-from vdwcp.quad import QuadratureSpec
 from vdwcp.response import ELECTRIC, MAGNETIC, AtomModel, DiamagneticSpec, Transition
 from vdwcp.units import Constants, UnitSystem, constants_for
 
@@ -62,7 +61,6 @@ PARA = AtomModel(
 )
 DIA = AtomModel(label="d", diamagnetic=DiamagneticSpec(direct_beta_d=-1.0))
 
-SPEC = QuadratureSpec(rel_tol=1e-10)
 
 # Deep-regime separations for omega = 1: l omega / c far below / above 1.
 L_NEAR = 1e-3 * FAKE.c
@@ -75,13 +73,13 @@ def _mirror(atom, z, plate, channel):
     Curves take a UnitSystem, so the fake constants go straight to the one
     evaluation path, _mirror_values / _pair_values.
     """
-    values = _mirror_values(atom, np.array([z]), plate, FAKE, SPEC)
+    values = _mirror_values(atom, np.array([z]), plate, FAKE)
     return values[MIRROR_CHANNELS.index(channel), 0]
 
 
 def _pair(atom_a, atom_b, l, channel):
     """One pair channel at one separation, in the fake constants."""
-    values = _pair_values(atom_a, atom_b, np.array([l]), FAKE, SPEC)
+    values = _pair_values(atom_a, atom_b, np.array([l]), FAKE)
     return values[PAIR_CHANNELS.index(channel), 0]
 
 
