@@ -292,15 +292,16 @@ def _partial_fractions(sides) -> list:
         return sums, close
 
     sums, close = residues(omegas**2, others**2, other_shares)
-    if others is omegas:  # a self-pair: the other side's terms are the same
+    if others is omegas:  # a self-pair: the other side's terms are the same, a close pair's both ways too
         groups = [("", omegas, None, 2.0 * shares * sums)]
+        close = [(j, k) for j, k in close if j <= k]
     else:
         other_sums = residues(others**2, omegas**2, shares)[0]
         groups = [("", omegas, None, shares * sums), ("", others, None, other_shares * other_sums)]
     coincident, nodes = [], []
     for j, k in close:
         w, n = omegas[j].item() ** 2, others[k].item() ** 2
-        product = shares[j].item() * other_shares[k].item()
+        product = shares[j].item() * other_shares[k].item() * (2.0 if others is omegas and k > j else 1.0)
         middle, half = 0.5 * (w + n), 0.5 * abs(n - w)
         if not half:
             coincident.append((j, product))
@@ -323,12 +324,14 @@ def _channel_integrals(channels, scales: np.ndarray):
     _response of the sides whose ratio is not 1. Its row integrates their
     product times the kernel (times x^2 for cross) as math.fsum of its terms:
     a distance gets the same bits in a curve as alone, and a swap changes no
-    bit. Every frequency array takes its moments once per distance, _BLOCK
-    elements per _moments call. A two-sided crossed channel takes t^2 out
-    (cross_out) where all its simple poles have A < _SERIES_BELOW: keeping it
-    in cancels to the order of A there, taking it out to A^-2 elsewhere.
+    bit. Every frequency array takes its moments once per distance, at most
+    _BLOCK of its elements per _moments call; the Gauss-Legendre nodes of all
+    channels form one array, so up to _BLOCK of them add one call. A two-sided
+    crossed channel takes t^2 out (cross_out) where all its simple poles have
+    A < _SERIES_BELOW: keeping it in cancels to the order of A there, taking it
+    out to A^-2 elsewhere.
     """
-    ranges, plans = [], []  # ranges: (frequencies, kinds of terms)
+    ranges, plans, nodes = [], [], []  # ranges: (frequencies, kinds of terms)
     for kernel, sides in channels:
         (omegas, shares), *other = sides
         crossed_pair = kernel == "cross" and bool(other)
@@ -336,6 +339,10 @@ def _channel_integrals(channels, scales: np.ndarray):
         for suffix, frequencies, index, coefficients in (
             _partial_fractions(sides) if other else [("", omegas, None, shares)]
         ):
+            if suffix and index is None:  # Gauss-Legendre nodes: the list nodes stands for their one range
+                index = np.arange(frequencies.size) + sum(node.size for node in nodes)
+                nodes.append(frequencies)
+                frequencies = nodes
             r = next((r for r, (placed, _) in enumerate(ranges) if placed is frequencies), len(ranges))
             if r == len(ranges):
                 ranges.append((frequencies, []))
@@ -347,33 +354,27 @@ def _channel_integrals(channels, scales: np.ndarray):
         plans.append((crossed_pair, max(float(omegas.max()) for omegas, _ in sides), terms))
     if not plans:
         return iter(())
+    ranges = [(np.concatenate(nodes) if placed is nodes else placed, kinds) for placed, kinds in ranges]
 
     # values: per range and kind a segment of term values of a block of distances, distance-major
     sizes = [frequencies.size for frequencies, _ in ranges]
-    step = min(max(1, _BLOCK // sum(sizes)), scales.size)
+    step = min(max(1, _BLOCK // max(sizes)), scales.size)
     offsets, total = [], 0
     for size, (_, kinds) in zip(sizes, ranges):
         offsets.append({kind: total + n * size * step for n, kind in enumerate(kinds)})
         total += len(kinds) * size * step
     values = np.empty(total)
-    kinds_used = sorted({kind for _, kinds in ranges for kind in kinds})
     integrals = np.empty((len(plans), scales.size))
     for first in range(0, scales.size, step):
         block = scales[first : first + step]
-        a = np.concatenate([np.multiply.outer(block, frequencies).ravel() for frequencies, _ in ranges])
-        np.minimum(a, _A_LIMIT, out=a)
-        bounds = list(itertools.accumulate([size * block.size for size in sizes], initial=0))
-        for start in range(0, a.size, _BLOCK):
-            part = a[start : start + _BLOCK]
-            moments = _moments(part)
-            for kind in kinds_used:
-                chunk = _term_values(kind, part, moments)
-                for lo, hi, at in zip(bounds, bounds[1:], offsets):
-                    begin, end = max(start, lo), min(start + part.size, hi)
-                    if begin < end and kind in at:
-                        values[at[kind] - lo + begin : at[kind] - lo + end] = chunk[begin - start : end - start]
-                del chunk
-            del moments
+        for (frequencies, kinds), at in zip(ranges, offsets):
+            a = np.minimum(np.multiply.outer(block, frequencies), _A_LIMIT).ravel()
+            for start in range(0, a.size, _BLOCK):
+                part = a[start : start + _BLOCK]
+                moments = _moments(part)
+                for kind in kinds:
+                    values[at[kind] + start : at[kind] + start + part.size] = _term_values(kind, part, moments)
+                del moments
         for i, scale in enumerate(block.tolist()):
             for out, (crossed_pair, top, terms) in zip(integrals, plans):
                 t2_out = crossed_pair and top * scale < _SERIES_BELOW

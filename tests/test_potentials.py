@@ -530,6 +530,51 @@ def test_moment_calls_stay_within_the_block(monkeypatch, electric):
     assert sizes and max(sizes) <= vdwcp.potentials._BLOCK
 
 
+def _lines_atom(magnetic):
+    """20 electric lines spaced 13% apart, the magnetic lines given, and a beta_d."""
+    electric = np.geomspace(0.5, 5.0, 20).tolist()
+    return AtomModel(
+        label="lines",
+        electric_transitions=tuple(Transition(omega=w, dipole_sq=0.5, kind=ELECTRIC) for w in electric),
+        magnetic_transitions=tuple(Transition(omega=w, dipole_sq=0.7, kind=MAGNETIC) for w in magnetic),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-0.3),
+    )
+
+
+def test_moment_calls_do_not_grow_with_the_close_pairs(monkeypatch):
+    # 1 or 6 magnetic lines 0.4% from an electric one (4 or 24 Gauss-Legendre
+    # nodes, both ways within one _BLOCK), the other magnetic lines far from any
+    calls = []
+    real = vdwcp.potentials._moments
+    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
+    electric = np.geomspace(0.5, 5.0, 20)
+    counts = []
+    for close in (1, 6):
+        magnetic = [1.004 * w for w in electric[1 : 2 * close : 2]] + [1.06 * w for w in electric[12 : 20 - close]]
+        atom = _lines_atom(magnetic)
+        calls.clear()
+        pair_curve(atom, atom, np.geomspace(0.01, 100.0, 9), UnitSystem.NATURAL)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("magnetic", [[0.6, 0.6012, 1.3, 2.9], [0.5, 0.5, 1.0001, 4.99]])
+def test_self_pair_is_bitwise_the_pair_with_an_equal_copy(magnetic):
+    # a self-pair counts each close pair once, twice weighted; a copy meets it both ways
+    atom = _lines_atom(magnetic + [1.0025 * w for w in np.geomspace(0.5, 5.0, 20)[3:9]])
+    copy = AtomModel(
+        label="copy",
+        electric_transitions=atom.electric_transitions,
+        magnetic_transitions=atom.magnetic_transitions,
+        diamagnetic=atom.diamagnetic,
+    )
+    grid = np.geomspace(1e-3, 1e3, 13)
+    alone, pair = pair_curve(atom, atom, grid, UnitSystem.NATURAL), pair_curve(atom, copy, grid, UnitSystem.NATURAL)
+    for ch in PAIR_CHANNELS:
+        assert np.array_equal(alone.values[ch], pair.values[ch]), ch
+    assert np.array_equal(alone.total, pair.total)
+
+
 def test_batch_failure_is_the_lowest_distance_error():
     # In SI, alpha(0) ~ 6e249 makes the electric mirror channel overflow below
     # z ~ 2e-19; the curve names its first failing distance, as a one-point
