@@ -119,14 +119,15 @@ def _curve(args, units: UnitSystem) -> tuple[PotentialCurve, dict[str, str]]:
 
     Two atoms give a pair curve; one atom gives a mirror curve at args.plate.
     """
+    _quad_spec(args)  # --rel-tol bounds no curve; checked because bench/workloads.py passes it
     atom = load_atom_file(args.atom)
     atom_b_path = getattr(args, "atom_b", None)
     if atom_b_path:
         atom_b = load_atom_file(atom_b_path)
-        curve = pair_curve(atom, atom_b, parse_grid(args.grid), units, _quad_spec(args))
+        curve = pair_curve(atom, atom_b, parse_grid(args.grid), units)
         return curve, {"atom": atom.label, "atom_b": atom_b.label}
     plate = PlateKind(args.plate)
-    curve = mirror_curve(atom, parse_grid(args.grid), plate, units, _quad_spec(args))
+    curve = mirror_curve(atom, parse_grid(args.grid), plate, units)
     return curve, {"atom": atom.label, "plate": plate.value}
 
 

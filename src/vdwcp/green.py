@@ -115,7 +115,7 @@ def mirror_gmm_trace_via_q_integral(
     xi: float,
     plate: PlateKind,
     c: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Independent oracle for mirror_gmm_trace: numerical transverse-momentum integral.
 
@@ -136,8 +136,6 @@ def mirror_gmm_trace_via_q_integral(
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
     if not xi > 0.0:
         raise ValueError("the transverse-momentum oracle needs xi > 0")
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-10)
     if plate is PlateKind.CONDUCTING:
         r_s, r_p = -1.0, 1.0
     else:

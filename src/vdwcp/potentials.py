@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -597,19 +597,20 @@ def vdw_asymptote(
     return 7.0 * hbar * mu0**2 * c**3 * product / (64.0 * pi**3 * l**7)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class PotentialCurve:
     """Per-channel potential values over a distance grid.
 
     A mirror curve has a plate and carries MIRROR_CHANNELS, a two-atom curve
-    has plate None and carries PAIR_CHANNELS. total is the potential summed
-    over the channels.
+    has plate None and carries PAIR_CHANNELS. total is derived from the
+    channels: electric + (paramagnetic + diamagnetic) at a mirror, the
+    math.fsum of the nine channels per separation for a pair.
     """
 
     distances: np.ndarray
     values: dict[Channel, np.ndarray]
-    total: np.ndarray
     plate: PlateKind | None = None
+    total: np.ndarray = field(init=False)
 
     def __post_init__(self):
         expected = PAIR_CHANNELS if self.plate is None else MIRROR_CHANNELS
@@ -622,10 +623,12 @@ class PotentialCurve:
             if vals.shape != d.shape:
                 raise ValueError(f"channel {ch.value} length does not match distances")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "total", np.asarray(self.total, dtype=float))
-        summed = np.sum([values[ch] for ch in expected], axis=0)
-        if not np.allclose(self.total, summed, rtol=1e-12, atol=1e-300):
-            raise ValueError("total does not match the sum of the channels")
+        if self.plate is None:
+            # per column of one (9, n) array: .tolist() and zip raised the verify memory peak by half
+            total = np.array([math.fsum(point) for point in np.array(list(values.values())).T])
+        else:
+            total = values[Channel.E] + (values[Channel.P] + values[Channel.D])
+        object.__setattr__(self, "total", total)
 
 
 def mirror_curve(
@@ -645,16 +648,12 @@ def mirror_curve(
     magnetic ones repulsive for paramagnetic / attractive for diamagnetic
     response; a permeable mirror flips every sign. The total is
     electric + (paramagnetic + diamagnetic). spec bounds no part of the
-    closed forms; it is kept for callers that pass one.
+    closed forms; only bench/workloads.py still passes one, and ROADMAP
+    item 1 unblocks its deletion.
     """
     d = _grid(distances)
-    electric, paramagnetic, diamagnetic = _mirror_values(atom, d, plate, constants_for(units))
-    return PotentialCurve(
-        distances=d,
-        values={Channel.E: electric, Channel.P: paramagnetic, Channel.D: diamagnetic},
-        total=electric + (paramagnetic + diamagnetic),
-        plate=plate,
-    )
+    values = _mirror_values(atom, d, plate, constants_for(units))
+    return PotentialCurve(distances=d, values=dict(zip(MIRROR_CHANNELS, values)), plate=plate)
 
 
 def pair_curve(
@@ -679,15 +678,12 @@ def pair_curve(
     are inside the prefactor). Like channels inherit their sign from the
     product of static responses, crossed ones the opposite. The total is the
     math.fsum of the nine channels. spec bounds no part of the closed forms;
-    it is kept for callers that pass one.
+    only bench/workloads.py still passes one, and ROADMAP item 1 unblocks its
+    deletion.
     """
     d = _grid(distances)
     values = _pair_values(atom_a, atom_b, d, constants_for(units))
-    return PotentialCurve(
-        distances=d,
-        values=dict(zip(PAIR_CHANNELS, values)),
-        total=np.array([math.fsum(point) for point in values.T]),
-    )
+    return PotentialCurve(distances=d, values=dict(zip(PAIR_CHANNELS, values)))
 
 
 def force_from_curve(curve: PotentialCurve) -> np.ndarray:

@@ -8,6 +8,8 @@ passes only if they agree. The battery also adjudicates between the two
 candidate prefactors of the diamagnetic mirror closed form, 1/(32 pi^2 z^4)
 versus 1/(32 pi z^4), by letting the quadrature decide.
 
+Each kernel moment is integrated once per run and shared by the checks that use it.
+
 Everything runs in natural units (hbar = c = eps0 = mu0 = 1) on fixture
 atoms with O(1) responses, so relative tolerances are meaningful.
 """
@@ -146,18 +148,19 @@ def _check_tensor_traces(rng) -> CheckResult:
     )
 
 
-def _check_kernel_integrals(spec: QuadratureSpec, tol: float) -> CheckResult:
+def _kernel_moments(spec: QuadratureSpec) -> tuple[float, float, float, float]:
     cases = (
-        (mirror_kernel, 1.0, 3.0),
-        (pair_kernel_same, 0.5, 23.0 / 4.0),
-        (pair_kernel_cross, 0.5, 5.0 / 4.0),
-        (lambda x: np.asarray(x) ** 2 * pair_kernel_cross(x), 0.5, 7.0 / 4.0),
+        (mirror_kernel, 1.0),
+        (pair_kernel_same, 0.5),
+        (pair_kernel_cross, 0.5),
+        (lambda x: np.asarray(x) ** 2 * pair_kernel_cross(x), 0.5),
     )
-    devs = [
-        _max_rel_dev(integrate_semiinf(f, spec, decay_scale=scale).value, ref)
-        for f, scale, ref in cases
-    ]
-    dev = max(devs)
+    return tuple(integrate_semiinf(f, spec, decay_scale=scale).value for f, scale in cases)
+
+
+def _check_kernel_integrals(moments, tol: float) -> CheckResult:
+    references = (3.0, 23.0 / 4.0, 5.0 / 4.0, 7.0 / 4.0)
+    dev = max(_max_rel_dev(moment, ref) for moment, ref in zip(moments, references))
     return CheckResult(
         name="kernel-moment-integrals",
         passed=dev <= tol,
@@ -182,15 +185,14 @@ def _check_q_integral(spec: QuadratureSpec, tol: float) -> CheckResult:
     )
 
 
-def _check_mirror_diamagnetic(spec: QuadratureSpec, tol: float) -> CheckResult:
+def _check_mirror_diamagnetic(ratio: float, tol: float) -> CheckResult:
+    # the quadrature route: a curve value times ratio, the quadrature's moment over the exact one
     consts = constants_for(UnitSystem.NATURAL)
     atom = default_fixtures()["d"]
-    # the quadrature route: the curve with its exact kernel moment replaced by integrate_semiinf's
-    ratio = integrate_semiinf(mirror_kernel, spec).value / MIRROR_D_MOMENT
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 5.0):
         for plate in PlateKind:
-            quad = mirror_curve(atom, [z], plate, UnitSystem.NATURAL, spec).values[Channel.D][0] * ratio
+            quad = mirror_curve(atom, [z], plate, UnitSystem.NATURAL).values[Channel.D][0] * ratio
             closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, consts)
             worst = max(worst, _max_rel_dev(quad, closed))
     return CheckResult(
@@ -200,11 +202,11 @@ def _check_mirror_diamagnetic(spec: QuadratureSpec, tol: float) -> CheckResult:
     )
 
 
-def _check_prefactor_adjudication(spec: QuadratureSpec, tol: float) -> CheckResult:
+def _check_prefactor_adjudication(ratio: float, tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
     atom = default_fixtures()["d"]
-    curve = mirror_curve(atom, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL, spec)
-    quad = curve.values[Channel.D][0] * integrate_semiinf(mirror_kernel, spec).value / MIRROR_D_MOMENT
+    curve = mirror_curve(atom, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    quad = curve.values[Channel.D][0] * ratio
     candidate_sq = cp_mirror_diamagnetic_closed(-1.0, 1.0, PlateKind.CONDUCTING, consts)
     candidate_single = candidate_sq * np.pi  # the 1/(32 pi) variant
     dev_sq = _max_rel_dev(quad, candidate_sq)
@@ -229,16 +231,16 @@ def _check_prefactor_adjudication(spec: QuadratureSpec, tol: float) -> CheckResu
     )
 
 
-def _check_pair_dd(spec: QuadratureSpec, tol: float, rel_tol: float) -> CheckResult:
+def _check_pair_dd(ratio: float, tol: float, rel_tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
     atom = default_fixtures()["d"]
-    ratio = integrate_semiinf(pair_kernel_same, spec, decay_scale=0.5).value / PAIR_DD_MOMENT
+    grid = np.geomspace(0.1, 100.0, 20)
+    curve = pair_curve(atom, atom, grid, UnitSystem.NATURAL)
     worst = 0.0
-    for l in np.geomspace(0.1, 100.0, 20):
-        quad = pair_curve(atom, atom, [l], UnitSystem.NATURAL, spec).values[Channel.DD][0] * ratio
+    for l, value in zip(grid, curve.values[Channel.DD]):
         closed = vdw_asymptote(Channel.DD, atom, atom, float(l), Regime.RETARDED, consts)
-        worst = max(worst, _max_rel_dev(quad, closed))
-    spot = float(pair_curve(atom, atom, [1.0], UnitSystem.NATURAL, spec).values[Channel.DD][0]) * ratio
+        worst = max(worst, _max_rel_dev(value * ratio, closed))
+    spot = float(pair_curve(atom, atom, [1.0], UnitSystem.NATURAL).values[Channel.DD][0]) * ratio
     spot_tol = max(5e-7, 10.0 * rel_tol * abs(DD_SPOT_REFERENCE))
     spot_ok = abs(spot - DD_SPOT_REFERENCE) <= spot_tol
     passed = worst <= tol and spot_ok
@@ -255,7 +257,6 @@ def _check_pair_dd(spec: QuadratureSpec, tol: float, rel_tol: float) -> CheckRes
 def _asymptote_check(
     channel: Channel,
     cases: tuple[tuple[float, Regime, float], ...],
-    spec: QuadratureSpec,
 ) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
     atom_a, atom_b = [default_fixtures()[letter] for letter in channel.value]
@@ -263,7 +264,7 @@ def _asymptote_check(
     summaries = []
     for center, regime, expected_slope in cases:
         grid = _grid_around(center)
-        curve = pair_curve(atom_a, atom_b, grid, UnitSystem.NATURAL, spec)
+        curve = pair_curve(atom_a, atom_b, grid, UnitSystem.NATURAL)
         profile = local_log_slope(curve, channel)
         slope = float(profile.exponent[profile.exponent.size // 2])
         value = float(curve.values[channel][2])
@@ -312,21 +313,21 @@ _SWAPPED = {
 }
 
 
-def _pair_point(atom_a: AtomModel, atom_b: AtomModel, l: float, spec: QuadratureSpec):
+def _pair_point(atom_a: AtomModel, atom_b: AtomModel, l: float):
     """Channel values and total of a one-point pair curve, without the curve.
 
     Holding two curves at once instead raised the battery's memory peak by 8%.
     """
-    curve = pair_curve(atom_a, atom_b, [l], UnitSystem.NATURAL, spec)
+    curve = pair_curve(atom_a, atom_b, [l], UnitSystem.NATURAL)
     return {ch: values[0] for ch, values in curve.values.items()}, curve.total[0]
 
 
-def _check_swap_symmetry(spec: QuadratureSpec) -> CheckResult:
+def _check_swap_symmetry() -> CheckResult:
     a, b = _composite_pair()
     mismatches = []
     for l in (0.5, 1.0, 2.0):
-        forward, forward_total = _pair_point(a, b, l, spec)
-        backward, backward_total = _pair_point(b, a, l, spec)
+        forward, forward_total = _pair_point(a, b, l)
+        backward, backward_total = _pair_point(b, a, l)
         for channel, partner in _SWAPPED.items():
             if forward[channel] != backward[partner]:
                 mismatches.append(f"{channel.value} at l={l:g}")
@@ -343,7 +344,7 @@ def _check_swap_symmetry(spec: QuadratureSpec) -> CheckResult:
     )
 
 
-def _check_lenz_flip(spec: QuadratureSpec) -> CheckResult:
+def _check_lenz_flip() -> CheckResult:
     fixtures = default_fixtures()
     e, p, d = fixtures["e"], fixtures["p"], fixtures["d"]
     grid = np.geomspace(0.05, 50.0, 7)
@@ -355,8 +356,8 @@ def _check_lenz_flip(spec: QuadratureSpec) -> CheckResult:
     problems = []
     for label, (a1, b1, ch1), (a2, b2, ch2) in comparisons:
         for l in grid:
-            u1 = pair_curve(a1, b1, [l], UnitSystem.NATURAL, spec).values[ch1][0]
-            u2 = pair_curve(a2, b2, [l], UnitSystem.NATURAL, spec).values[ch2][0]
+            u1 = pair_curve(a1, b1, [l], UnitSystem.NATURAL).values[ch1][0]
+            u2 = pair_curve(a2, b2, [l], UnitSystem.NATURAL).values[ch2][0]
             if not (u1 != 0.0 and u2 != 0.0 and np.sign(u1) == -np.sign(u2)):
                 problems.append(f"{label} at l={l:.3g}")
     return CheckResult(
@@ -374,11 +375,12 @@ def _check_additivity() -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
     a, b = _composite_pair()
     tight = QuadratureSpec(rel_tol=1e-13)
+    grid = (0.5, 1.0, 2.2)
+    split = pair_curve(a, b, grid, UnitSystem.NATURAL).total
     worst = 0.0
-    for l in (0.5, 1.0, 2.2):
-        split = pair_curve(a, b, [l], UnitSystem.NATURAL, tight).total[0]
+    for l, total in zip(grid, split):
         direct = vdw_pair_total_direct(a, b, l, consts, tight)
-        worst = max(worst, _max_rel_dev(split, direct))
+        worst = max(worst, _max_rel_dev(total, direct))
     return CheckResult(
         name="channel-additivity",
         passed=worst <= 1e-12,
@@ -399,23 +401,25 @@ def run_selftest(rel_tol: float = 1e-10) -> SelftestReport:
     q_tol = max(1e-8, 10.0 * rel_tol)
     integral_tol = max(1e-11, 10.0 * rel_tol)
 
+    moments = _kernel_moments(spec)
+    mirror_ratio = moments[0] / MIRROR_D_MOMENT
     rng = np.random.default_rng(_RNG_SEED)
     checks = (
         _check_kernel_identities(rng),
         _check_tensor_traces(rng),
-        _check_kernel_integrals(spec, integral_tol),
+        _check_kernel_integrals(moments, integral_tol),
         _check_q_integral(spec, q_tol),
-        _check_mirror_diamagnetic(spec, closed_tol),
-        _check_prefactor_adjudication(spec, closed_tol),
-        _check_pair_dd(spec, closed_tol, rel_tol),
+        _check_mirror_diamagnetic(mirror_ratio, closed_tol),
+        _check_prefactor_adjudication(mirror_ratio, closed_tol),
+        _check_pair_dd(moments[1] / PAIR_DD_MOMENT, closed_tol, rel_tol),
         _asymptote_check(
-            Channel.ED, ((1e-3, Regime.NONRETARDED, -5.0), (1e3, Regime.RETARDED, -7.0)), spec
+            Channel.ED, ((1e-3, Regime.NONRETARDED, -5.0), (1e3, Regime.RETARDED, -7.0))
         ),
         _asymptote_check(
-            Channel.DP, ((1e-3, Regime.NONRETARDED, -6.0), (1e3, Regime.RETARDED, -7.0)), spec
+            Channel.DP, ((1e-3, Regime.NONRETARDED, -6.0), (1e3, Regime.RETARDED, -7.0))
         ),
-        _check_swap_symmetry(spec),
-        _check_lenz_flip(spec),
+        _check_swap_symmetry(),
+        _check_lenz_flip(),
         _check_additivity(),
     )
     return SelftestReport(rel_tol=rel_tol, checks=checks)

@@ -293,6 +293,28 @@ def test_all_zero_atom_is_a_usage_error(tmp_path, capsys):
     assert "every static response is zero" in err
 
 
+def test_mirror_with_cancelling_channels_exits_zero(tmp_path, capsys):
+    # the total is a few 1e-4 of each channel here, too close to zero for a re-summed check
+    atom = tmp_path / "atom.yaml"
+    atom.write_text(
+        "label: cancelling\n"
+        "electric_transitions:\n  - {omega: 1.0, mu_sq: 1.0}\n"
+        "magnetic_transitions:\n  - {omega: 0.2, m_sq: 1.0}\n"
+        "beta_d: -0.1\n"
+    )
+    code, out, err = _run(
+        capsys, "mirror", "--atom", str(atom), "--plate", "conducting",
+        "--units", "natural", "--grid", "0.6119:0.6121:2",
+    )
+    assert code == 0 and err == ""
+    _, header, rows = _parse_csv(out)
+    assert header == ["distance", "channel:e", "channel:p", "channel:d", "total"]
+    assert len(rows) == 2
+    for row in rows:
+        e, p, d, total = (float(v) for v in row[1:])
+        assert total == e + (p + d)
+
+
 @pytest.mark.parametrize(
     "units, text, message",
     [

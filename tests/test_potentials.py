@@ -1,5 +1,6 @@
 """Potential channels against closed forms, symmetries and curve plumbing."""
 
+import math
 import warnings
 
 import mpmath as mp
@@ -259,19 +260,54 @@ def test_pair_curve_matches_pointwise_evaluation():
 def test_curve_validation():
     distances = np.array([1.0, 2.0, 3.0])
     values = {ch: np.zeros(3) for ch in MIRROR_CHANNELS}
-    good = dict(distances=distances, values=values, total=np.zeros(3), plate=PlateKind.CONDUCTING)
+    good = dict(distances=distances, values=values, plate=PlateKind.CONDUCTING)
     PotentialCurve(**good)
     with pytest.raises(ValueError):
         PotentialCurve(**{**good, "distances": np.array([2.0, 1.0, 3.0])})
     with pytest.raises(ValueError):
         PotentialCurve(**{**good, "distances": distances[None]})
     with pytest.raises(ValueError):
-        PotentialCurve(**{**good, "total": np.ones(3)})
-    with pytest.raises(ValueError):
         PotentialCurve(**{**good, "plate": None})
     bad_values = {ch: np.zeros(3) for ch in PAIR_CHANNELS}
     with pytest.raises(ValueError):
         PotentialCurve(**{**good, "values": bad_values})
+    # the total is derived, never passed, and every field is a keyword
+    with pytest.raises(TypeError):
+        PotentialCurve(**good, total=np.zeros(3))
+    with pytest.raises(TypeError):
+        PotentialCurve(distances, values, PlateKind.CONDUCTING)
+    # user-built curves get the engine's total bit for bit
+    mirror = mirror_curve(COMPOSITE_A, [0.4, 1.0, 3.0], PlateKind.PERMEABLE, UnitSystem.NATURAL)
+    rebuilt = PotentialCurve(
+        distances=[0.4, 1.0, 3.0],
+        values={ch: list(v) for ch, v in mirror.values.items()},
+        plate=PlateKind.PERMEABLE,
+    )
+    e, p, d = (mirror.values[ch] for ch in MIRROR_CHANNELS)
+    assert np.array_equal(rebuilt.total, e + (p + d))
+    assert np.array_equal(rebuilt.total, mirror.total)
+    pair = pair_curve(COMPOSITE_A, COMPOSITE_B, [0.4, 1.0, 3.0], UnitSystem.NATURAL)
+    rebuilt = PotentialCurve(
+        distances=pair.distances, values={ch: v.copy() for ch, v in pair.values.items()}
+    )
+    fsums = [math.fsum(pair.values[ch][i] for ch in PAIR_CHANNELS) for i in range(3)]
+    assert rebuilt.total.tolist() == pair.total.tolist() == fsums
+
+
+def test_cancelling_mirror_channels_build_a_curve():
+    # e, p and d cancel to a few 1e-4 of their size near z = 0.612, where the
+    # two summation orders of the total part by more than 1e-12 relative
+    atom = AtomModel(
+        label="cancelling",
+        electric_transitions=(Transition(omega=1.0, dipole_sq=1.0, kind=ELECTRIC),),
+        magnetic_transitions=(Transition(omega=0.2, dipole_sq=1.0, kind=MAGNETIC),),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-0.1),
+    )
+    distances = np.linspace(0.6053, 0.6122, 2001)
+    curve = mirror_curve(atom, distances, PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    e, p, d = (curve.values[ch] for ch in MIRROR_CHANNELS)
+    assert np.array_equal(curve.total, e + (p + d))
+    assert np.any(curve.total < 0.0) and np.any(curve.total > 0.0)
 
 
 def test_force_on_diamagnetic_atom_at_conductor_is_attractive():
@@ -297,7 +333,7 @@ def test_force_to_potential_ratio_for_dd_pair():
 def test_force_needs_at_least_three_points():
     distances = np.array([1.0, 2.0])
     values = {ch: np.zeros(2) for ch in MIRROR_CHANNELS}
-    curve = PotentialCurve(distances, values, np.zeros(2), PlateKind.CONDUCTING)
+    curve = PotentialCurve(distances=distances, values=values, plate=PlateKind.CONDUCTING)
     with pytest.raises(ValueError):
         force_from_curve(curve)
 
