@@ -150,6 +150,8 @@ def cmd_slopes(args) -> int:
         raise ValueError(
             "slopes over a mirror curve need --plate; give --atom-b for pair geometry"
         )
+    if args.atom_b and args.plate is not None:
+        raise ValueError("--plate applies to mirror geometry only; drop it or --atom-b")
     units = _units_for(args)
     curve, atoms = _curve(args, units)
     channel = "total" if args.channel == "total" else Channel(args.channel)
@@ -250,7 +252,8 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str | None = "c
     parser.add_argument("--units", choices=["si", "natural"], default=None,
                         help="unit system (default: si for curves, natural for checks)")
     parser.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol",
-                        help="relative tolerance of the selftest's quadratures (default 1e-10)")
+                        help="relative tolerance of the selftest's quadratures, "
+                             "in [1e-13, 1e-2] (default 1e-10)")
     parser.add_argument("--format", choices=["csv", "json"], default=default_format,
                         help="output format")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")

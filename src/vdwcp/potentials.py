@@ -132,17 +132,21 @@ def _response(atom: AtomModel, letter: str, hbar: float):
     outside the float range is a ValueError naming the atom and the response.
     """
     if letter == DIA_LETTER:
-        static, transitions = diamagnetisability(atom.diamagnetic), ()
-    elif letter == ELECTRIC_LETTER:
-        static, transitions = alpha_iso(atom, 0.0, hbar), atom.electric_transitions
+        static, shares = diamagnetisability(atom.diamagnetic), []
     else:
-        static, transitions = beta_para_iso(atom, 0.0, hbar), atom.magnetic_transitions
+        transitions = atom.electric_transitions if letter == ELECTRIC_LETTER else atom.magnetic_transitions
+        shares = [(t.omega, t.omega * t.dipole_sq / t.omega**2) for t in transitions if t.dipole_sq]
+        # alpha_iso / beta_para_iso at xi = 0 bit for bit: the same operations in the
+        # same order (a loop, as sum() compensates its float sums since Python 3.12)
+        static = 0.0
+        for _, share in shares:
+            static += share
+        static *= 2.0 / (3.0 * hbar)
     if not math.isfinite(static):
         raise ValueError(
             f"atom {atom.label!r}: the static {_STATIC_NAMES[letter]} is {static!r}; "
             "it must be a finite float"
         )
-    shares = [(t.omega, t.omega * t.dipole_sq / t.omega**2) for t in transitions if t.dipole_sq]
     if not shares or static == 0.0:
         return static, None
     terms = np.array([share for _, share in shares])

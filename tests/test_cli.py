@@ -146,6 +146,16 @@ def test_slopes_mirror_needs_plate(capsys):
     assert "--plate" in err
 
 
+def test_slopes_pair_rejects_plate(capsys):
+    code, out, err = _run(
+        capsys, "slopes", "--atom", ELEC, "--atom-b", DIA, "--plate", "conducting",
+        "--grid", "0.5:2:7", "--units", "natural",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--plate" in err
+
+
 def test_slopes_mirror_channel(capsys):
     code, out, _ = _run(
         capsys, "slopes", "--atom", DIA, "--plate", "conducting",
@@ -212,6 +222,14 @@ def test_selftest_rejects_out_of_range_tolerance(capsys):
     code, _, err = _run(capsys, "selftest", "--rel-tol", "1e-1")
     assert code == 2
     assert "rel_tol" in err
+
+
+def test_selftest_rejects_a_tolerance_the_oracle_cannot_meet(capsys):
+    # 2e-14 ran out of subdivisions (exit 3); 1e-13 is the tightest accepted
+    code, out, err = _run(capsys, "selftest", "--rel-tol", "2e-14")
+    assert code == 2
+    assert out == ""
+    assert "rel_tol must lie in [1e-13, 1e-2]" in err
 
 
 def test_missing_atom_file_is_a_usage_error(capsys):

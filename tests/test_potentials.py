@@ -6,7 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vdwcp.potentials
@@ -26,7 +26,15 @@ from vdwcp.potentials import (
     vdw_pair_total_direct,
 )
 from vdwcp.quad import QuadratureSpec
-from vdwcp.response import ELECTRIC, MAGNETIC, AtomModel, DiamagneticSpec, Transition, alpha_iso
+from vdwcp.response import (
+    ELECTRIC,
+    MAGNETIC,
+    AtomModel,
+    DiamagneticSpec,
+    Transition,
+    alpha_iso,
+    beta_para_iso,
+)
 from vdwcp.units import UnitSystem, constants_for
 
 NAT = constants_for(UnitSystem.NATURAL)
@@ -144,6 +152,44 @@ def test_pair_channels_absent_without_response():
         if channel is not Channel.DD:
             assert pot.values[channel][0] == 0.0
     assert pot.total[0] == pot.values[Channel.DD][0]
+
+
+@settings(max_examples=60)
+@given(
+    units=st.sampled_from(UnitSystem),
+    electric=st.booleans(),
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.5, 5.0), st.floats(1e-100, 1e100)),
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+# a transition without a dipole element, then two terms that round away one by one
+@example(UnitSystem.NATURAL, True, [(1.0, 1.0), (3.0, 0.0), (1.0, 1e-16), (1.0, 1e-16)])
+# finite terms whose sum overflows
+@example(UnitSystem.NATURAL, False, [(1.0, 1e308), (1.0, 1e308)])
+def test_response_static_is_bitwise_the_lorentz_sum_at_zero(units, electric, pairs):
+    kind, letter = (ELECTRIC, "e") if electric else (MAGNETIC, "p")
+    try:
+        transitions = tuple(Transition(omega=w, dipole_sq=d, kind=kind) for w, d in pairs)
+    except ValueError:  # omega |d|^2 / omega^2 is not a float
+        assume(False)
+    atom = AtomModel(
+        label="random",
+        electric_transitions=transitions if electric else (),
+        magnetic_transitions=() if electric else transitions,
+        diamagnetic=DiamagneticSpec(direct_beta_d=-1.0),
+    )
+    hbar = constants_for(units).hbar
+    expected = (alpha_iso if electric else beta_para_iso)(atom, 0.0, hbar)
+    if math.isfinite(expected):
+        assert vdwcp.potentials._response(atom, letter, hbar)[0].hex() == expected.hex()
+    else:
+        with pytest.raises(ValueError, match="static .* must be a finite float"):
+            vdwcp.potentials._response(atom, letter, hbar)
 
 
 def test_atom_swap_is_byte_identical():
