@@ -3,7 +3,9 @@
 Every value is an imaginary-frequency integral in closed form: with
 t = 2 d xi / c, d the distance, a response over its static value is a sum of
 poles v_k A_k^2 / (A_k^2 + t^2), A_k = 2 omega_k d / c, and each kernel is a
-polynomial in t times e^-t (Abramowitz & Stegun 5.2), see _channel_integrals.
+polynomial in t times e^-t (Abramowitz & Stegun 5.2), see _channel_integrals;
+_moments takes each pole's moments from a series, a Taylor table or an
+asymptotic series, at a fixed cost per element.
 The frequency-independent diamagnetic channels integrate the bare kernels,
 3 (mirror d) and 23/4 (pair dd). A channel whose static response vanishes is
 exactly zero; a channel value outside the float range is a ValueError naming
@@ -26,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 # mirror_kernel is not used here; bench/tracer.py wraps the kernels where this module binds them
+from . import moment_table
 from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same  # noqa: F401
 from .quad import QuadratureSpec, integrate_semiinf
 from .response import AtomModel, alpha_iso, beta_para_iso, beta_total, diamagnetisability
@@ -39,10 +42,19 @@ DIA_LETTER = "d"
 MIRROR_D_MOMENT = 3.0
 PAIR_DD_MOMENT = 23.0 / 4.0
 
-# _moments: series below _SERIES_BELOW, fraction up to _ASYMPTOTIC_FROM, asymptotic beyond.
+# _moments: series below _SERIES_BELOW, Taylor table up to _ASYMPTOTIC_FROM, asymptotic beyond.
 _SERIES_BELOW = 2.0
-_FRACTION_DEPTH = 100
 _ASYMPTOTIC_FROM = 100.0
+# (Ci(x) - gamma - ln x) / x^2 and Si(x) / x - 1 as polynomials in x^2, highest power first
+_CI_SERIES = tuple((-1) ** m / (2 * m * math.factorial(2 * m)) for m in range(14, 0, -1))
+_SI_SERIES = tuple((-1) ** m / ((2 * m + 1) * math.factorial(2 * m + 1)) for m in range(14, 0, -1))
+# (n + 2k)! of M_n = sum_k (n + 2k)! (-1/a^2)^(k + 1), n = 4 and 5, highest k first
+_ASYMPTOTIC_SERIES = tuple(tuple(float(math.factorial(n + 2 * k)) for k in range(13, -1, -1)) for n in (4, 5))
+# U_4 by bands of a: band edges, centres, and one row of coefficients per power of a - centre
+# from the highest down, the highest apart: a slice per call, a new tuple, raised the memory peak
+_TAYLOR_EDGES = np.array(moment_table.EDGES)
+_TAYLOR_CENTRES = np.array(moment_table.CENTRES)
+_TAYLOR_TOP, *_TAYLOR_ROWS = (np.array(row) for row in reversed(moment_table.COEFFICIENTS))
 # From here on every term has reached its limit in double precision; a^2 stays finite.
 _A_LIMIT = 1e100
 _EULER_GAMMA = 0.5772156649015329
@@ -191,23 +203,23 @@ def _moments(a: np.ndarray) -> np.ndarray:
     """M_n(a) = int_0^inf t^n e^-t / (a^2 + t^2) dt for n = 0..5, one row per n, elementwise.
 
     Below _SERIES_BELOW upward by M_(n+2) = n! - a^2 M_n from a M_0 = f(a), M_1 = g(a)
-    of the series of Ci and Si; above it downward from a U_4 = M_5 + i a M_4, with
-    U_4 = 4! / (z + 5 - 1*5 / (z + 7 - 2*6 / (z + 9 - ...))), z = -i a, or from
-    _ASYMPTOTIC_FROM on M_n = sum_k (-1)^k (n + 2k)! / a^(2k + 2). In place on
-    1d arrays, where numpy takes no hidden buffers.
+    of the series of Ci and Si; above it downward from a U_4 = M_5 + i a M_4, the
+    Taylor polynomial of moment_table about the centre of a's band (degree 17,
+    |a - centre| <= 0.118 centre), or from _ASYMPTOTIC_FROM on
+    M_n = sum_k (-1)^k (n + 2k)! / a^(2k + 2). Each element's route depends on its
+    own a only. In place on 1d arrays, where numpy takes no hidden buffers.
     """
     moments = np.empty((6, a.size))
     near = np.flatnonzero(a < _SERIES_BELOW)
     if near.size:
         x = a[near]
         y = x * x
-        # (Ci(x) - gamma - ln x) / y and Si(x) / x - 1, by Horner in y
         ci, si = np.zeros(x.size), np.zeros(x.size)
-        for m in range(14, 0, -1):
+        for ci_term, si_term in zip(_CI_SERIES, _SI_SERIES):
             ci *= y
-            ci += (-1) ** m / (2 * m * math.factorial(2 * m))
+            ci += ci_term
             si *= y
-            si += (-1) ** m / ((2 * m + 1) * math.factorial(2 * m + 1))
+            si += si_term
         ci *= y
         ci += np.log(x) + _EULER_GAMMA  # Ci(x)
         si *= -y * x
@@ -221,28 +233,32 @@ def _moments(a: np.ndarray) -> np.ndarray:
             row *= -factor
             row += math.factorial(n - 2)
             moments[n][near] = row
+    asymptotic = np.flatnonzero(a >= _ASYMPTOTIC_FROM)
+    if asymptotic.size:
+        w = -1.0 / a[asymptotic] ** 2
+        for n, series in zip((4, 5), _ASYMPTOTIC_SERIES):
+            total = np.zeros(w.size)
+            for factorial in series:
+                total *= w
+                total += factorial
+            moments[n][asymptotic] = -w * total
+        del w, total
+    taylor = np.flatnonzero((a >= _SERIES_BELOW) & (a < _ASYMPTOTIC_FROM))
+    if taylor.size:
+        band = _TAYLOR_EDGES.searchsorted(a[taylor], "right")
+        offset = a[taylor] - _TAYLOR_CENTRES[band]
+        # one gathered row per step: gathering all rows at once raised the manyline memory peak by half
+        u4 = _TAYLOR_TOP[band]
+        for row in _TAYLOR_ROWS:
+            u4 *= offset
+            u4 += row[band]
+        del band, offset
+        moments[4][taylor] = u4.imag / a[taylor]
+        moments[5][taylor] = u4.real.copy()  # a strided source takes a hidden buffer
+        del u4
     far = np.flatnonzero(a >= _SERIES_BELOW)
     if far.size:
         x = a[far]
-        asymptotic = np.flatnonzero(x >= _ASYMPTOTIC_FROM)
-        if asymptotic.size:
-            w = -1.0 / x[asymptotic] ** 2
-            for n in (4, 5):
-                total = np.zeros(w.size)
-                for k in range(13, -1, -1):
-                    total *= w
-                    total += math.factorial(n + 2 * k)
-                moments[n][far[asymptotic]] = -w * total
-        fraction = np.flatnonzero(x < _ASYMPTOTIC_FROM)
-        if fraction.size:
-            z = -1j * x[fraction]
-            tail = np.zeros(z.size, dtype=complex)
-            for k in range(_FRACTION_DEPTH, -1, -1):
-                np.subtract(z, tail, out=tail)
-                tail += 2 * k + 5
-                np.divide(k * (k + 4) if k else 24.0, tail, out=tail)  # U_4 at k = 0
-            moments[4][far[fraction]] = tail.imag / x[fraction]
-            moments[5][far[fraction]] = tail.real.copy()  # a strided source takes a hidden buffer
         x *= x
         np.divide(1.0, x, out=x)
         for n in (3, 2, 1, 0):

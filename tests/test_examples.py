@@ -32,6 +32,16 @@ def test_script_writes_its_csv(tmp_path, script, rows):
     assert len(out.read_text().splitlines()) == 1 + rows
 
 
+def test_moment_table_is_the_one_the_script_derives():
+    from vdwcp import moment_table
+
+    assert _script("moment_table").table() == (
+        moment_table.EDGES,
+        moment_table.CENTRES,
+        moment_table.COEFFICIENTS,
+    )
+
+
 def test_readme_python_example_runs(monkeypatch, capsys):
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)

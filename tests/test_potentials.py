@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vdwcp.potentials
+from vdwcp import moment_table
 from vdwcp.green import PlateKind
 from vdwcp.potentials import (
     MIRROR_CHANNELS,
@@ -390,11 +391,14 @@ def test_force_needs_at_least_three_points():
 #
 # The reference restates each channel as its imaginary-frequency integral in
 # natural units, the response ratios as plain Lorentzian sums, and integrates
-# it with mpmath's tanh-sinh rule at 30 digits: it shares no code with the
-# closed forms of the engine.
+# it with mpmath's tanh-sinh rule at 40 digits: it shares no code with the
+# closed forms of the engine. At 30 digits the rule's error estimate has an
+# absolute floor near 1e-32, so a crossed integral as small as 2e-13 cannot
+# meet _mp_integral's relative bound.
 
-# Relative deviation allowed from the 30-digit reference; exact zeros must stay exact.
+# Relative deviation allowed from the 40-digit reference; exact zeros must stay exact.
 MPMATH_REL = 1e-13
+MPMATH_DIGITS = 40
 
 
 def _seeded_atom(seed=11, electric=14, magnetic=10):
@@ -438,7 +442,7 @@ def _mp_integral(f, poles):
 
 
 def _mp_mirror(atom, letter, z, plate):
-    with mp.workdps(30):
+    with mp.workdps(MPMATH_DIGITS):
         static, ratio, poles = _mp_response(atom, letter)
         if static == 0:
             return 0.0
@@ -450,7 +454,7 @@ def _mp_mirror(atom, letter, z, plate):
 
 
 def _mp_pair(channel, atom_a, atom_b, l):
-    with mp.workdps(30):
+    with mp.workdps(MPMATH_DIGITS):
         static_a, ratio_a, poles_a = _mp_response(atom_a, channel.value[0])
         static_b, ratio_b, poles_b = _mp_response(atom_b, channel.value[1])
         if static_a == 0 or static_b == 0:
@@ -559,6 +563,47 @@ def test_diamagnetic_moment_is_integrated_once_per_curve(monkeypatch):
     for z, value in zip(mirror.distances.tolist(), mirror.values[Channel.D].tolist()):
         closed = cp_mirror_diamagnetic_closed(-0.3, z, PlateKind.CONDUCTING, NAT)
         assert value == pytest.approx(closed, rel=1e-14)
+
+
+# -- the moments M_n against mpmath ---------------------------------------------------
+
+# Worst relative error of M_0..M_5 on _moment_sweep() with the depth-100
+# continued fraction that the Taylor table replaced, rounded up.
+FRACTION_ERRORS = (4.73e-16, 3.96e-16, 1.65e-15, 6.39e-16, 1.15e-15, 4.78e-16)
+
+
+def _moment_sweep():
+    """1,000 geometric points on [2, 130], 2, 100 and the neighbours of every route and band edge."""
+    edges = moment_table.EDGES + (2.0, 100.0)
+    neighbours = [math.nextafter(e, side) for e in edges for side in (0.0, math.inf)]
+    return np.unique(np.concatenate([np.geomspace(2.0, 130.0, 1000), [2.0, 100.0], neighbours]))
+
+
+def test_moments_match_mpmath_across_the_taylor_bands():
+    # U_0 = e^z E_1(z), U_n = (n - 1)! - z U_(n-1) at z = -i A, U_n = M_(n+1) + i A M_n
+    a = _moment_sweep()
+    moments = vdwcp.potentials._moments(a)
+    worst = [mp.mpf(0)] * 6
+    with mp.workdps(80):
+        for x, column in zip(a.tolist(), moments.T.tolist()):
+            z = mp.mpc(0, -x)
+            u = mp.exp(z) * mp.e1(z)
+            reference = [u.imag / x]
+            for n in range(1, 6):
+                reference.append(u.real)
+                u = math.factorial(n - 1) - z * u
+            for n, (value, exact) in enumerate(zip(column, reference)):
+                worst[n] = max(worst[n], abs(value / exact - 1))
+    for n, (w, bound) in enumerate(zip(worst, FRACTION_ERRORS)):
+        assert w <= bound, (n, float(w))
+
+
+def test_each_moment_element_is_its_own_one_point_run():
+    # series, Taylor bands, band edges and the asymptotic series in one call
+    a = np.array([1e-9, 0.3, 1.999, 2.0, 2.5, 2.7, 9.5367431640625, 40.0, 99.99, 100.0, 150.0, 1e100])
+    moments = vdwcp.potentials._moments(a)
+    for i in range(a.size):
+        assert np.array_equal(moments[:, i], vdwcp.potentials._moments(a[i : i + 1])[:, 0]), a[i]
 
 
 # -- curves against one-point runs ------------------------------------------------
@@ -747,6 +792,8 @@ def _pair_of(draw):
 
 @settings(max_examples=12)
 @given(pair=random_pairs, exponent=st.floats(min_value=-6.0, max_value=6.0))
+# ep and pe integrals of 2.09e-13, whose 30-digit error estimate of 1e-32 failed the 1e-20 relative bound
+@example(pair=(655, 2, 3, "close", -8.400613536586192), exponent=-3.9756012160880396)
 def test_every_channel_matches_mpmath_on_random_atoms(pair, exponent):
     atom_a, atom_b = _pair_of(pair)
     d = 10.0**exponent
