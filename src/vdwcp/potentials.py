@@ -27,8 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-# mirror_kernel is not used here; bench/tracer.py wraps the kernels where this module binds them
 from . import moment_table
+# mirror_kernel is not used here; bench/tracer.py wraps the kernels where this module binds them
 from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same  # noqa: F401
 from .quad import QuadratureSpec, integrate_semiinf
 from .response import AtomModel, alpha_iso, beta_para_iso, beta_total, diamagnetisability
@@ -50,8 +50,8 @@ _CI_SERIES = tuple((-1) ** m / (2 * m * math.factorial(2 * m)) for m in range(14
 _SI_SERIES = tuple((-1) ** m / ((2 * m + 1) * math.factorial(2 * m + 1)) for m in range(14, 0, -1))
 # (n + 2k)! of M_n = sum_k (n + 2k)! (-1/a^2)^(k + 1), n = 4 and 5, highest k first
 _ASYMPTOTIC_SERIES = tuple(tuple(float(math.factorial(n + 2 * k)) for k in range(13, -1, -1)) for n in (4, 5))
-# U_4 by bands of a: band edges, centres, and one row of coefficients per power of a - centre
-# from the highest down, the highest apart: a slice per call, a new tuple, raised the memory peak
+# U_4 by bands of a: band edges, centres, and one coefficient row per power of a - centre, highest
+# first; the top row stands apart, as slicing the tuple in every call raised the memory peak
 _TAYLOR_EDGES = np.array(moment_table.EDGES)
 _TAYLOR_CENTRES = np.array(moment_table.CENTRES)
 _TAYLOR_TOP, *_TAYLOR_ROWS = (np.array(row) for row in reversed(moment_table.COEFFICIENTS))
