@@ -127,7 +127,7 @@ PAIR_TABLE = (
 ALL_TABLE_ENTRIES = MIRROR_TABLE + PAIR_TABLE
 
 
-def default_fixtures(beta_d: float = -1.0) -> dict[str, AtomModel]:
+def default_fixtures() -> dict[str, AtomModel]:
     """Single-transition fixture atoms in natural units, unit weights."""
     return {
         "e": AtomModel(
@@ -140,7 +140,7 @@ def default_fixtures(beta_d: float = -1.0) -> dict[str, AtomModel]:
         ),
         "d": AtomModel(
             label="diamagnetic-fixture",
-            diamagnetic=DiamagneticSpec(direct_beta_d=beta_d),
+            diamagnetic=DiamagneticSpec(direct_beta_d=-1.0),
         ),
     }
 
@@ -176,9 +176,9 @@ class TableReport:
         return all(cell.passed for cell in self.cells)
 
 
-def _grid_around(center: float, points: int = 5, ratio: float = 1.02) -> np.ndarray:
-    half = (points - 1) // 2
-    return center * ratio ** np.arange(-half, points - half)
+def _grid_around(center: float) -> np.ndarray:
+    """Five points 2% apart, centre in the middle."""
+    return center * 1.02 ** np.arange(-2, 3)
 
 
 def _check_entry(entry: TableEntry, fixtures: dict[str, AtomModel]) -> TableCellResult:
@@ -216,17 +216,13 @@ def _check_entry(entry: TableEntry, fixtures: dict[str, AtomModel]) -> TableCell
     )
 
 
-def verify_tables(
-    fixtures: dict[str, AtomModel] | None = None,
-    rel_tol: float = 1e-10,
-) -> TableReport:
+def verify_tables(rel_tol: float = 1e-10) -> TableReport:
     """Check every sign/power cell against curves computed in the deep regimes.
 
     Deterministic: fixture atoms and grids are fixed and the curves exact (rel_tol
     bounds no quadrature here); runs in natural units with O(1) fixture magnitudes.
     """
-    if fixtures is None:
-        fixtures = default_fixtures()
+    fixtures = default_fixtures()
     QuadratureSpec(rel_tol=rel_tol)  # checked only: bench/workloads.py passes it (ROADMAP item 1)
     cells = tuple(_check_entry(entry, fixtures) for entry in ALL_TABLE_ENTRIES)
     return TableReport(cells=cells)

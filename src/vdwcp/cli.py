@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import default_fixtures, local_log_slope, verify_tables
+from .asymptotics import local_log_slope, verify_tables
 from .green import PlateKind
 from .potentials import (
     MIRROR_CHANNELS,
@@ -190,8 +190,7 @@ def cmd_tables(args) -> int:
     if units is not UnitSystem.NATURAL:
         raise ValueError("table verification is defined in natural units")
     _quad_spec(args)  # validates rel_tol before any computation
-    fixtures = default_fixtures(beta_d=args.diamagnetic_beta)
-    report = verify_tables(fixtures, rel_tol=args.rel_tol)
+    report = verify_tables(rel_tol=args.rel_tol)
     meta = _metadata(args, units=units.value)
     if args.format == "json":
         body = {
@@ -302,10 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser(
         "tables", help="verify the sign/power table of every channel and regime"
-    )
-    tables.add_argument(
-        "--diamagnetic-beta", type=float, default=-1.0, dest="diamagnetic_beta",
-        help="fixture diamagnetisability override (must be <= 0)"
     )
     _add_common(tables)
     tables.set_defaults(handler=cmd_tables)

@@ -3,9 +3,11 @@
 Every value is an imaginary-frequency integral in closed form: with
 t = 2 d xi / c, d the distance, a response over its static value is a sum of
 poles v_k A_k^2 / (A_k^2 + t^2), A_k = 2 omega_k d / c, and each kernel is a
-polynomial in t times e^-t (Abramowitz & Stegun 5.2), see _channel_integrals;
-_moments takes each pole's moments from a series, a Taylor table or an
-asymptotic series, at a fixed cost per element.
+polynomial in t times e^-t (Abramowitz & Stegun 5.2). Each atom builds its
+poles (omega_k, v_k) once (AtomModel.poles); a curve lays them out in two
+arrays, its lines and the Gauss-Legendre nodes of its close pole pairs, see
+_channel_integrals; _moments takes each pole's moments from a series, a
+Taylor table or an asymptotic series, at a fixed cost per element.
 The frequency-independent diamagnetic channels integrate the bare kernels,
 3 (mirror d) and 23/4 (pair dd). A channel whose static response vanishes is
 exactly zero; a channel value outside the float range is a ValueError naming
@@ -138,31 +140,21 @@ _STATIC_NAMES = {
 def _response(atom: AtomModel, letter: str, hbar: float):
     """Static response of one letter and the poles of its ratio to the static value.
 
-    The poles are arrays (omega_k, v_k) of R(xi) = sum v_k omega_k^2 / (omega_k^2 + xi^2),
-    v_k the share of transition k in the static value; None for the constant
+    The poles are the atom's own (AtomModel.poles); None for the constant
     diamagnetic ratio 1 and for a zero static response. A static response
     outside the float range is a ValueError naming the atom and the response.
     """
     if letter == DIA_LETTER:
-        static, shares = diamagnetisability(atom.diamagnetic), []
+        static, poles = diamagnetisability(atom.diamagnetic), None
     else:
-        transitions = atom.electric_transitions if letter == ELECTRIC_LETTER else atom.magnetic_transitions
-        shares = [(t.omega, t.omega * t.dipole_sq / t.omega**2) for t in transitions if t.dipole_sq]
-        # alpha_iso / beta_para_iso at xi = 0 bit for bit: the same operations in the
-        # same order (a loop, as sum() compensates its float sums since Python 3.12)
-        static = 0.0
-        for _, share in shares:
-            static += share
-        static *= 2.0 / (3.0 * hbar)
+        static, poles = atom.poles[0 if letter == ELECTRIC_LETTER else 1]
+        static *= 2.0 / (3.0 * hbar)  # alpha_iso / beta_para_iso at xi = 0 bit for bit
     if not math.isfinite(static):
         raise ValueError(
             f"atom {atom.label!r}: the static {_STATIC_NAMES[letter]} is {static!r}; "
             "it must be a finite float"
         )
-    if not shares or static == 0.0:
-        return static, None
-    terms = np.array([share for _, share in shares])
-    return static, (np.array([omega for omega, _ in shares]), terms / math.fsum(terms))
+    return static, poles
 
 
 def _grid(distances) -> np.ndarray:
@@ -290,16 +282,20 @@ def _term_values(kind: str, a: np.ndarray, moments: np.ndarray) -> np.ndarray:
 
 
 def _partial_fractions(sides) -> list:
-    """The product of two sides' response ratios as groups (kind suffix, frequencies, index, c).
+    """The product of the sides' response ratios as groups (kind suffix, frequencies, index, c).
 
-    Squared frequencies W, N with shares v, u give v u N/(N - W) to the simple
+    One side gives its own poles ("", omegas, None, v). Of two, squared
+    frequencies W, N with shares v, u give v u N/(N - W) to the simple
     pole W/(W + xi^2), and the mirror image to N/(N + xi^2); closer than _CLOSE
     they give v u W N times the Gauss-Legendre mean of 1/(rho + xi^2)^2 over rho
     between W and N: double poles c A^4 / (A^2 + t^2)^2, A = 2 sqrt(rho) d / c,
     one at the first side's frequency of index if W = N. Each depends on W + N,
     |N - W| and products, so swapping the sides changes no bit.
     """
-    (omegas, shares), (others, other_shares) = sides
+    (omegas, shares), *other = sides
+    if not other:
+        return [("", omegas, None, shares)]
+    [(others, other_shares)] = other
 
     def residues(squares, partners, partner_shares):
         sums, close = np.empty(squares.size), []
@@ -344,65 +340,63 @@ def _channel_integrals(channels, scales: np.ndarray):
     _response of the sides whose ratio is not 1. Its row integrates their
     product times the kernel (times x^2 for cross) as math.fsum of its terms:
     a distance gets the same bits in a curve as alone, and a swap changes no
-    bit. Every frequency array takes its moments once per distance, at most
-    _BLOCK of its elements per _moments call; the Gauss-Legendre nodes of all
-    channels form one array, so up to _BLOCK of them add one call. A two-sided
-    crossed channel takes t^2 out (cross_out) where all its simple poles have
-    A < _SERIES_BELOW: keeping it in cancels to the order of A there, taking it
-    out to A^-2 elsewhere.
+    bit. The poles form two arrays, each taking its moments once per distance
+    in calls of at most _BLOCK elements: the lines, every side's frequencies
+    once, and the Gauss-Legendre nodes of all channels' close pairs. A
+    two-sided crossed channel takes t^2 out (cross_out) where all its simple
+    poles have A < _SERIES_BELOW: keeping it in cancels to the order of A
+    there, taking it out to A^-2 elsewhere.
     """
-    ranges, plans, nodes = [], [], []  # ranges: (frequencies, kinds of terms)
+    # each array: [frequencies, kinds of its terms], then its table of term values
+    lines, nodes, plans = [[], []], [[], []], []
     for kernel, sides in channels:
-        (omegas, shares), *other = sides
-        crossed_pair = kernel == "cross" and bool(other)
         terms = []
-        for suffix, frequencies, index, coefficients in (
-            _partial_fractions(sides) if other else [("", omegas, None, shares)]
-        ):
-            if suffix and index is None:  # Gauss-Legendre nodes: the list nodes stands for their one range
-                index = np.arange(frequencies.size) + sum(node.size for node in nodes)
-                nodes.append(frequencies)
-                frequencies = nodes
-            r = next((r for r, (placed, _) in enumerate(ranges) if placed is frequencies), len(ranges))
-            if r == len(ranges):
-                ranges.append((frequencies, []))
+        for suffix, frequencies, index, coefficients in _partial_fractions(sides):
+            # a side's frequencies go into the lines once, matched by identity; nodes are always new
+            array = nodes if suffix and index is None else lines
+            start = 0
+            for placed in array[0]:
+                if placed is frequencies:
+                    break
+                start += placed.size
+            else:
+                array[0].append(frequencies)
             kind = kernel + suffix
-            for needed in [kind] + ["cross_out"] * (crossed_pair and kind == "cross"):
-                if needed not in ranges[r][1]:
-                    ranges[r][1].append(needed)
-            terms.append((kind, r, index, coefficients))
+            if kind not in array[1]:
+                array[1].append(kind)
+            positions = slice(start, start + frequencies.size) if index is None else index + start
+            terms.append((kind, array, positions, coefficients))
+        crossed_pair = kernel == "cross" and len(sides) == 2
+        if crossed_pair and "cross_out" not in lines[1]:
+            lines[1].append("cross_out")
         plans.append((crossed_pair, max(float(omegas.max()) for omegas, _ in sides), terms))
     if not plans:
         return iter(())
-    ranges = [(np.concatenate(nodes) if placed is nodes else placed, kinds) for placed, kinds in ranges]
+    arrays = [array for array in (lines, nodes) if array[0]]
+    for array in arrays:
+        array[0] = array[0][0] if len(array[0]) == 1 else np.concatenate(array[0])
+    step = min(max(1, _BLOCK // max(frequencies.size for frequencies, _ in arrays)), scales.size)
+    for array in arrays:
+        array.append(np.empty((len(array[1]), step, array[0].size)))
 
-    # values: per range and kind a segment of term values of a block of distances, distance-major
-    sizes = [frequencies.size for frequencies, _ in ranges]
-    step = min(max(1, _BLOCK // max(sizes)), scales.size)
-    offsets, total = [], 0
-    for size, (_, kinds) in zip(sizes, ranges):
-        offsets.append({kind: total + n * size * step for n, kind in enumerate(kinds)})
-        total += len(kinds) * size * step
-    values = np.empty(total)
     integrals = np.empty((len(plans), scales.size))
     for first in range(0, scales.size, step):
         block = scales[first : first + step]
-        for (frequencies, kinds), at in zip(ranges, offsets):
+        for frequencies, kinds, table in arrays:
             a = np.minimum(np.multiply.outer(block, frequencies), _A_LIMIT).ravel()
+            rows = table.reshape(len(kinds), -1)
             for start in range(0, a.size, _BLOCK):
                 part = a[start : start + _BLOCK]
                 moments = _moments(part)
-                for kind in kinds:
-                    values[at[kind] + start : at[kind] + start + part.size] = _term_values(kind, part, moments)
+                for kind, row in zip(kinds, rows):
+                    row[start : start + part.size] = _term_values(kind, part, moments)
                 del moments
         for i, scale in enumerate(block.tolist()):
             for out, (crossed_pair, top, terms) in zip(integrals, plans):
                 t2_out = crossed_pair and top * scale < _SERIES_BELOW
                 products = (
-                    c * (segment if index is None else segment[index])
-                    for kind, r, index, c in terms
-                    for at in [offsets[r]["cross_out" if t2_out and kind == "cross" else kind] + i * sizes[r]]
-                    for segment in [values[at : at + sizes[r]]]
+                    c * table[kinds.index("cross_out" if t2_out and kind == "cross" else kind), i, positions]
+                    for kind, (_, kinds, table), positions, c in terms
                 )
                 out[first + i] = math.fsum(itertools.chain.from_iterable(products))
     return iter(integrals)

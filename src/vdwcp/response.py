@@ -5,7 +5,8 @@ alpha(i xi)), magnetic dipole transitions (paramagnetisability beta_p(i xi),
 both Lorentzian sums that are positive and monotonically decreasing in xi)
 and a static diamagnetisability beta_d <= 0. On the imaginary axis the
 Lorentzian denominators omega_k^2 + xi^2 never vanish, so no pole
-regularization is needed anywhere.
+regularization is needed anywhere. An AtomModel carries, per Lorentzian sum,
+its static sum and the poles of its ratio to the static value, built once.
 """
 from __future__ import annotations
 
@@ -116,14 +117,37 @@ def diamagnetisability(spec: DiamagneticSpec) -> float:
         return -math.inf
 
 
+def _poles(transitions: tuple[Transition, ...]):
+    """sum_k omega_k |d_k|^2 / omega_k^2 and the poles of the Lorentzian sum over it.
+
+    The poles are arrays (omega_k, v_k) of R(xi) = sum v_k omega_k^2 / (omega_k^2 + xi^2),
+    v_k the share of transition k in the sum; None unless 0 < sum < inf. The sum
+    runs left to right, as _lorentz_sum does at xi = 0 (a loop, as sum()
+    compensates its float sums since Python 3.12).
+    """
+    shares = [(t.omega, t.omega * t.dipole_sq / t.omega**2) for t in transitions if t.dipole_sq]
+    static = 0.0
+    for _, share in shares:
+        static += share
+    if not 0.0 < static < math.inf:
+        return static, None
+    terms = np.array([share for _, share in shares])
+    return static, (np.array([omega for omega, _ in shares]), terms / math.fsum(terms))
+
+
 @dataclass(frozen=True, slots=True)
 class AtomModel:
-    """Isotropic atom: transition lists plus a static diamagnetisability."""
+    """Isotropic atom: transition lists plus a static diamagnetisability.
+
+    poles holds _poles of the electric and of the magnetic transitions, built
+    once per atom; equality, hash and repr ignore it.
+    """
 
     label: str
     electric_transitions: tuple[Transition, ...] = ()
     magnetic_transitions: tuple[Transition, ...] = ()
     diamagnetic: DiamagneticSpec = field(default_factory=DiamagneticSpec)
+    poles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "electric_transitions", tuple(self.electric_transitions))
@@ -134,13 +158,10 @@ class AtomModel:
         for t in self.magnetic_transitions:
             if t.kind != MAGNETIC:
                 raise ValueError(f"magnetic_transitions holds a {t.kind} transition")
-        # the static responses up to the positive factor 1/hbar, so zero in every unit system
-        statics = (
-            _lorentz_sum(self.electric_transitions, 0.0, 1.0),
-            _lorentz_sum(self.magnetic_transitions, 0.0, 1.0),
-            diamagnetisability(self.diamagnetic),
-        )
-        if not any(statics):
+        poles = (_poles(self.electric_transitions), _poles(self.magnetic_transitions))
+        object.__setattr__(self, "poles", poles)
+        # the static responses up to the positive factor 2/(3 hbar), so zero in every unit system
+        if not (poles[0][0] or poles[1][0] or diamagnetisability(self.diamagnetic)):
             raise ValueError(
                 f"atom {self.label!r} has no response at all: every static response is zero"
             )

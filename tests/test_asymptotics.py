@@ -117,8 +117,3 @@ def test_verify_tables_cell_dict_roundtrip():
     assert as_dict["channel"] == cell.entry.channel.value
     assert as_dict["passed"] is True
     assert isinstance(as_dict["measured_slope"], float)
-
-
-def test_corrupt_fixture_rejected_at_construction():
-    with pytest.raises(ValueError, match="Lenz"):
-        default_fixtures(beta_d=0.5)

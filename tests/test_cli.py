@@ -182,12 +182,6 @@ def test_tables_pass_in_both_formats(capsys):
     assert all(cell["passed"] is True for cell in doc["cells"])
 
 
-def test_tables_reject_positive_diamagnetisability(capsys):
-    code, _, err = _run(capsys, "tables", "--diamagnetic-beta", "0.5")
-    assert code == 2
-    assert "Lenz" in err
-
-
 def test_tables_reject_si_units(capsys):
     code, _, err = _run(capsys, "tables", "--units", "si")
     assert code == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import vdwcp.potentials
 from vdwcp import moment_table
+from vdwcp.asymptotics import default_fixtures, verify_tables
 from vdwcp.green import PlateKind
 from vdwcp.potentials import (
     MIRROR_CHANNELS,
@@ -36,6 +37,7 @@ from vdwcp.response import (
     alpha_iso,
     beta_para_iso,
 )
+from vdwcp.selftest import run_selftest
 from vdwcp.units import UnitSystem, constants_for
 
 NAT = constants_for(UnitSystem.NATURAL)
@@ -683,6 +685,23 @@ def test_moment_calls_do_not_grow_with_the_close_pairs(monkeypatch):
         pair_curve(atom, atom, np.geomspace(0.01, 100.0, 9), UnitSystem.NATURAL)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_lines_of_all_sides_share_their_moment_calls(monkeypatch):
+    # a curve's lines form one array: every side's frequencies once, the nodes apart
+    calls = []
+    real = vdwcp.potentials._moments
+    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
+    fixtures = default_fixtures()
+    pair_curve(fixtures["e"], fixtures["p"], np.geomspace(1.0, 1.1, 5), UnitSystem.NATURAL)
+    assert calls == [10]
+    calls.clear()
+    pair_curve(COMPOSITE_A, COMPOSITE_B, [1.0], UnitSystem.NATURAL)
+    assert calls == [4]
+    calls.clear()
+    verify_tables()
+    run_selftest()
+    assert len(calls) == 66
 
 
 @pytest.mark.parametrize("magnetic", [[0.6, 0.6012, 1.3, 2.9], [0.5, 0.5, 1.0001, 4.99]])

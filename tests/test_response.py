@@ -1,4 +1,5 @@
 """Atom response models: Lorentzian sums, the Lenz constraint, file loading."""
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -162,6 +163,38 @@ def test_atom_model_rejects_all_zero_static_responses():
     AtomModel(label="para", electric_transitions=(silent_e,), magnetic_transitions=(
         Transition(omega=2.0, dipole_sq=1e-3, kind=MAGNETIC),
     ))
+
+
+def test_atom_carries_its_poles():
+    # lines without a dipole element carry no pole; the shares sum to one
+    atom = AtomModel(
+        label="poles",
+        electric_transitions=(
+            Transition(omega=1.0, dipole_sq=0.5, kind=ELECTRIC),
+            Transition(omega=3.0, dipole_sq=0.0, kind=ELECTRIC),
+            Transition(omega=2.0, dipole_sq=1.5, kind=ELECTRIC),
+        ),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-1.0),
+    )
+    (static, (omegas, shares)), magnetic = atom.poles
+    assert static * (2.0 / 3.0) == alpha_iso(atom, 0.0, HBAR)
+    assert omegas.tolist() == [1.0, 2.0]
+    assert shares.tolist() == [0.4, 0.6]
+    assert magnetic == (0.0, None)
+    # a sum that leaves the float range has no poles; the curves report it
+    huge = Transition(omega=1.0, dipole_sq=1e308, kind=ELECTRIC)
+    assert AtomModel(label="huge", electric_transitions=(huge, huge)).poles[0] == (math.inf, None)
+
+
+def test_poles_are_not_part_of_the_atoms_value():
+    atom = _electric(omega=2.0, mu_sq=0.7)
+    copy = _electric(omega=2.0, mu_sq=0.7)
+    assert copy.poles[0][1][0] is not atom.poles[0][1][0]
+    assert copy == atom and hash(copy) == hash(atom)
+    assert "poles" not in repr(atom)
+    moved = dataclasses.replace(atom, electric_transitions=(Transition(omega=4.0, dipole_sq=0.7, kind=ELECTRIC),))
+    assert moved.poles[0][1][0].tolist() == [4.0]
+    assert moved.poles[0][0] == 0.7 / 4.0
 
 
 @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=50.0))
