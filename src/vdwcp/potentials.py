@@ -340,63 +340,68 @@ def _channel_integrals(channels, scales: np.ndarray):
     _response of the sides whose ratio is not 1. Its row integrates their
     product times the kernel (times x^2 for cross) as math.fsum of its terms:
     a distance gets the same bits in a curve as alone, and a swap changes no
-    bit. The poles form two arrays, each taking its moments once per distance
-    in calls of at most _BLOCK elements: the lines, every side's frequencies
-    once, and the Gauss-Legendre nodes of all channels' close pairs. A
-    two-sided crossed channel takes t^2 out (cross_out) where all its simple
-    poles have A < _SERIES_BELOW: keeping it in cancels to the order of A
-    there, taking it out to A^-2 elsewhere.
+    bit. The lines (every side's frequencies once) and the Gauss-Legendre nodes
+    of all channels' close pairs form two arrays, which take their moments in
+    calls of at most _BLOCK elements over blocks of the fewest distances that
+    cost the curve the fewest calls, no more than _BLOCK of the longest side
+    or of the nodes fill. A two-sided crossed channel takes t^2 out (cross_out)
+    where all its simple poles have A < _SERIES_BELOW: keeping it in cancels to
+    the order of A there, taking it out to A^-2 elsewhere.
     """
-    # each array: [frequencies, kinds of its terms], then its table of term values
-    lines, nodes, plans = [[], []], [[], []], []
+    lines, starts = [], {}
+    for _, sides in channels:
+        for omegas, _ in sides:
+            if id(omegas) not in starts:
+                starts[id(omegas)] = sum(placed.size for placed in lines)
+                lines.append(omegas)
+    kinds, nodes, plans = ([], []), [], []  # kinds: of the terms on the lines and on the nodes
     for kernel, sides in channels:
-        terms = []
-        for suffix, frequencies, index, coefficients in _partial_fractions(sides):
-            # a side's frequencies go into the lines once, matched by identity; nodes are always new
-            array = nodes if suffix and index is None else lines
-            start = 0
-            for placed in array[0]:
-                if placed is frequencies:
-                    break
-                start += placed.size
-            else:
-                array[0].append(frequencies)
-            kind = kernel + suffix
-            if kind not in array[1]:
-                array[1].append(kind)
-            positions = slice(start, start + frequencies.size) if index is None else index + start
-            terms.append((kind, array, positions, coefficients))
         crossed_pair = kernel == "cross" and len(sides) == 2
-        if crossed_pair and "cross_out" not in lines[1]:
-            lines[1].append("cross_out")
+        terms = []  # (array, row of its kind, row with t^2 out, positions, coefficients)
+        for suffix, frequencies, index, coefficients in _partial_fractions(sides):
+            r = int(bool(suffix) and index is None)  # the Gauss-Legendre nodes are array 1
+            start = sum(node.size for node in nodes) if r else starts[id(frequencies)]
+            if r:
+                nodes.append(frequencies)
+            kind = kernel + suffix
+            t2_kind = "cross_out" if crossed_pair and kind == "cross" else kind
+            for needed in (kind, t2_kind):
+                if needed not in kinds[r]:
+                    kinds[r].append(needed)
+            positions = slice(start, start + frequencies.size) if index is None else index + start
+            terms.append((r, kinds[r].index(kind), kinds[r].index(t2_kind), positions, coefficients))
         plans.append((crossed_pair, max(float(omegas.max()) for omegas, _ in sides), terms))
     if not plans:
         return iter(())
-    arrays = [array for array in (lines, nodes) if array[0]]
-    for array in arrays:
-        array[0] = array[0][0] if len(array[0]) == 1 else np.concatenate(array[0])
-    step = min(max(1, _BLOCK // max(frequencies.size for frequencies, _ in arrays)), scales.size)
-    for array in arrays:
-        array.append(np.empty((len(array[1]), step, array[0].size)))
+    widest = max([omegas.size for omegas in lines] + [sum(node.size for node in nodes)])
+    arrays = [np.concatenate(group) if len(group) > 1 else group[0] for group in (lines, nodes) if group]
+    del lines, starts, nodes
+
+    def calls(step):
+        full, rest = divmod(scales.size, step)
+        return sum(full * -(-step * f.size // _BLOCK) + -(-rest * f.size // _BLOCK) for f in arrays)
+
+    step = min(range(1, min(max(1, _BLOCK // widest), scales.size) + 1), key=calls)
+    tables = [np.empty((len(names), step, f.size)) for f, names in zip(arrays, kinds)]
 
     integrals = np.empty((len(plans), scales.size))
     for first in range(0, scales.size, step):
         block = scales[first : first + step]
-        for frequencies, kinds, table in arrays:
+        for frequencies, names, table in zip(arrays, kinds, tables):
             a = np.minimum(np.multiply.outer(block, frequencies), _A_LIMIT).ravel()
-            rows = table.reshape(len(kinds), -1)
+            rows = table.reshape(len(names), -1)
             for start in range(0, a.size, _BLOCK):
                 part = a[start : start + _BLOCK]
                 moments = _moments(part)
-                for kind, row in zip(kinds, rows):
+                for kind, row in zip(names, rows):
                     row[start : start + part.size] = _term_values(kind, part, moments)
                 del moments
         for i, scale in enumerate(block.tolist()):
             for out, (crossed_pair, top, terms) in zip(integrals, plans):
                 t2_out = crossed_pair and top * scale < _SERIES_BELOW
                 products = (
-                    c * table[kinds.index("cross_out" if t2_out and kind == "cross" else kind), i, positions]
-                    for kind, (_, kinds, table), positions, c in terms
+                    c * tables[r][row_out if t2_out else row, i, positions]
+                    for r, row, row_out, positions, c in terms
                 )
                 out[first + i] = math.fsum(itertools.chain.from_iterable(products))
     return iter(integrals)

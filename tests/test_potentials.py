@@ -704,6 +704,33 @@ def test_lines_of_all_sides_share_their_moment_calls(monkeypatch):
     assert len(calls) == 66
 
 
+def _ladder_atom(lines, shift=1.0):
+    """lines electric lines from 0.5 to 5 and as many magnetic ones 10% above them, times shift."""
+    electric = np.geomspace(0.5, 5.0, lines) * shift
+    return AtomModel(
+        label=f"ladder-{lines}",
+        electric_transitions=tuple(Transition(omega=float(w), dipole_sq=0.5, kind=ELECTRIC) for w in electric),
+        magnetic_transitions=tuple(Transition(omega=1.1 * float(w), dipole_sq=0.7, kind=MAGNETIC) for w in electric),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-0.3),
+    )
+
+
+@pytest.mark.parametrize("lines, mirror, pair", [(10, 6, 12), (6, 4, 7), (5, 3, 6), (3, 2, 4)])
+def test_shared_lines_take_no_more_moment_calls_than_each_side_apart(monkeypatch, lines, mirror, pair):
+    # 9 distances, no close pairs. Each side in an array of its own took, mirror and pair:
+    # 10 lines 6 and 12 (3 distances of 10 lines per call), 6 lines 4 and 8, 5 lines 4 and 8,
+    # 3 lines 2 and 4; one array of all 20 lines in blocks of 32 // 20 = 1 distance took 9 and 18
+    calls = []
+    real = vdwcp.potentials._moments
+    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
+    grid = np.geomspace(0.01, 100.0, 9)
+    mirror_curve(_ladder_atom(lines), grid, PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    assert len(calls) == mirror
+    calls.clear()
+    pair_curve(_ladder_atom(lines), _ladder_atom(lines, 1.37), grid, UnitSystem.NATURAL)
+    assert len(calls) == pair
+
+
 @pytest.mark.parametrize("magnetic", [[0.6, 0.6012, 1.3, 2.9], [0.5, 0.5, 1.0001, 4.99]])
 def test_self_pair_is_bitwise_the_pair_with_an_equal_copy(magnetic):
     # a self-pair counts each close pair once, twice weighted; a copy meets it both ways
