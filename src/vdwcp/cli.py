@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -56,10 +57,6 @@ def parse_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, points)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _metadata(args, **extra) -> dict[str, str]:
     meta = {"engine": f"vdwcp {__version__}", "subcommand": args.subcommand}
     meta.update(extra)
@@ -89,18 +86,12 @@ def _json_document(metadata: dict[str, str], body: dict) -> str:
     return json.dumps({"metadata": metadata, **body}, indent=2) + "\n"
 
 
-def _curve_columns(curve: PotentialCurve) -> tuple[list[str], list[np.ndarray]]:
+def _render_curve(args, curve: PotentialCurve, metadata: dict[str, str]) -> str:
     names = ["distance"] + [f"channel:{ch.value}" for ch in curve.values] + ["total"]
     columns = [curve.distances, *curve.values.values(), curve.total]
-    return names, columns
-
-
-def _render_curve(args, curve: PotentialCurve, metadata: dict[str, str]) -> str:
-    names, columns = _curve_columns(curve)
     if args.format == "json":
-        body = {"columns": {n: [float(v) for v in col] for n, col in zip(names, columns)}}
-        return _json_document(metadata, body)
-    rows = [[_fmt(col[i]) for col in columns] for i in range(curve.distances.size)]
+        return _json_document(metadata, {"columns": {n: col.tolist() for n, col in zip(names, columns)}})
+    rows = [[format(v, ".17g") for v in row] for row in np.array(columns).T.tolist()]
     return _csv_document(metadata, names, rows)
 
 
@@ -167,20 +158,13 @@ def cmd_slopes(args) -> int:
         grid=f"{args.grid} (geometric)",
         channel=args.channel,
     )
+    distances, slopes, signs = profile.distances.tolist(), profile.exponent.tolist(), profile.sign.tolist()
     if args.format == "json":
-        body = {
-            "columns": {
-                "distance": [float(v) for v in profile.distances],
-                "slope": [float(v) for v in profile.exponent],
-                "sign": [int(v) for v in profile.sign],
-            }
-        }
+        body = {"columns": {"distance": distances, "slope": slopes, "sign": signs}}
         _emit(args, _json_document(meta, body))
     else:
-        rows = [
-            [_fmt(profile.distances[i]), _fmt(profile.exponent[i]), str(int(profile.sign[i]))]
-            for i in range(profile.distances.size)
-        ]
+        rows = [[format(d, ".17g"), format(slope, ".17g"), str(sign)]
+                for d, slope, sign in zip(distances, slopes, signs)]
         _emit(args, _csv_document(meta, ["distance", "slope", "sign"], rows))
     return 0
 
@@ -258,6 +242,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str | None = "c
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache  # one parser per process; main dispatches by subcommand at call time
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vdwcp",
@@ -275,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     mirror.add_argument("--plate", choices=["conducting", "permeable"], required=True)
     mirror.add_argument("--grid", required=True, help="min:max:points, geometric spacing")
     _add_common(mirror)
-    mirror.set_defaults(handler=cmd_curve)
 
     pair = sub.add_parser("pair", help="two-atom potential over a separation grid")
     pair.add_argument("--atom", required=True, help="first atom definition file")
@@ -283,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="second atom definition file")
     pair.add_argument("--grid", required=True, help="min:max:points, geometric spacing")
     _add_common(pair)
-    pair.set_defaults(handler=cmd_curve)
 
     slopes = sub.add_parser("slopes", help="local log-log slopes of a computed curve")
     slopes.add_argument("--atom", required=True, help="atom definition file")
@@ -297,26 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["total"] + _CHANNEL_NAMES,
                         help="channel to differentiate (default: total)")
     _add_common(slopes)
-    slopes.set_defaults(handler=cmd_slopes)
 
     tables = sub.add_parser(
         "tables", help="verify the sign/power table of every channel and regime"
     )
     _add_common(tables)
-    tables.set_defaults(handler=cmd_tables)
 
     selftest = sub.add_parser("selftest", help="run the full oracle battery")
     _add_common(selftest, default_format=None)
-    selftest.set_defaults(handler=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handlers = {"mirror": cmd_curve, "pair": cmd_curve, "slopes": cmd_slopes,
+                "tables": cmd_tables, "selftest": cmd_selftest}
     try:
-        return args.handler(args)
+        return handlers[args.subcommand](args)
     except AtomFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,8 @@ signs of the static responses themselves (alpha, beta_p >= 0, beta_d <= 0).
 """
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -338,9 +338,10 @@ def _channel_integrals(channels, scales: np.ndarray):
 
     A channel is (kernel, sides): "mirror", "same" or "cross" and the poles of
     _response of the sides whose ratio is not 1. Its row integrates their
-    product times the kernel (times x^2 for cross) as math.fsum of its terms:
-    a distance gets the same bits in a curve as alone, and a swap changes no
-    bit. The lines (every side's frequencies once) and the Gauss-Legendre nodes
+    product times the kernel (times x^2 for cross) as math.fsum of its terms,
+    which a block of distances lays out as one row per distance: a distance
+    gets the same bits in a curve as alone, and a swap changes no bit. The
+    lines (every side's frequencies once) and the Gauss-Legendre nodes
     of all channels' close pairs form two arrays, which take their moments in
     calls of at most _BLOCK elements over blocks of the fewest distances that
     cost the curve the fewest calls, no more than _BLOCK of the longest side
@@ -357,7 +358,7 @@ def _channel_integrals(channels, scales: np.ndarray):
     kinds, nodes, plans = ([], []), [], []  # kinds: of the terms on the lines and on the nodes
     for kernel, sides in channels:
         crossed_pair = kernel == "cross" and len(sides) == 2
-        terms = []  # (array, row of its kind, row with t^2 out, positions, coefficients)
+        terms, width = [], 0  # (array, row of its kind, row with t^2 out, positions, column, coefficients)
         for suffix, frequencies, index, coefficients in _partial_fractions(sides):
             r = int(bool(suffix) and index is None)  # the Gauss-Legendre nodes are array 1
             start = sum(node.size for node in nodes) if r else starts[id(frequencies)]
@@ -369,8 +370,13 @@ def _channel_integrals(channels, scales: np.ndarray):
                 if needed not in kinds[r]:
                     kinds[r].append(needed)
             positions = slice(start, start + frequencies.size) if index is None else index + start
-            terms.append((r, kinds[r].index(kind), kinds[r].index(t2_kind), positions, coefficients))
-        plans.append((crossed_pair, max(float(omegas.max()) for omegas, _ in sides), terms))
+            terms.append((r, kinds[r].index(kind), kinds[r].index(t2_kind), positions, width, coefficients))
+            width += coefficients.size
+        switch = 0  # the first distances take t^2 out, until the top pole's A reaches _SERIES_BELOW
+        if crossed_pair:  # bisected as floats, several times faster than as numpy scalars
+            top = max(float(omegas.max()) for omegas, _ in sides)
+            switch = bisect_left(scales.tolist(), True, key=lambda s: top * s >= _SERIES_BELOW)
+        plans.append((switch, width, terms))
     if not plans:
         return iter(())
     widest = max([omegas.size for omegas in lines] + [sum(node.size for node in nodes)])
@@ -383,6 +389,7 @@ def _channel_integrals(channels, scales: np.ndarray):
 
     step = min(range(1, min(max(1, _BLOCK // widest), scales.size) + 1), key=calls)
     tables = [np.empty((len(names), step, f.size)) for f, names in zip(arrays, kinds)]
+    most_terms = max(width for _, width, _ in plans)
 
     integrals = np.empty((len(plans), scales.size))
     for first in range(0, scales.size, step):
@@ -396,14 +403,20 @@ def _channel_integrals(channels, scales: np.ndarray):
                 for kind, row in zip(names, rows):
                     row[start : start + part.size] = _term_values(kind, part, moments)
                 del moments
-        for i, scale in enumerate(block.tolist()):
-            for out, (crossed_pair, top, terms) in zip(integrals, plans):
-                t2_out = crossed_pair and top * scale < _SERIES_BELOW
-                products = (
-                    c * tables[r][row_out if t2_out else row, i, positions]
-                    for r, row, row_out, positions, c in terms
-                )
-                out[first + i] = math.fsum(itertools.chain.from_iterable(products))
+        # a channel's terms, a row per distance; allocated after the moments, to keep out of their peak
+        points = np.empty((block.size, most_terms))
+        for out, (switch, width, terms) in zip(integrals, plans):
+            switch = min(max(switch - first, 0), block.size)  # the block's distances with t^2 out
+            for r, row, row_out, positions, column, c in terms:
+                # c as a row: numpy broadcasts a 1d operand slowly; made here, where it costs no memory peak
+                columns, table, c = slice(column, column + c.size), tables[r], c[None]
+                if switch:
+                    np.multiply(table[row_out][:switch, positions], c, out=points[:switch, columns])
+                if switch < block.size:
+                    np.multiply(table[row][switch : block.size, positions], c, out=points[switch:, columns])
+            for i in range(block.size):  # .data: the row's floats one at a time, without a list of them
+                out[first + i] = math.fsum(points[i, :width].data)
+        del points
     return iter(integrals)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 ELECTRIC = "electric"
 MAGNETIC = "magnetic"
@@ -229,7 +228,7 @@ _YAML_SPECIAL_FLOATS = {".inf": math.inf, "+.inf": math.inf, "-.inf": -math.inf,
 
 
 def _as_float(path, node) -> float:
-    if not isinstance(node, yaml.ScalarNode):
+    if node.id != "scalar":
         _fail(path, node, "expected a number")
     special = _YAML_SPECIAL_FLOATS.get(node.value.lower())
     if special is not None:
@@ -241,13 +240,13 @@ def _as_float(path, node) -> float:
 
 
 def _as_entries(path, node, what: str) -> list:
-    if not isinstance(node, yaml.SequenceNode):
+    if node.id != "sequence":
         _fail(path, node, f"{what} must be a list")
     return node.value
 
 
 def _entry_map(path, node, allowed: set[str]) -> dict:
-    if not isinstance(node, yaml.MappingNode):
+    if node.id != "mapping":
         _fail(path, node, f"expected a mapping with keys {sorted(allowed)}")
     out = {}
     for key_node, value_node in node.value:
@@ -297,18 +296,23 @@ def _parse_particle(path, node) -> ChargedParticle:
 
 def load_atom_file(path) -> AtomModel:
     """Parse an atom definition file, reporting errors with file:line prefixes."""
+    import yaml  # here, so that importing vdwcp does not import PyYAML
+
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise AtomFileError(f"cannot read atom file {path}: {exc}") from exc
-    try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
-    except yaml.YAMLError as exc:
-        raise AtomFileError(f"{path}: not valid YAML: {exc}") from exc
+    try:  # libyaml where PyYAML has it: its nodes and marks are the pure-Python SafeLoader's
+        root = yaml.compose(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError:
+        try:  # SafeLoader's verdict, and its message, which quotes the offending line
+            root = yaml.compose(text, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as exc:
+            raise AtomFileError(f"{path}: not valid YAML: {exc}") from exc
     if root is None:
         raise AtomFileError(f"{path}: file is empty")
-    if not isinstance(root, yaml.MappingNode):
+    if root.id != "mapping":
         raise AtomFileError(f"{path}: top level must be a mapping")
 
     nodes = {}
@@ -322,7 +326,7 @@ def load_atom_file(path) -> AtomModel:
 
     if "label" not in nodes:
         raise AtomFileError(f"{path}: missing required key 'label'")
-    if not isinstance(nodes["label"], yaml.ScalarNode) or not nodes["label"].value:
+    if nodes["label"].id != "scalar" or not nodes["label"].value:
         _fail(path, nodes["label"], "label must be a non-empty string")
     label = nodes["label"].value
 

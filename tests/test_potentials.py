@@ -748,6 +748,49 @@ def test_self_pair_is_bitwise_the_pair_with_an_equal_copy(magnetic):
     assert np.array_equal(alone.total, pair.total)
 
 
+def _atom(electric, magnetic):
+    return AtomModel(
+        label="atom",
+        electric_transitions=tuple(Transition(omega=w, dipole_sq=0.6, kind=ELECTRIC) for w in electric),
+        magnetic_transitions=tuple(Transition(omega=w, dipole_sq=0.4, kind=MAGNETIC) for w in magnetic),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-0.5),
+    )
+
+
+# B's first electric line is A's second (a coincident pole), its first magnetic line 0.3% above
+# A's first electric line (Gauss-Legendre nodes); the self-pair meets its own lines (index positions)
+CLOSE_A, CLOSE_B = _atom([0.6, 1.3, 2.9], [1.0]), _atom([1.3, 3.3], [0.6018, 2.0])
+BLOCK_CASES = {
+    "lines-1": (_seeded_atom(3, 1, 1), _seeded_atom(4, 1, 1), np.geomspace(0.05, 20.0, 23)),
+    "lines-4": (_seeded_atom(5, 4, 3), _seeded_atom(6, 2, 4), np.geomspace(0.01, 100.0, 19)),
+    "lines-10": (_seeded_atom(7, 10, 10), _seeded_atom(8, 10, 9), np.geomspace(1e-3, 1e3, 17)),
+    "close-pair": (CLOSE_A, CLOSE_B, np.geomspace(0.01, 100.0, 21)),
+    "coincident-self": (CLOSE_B, CLOSE_B, np.geomspace(0.01, 100.0, 21)),
+    # one block of 8 distances; ep (top line 1.0) and pe (1.4) take t^2 out below l = 1 and 1/1.4
+    "switch-in-block": (COMPOSITE_A, COMPOSITE_B, np.geomspace(0.5, 2.0, 8)),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_sums_are_bitwise_one_point_runs(monkeypatch, case):
+    # a block lays out the same products as a one-point run, and math.fsum rounds each row once
+    atom, partner, grid = BLOCK_CASES[case]
+    calls = []
+    real = vdwcp.potentials._moments
+    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
+    curves = [mirror_curve(atom, grid, plate, UnitSystem.NATURAL) for plate in PlateKind]
+    curves.append(pair_curve(atom, partner, grid, UnitSystem.NATURAL))
+    if case == "switch-in-block":
+        assert calls == [16, 16, 32] and 1 / 1.4 > grid[1] and grid[-1] > 1.0  # a block per curve
+    for i, d in enumerate(grid.tolist()):
+        points = [mirror_curve(atom, [d], plate, UnitSystem.NATURAL) for plate in PlateKind]
+        points.append(pair_curve(atom, partner, [d], UnitSystem.NATURAL))
+        for curve, point in zip(curves, points):
+            for ch, values in curve.values.items():
+                assert values[i] == point.values[ch][0], (ch, d)
+            assert curve.total[i] == point.total[0]
+
+
 def test_batch_failure_is_the_lowest_distance_error():
     # In SI, alpha(0) ~ 6e249 makes the electric mirror channel overflow below
     # z ~ 2e-19; the curve names its first failing distance, as a one-point

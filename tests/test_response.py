@@ -1,14 +1,19 @@
 """Atom response models: Lorentzian sums, the Lenz constraint, file loading."""
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vdwcp
 from vdwcp.response import (
     ELECTRIC,
     MAGNETIC,
@@ -224,10 +229,32 @@ def test_polarisability_additive_over_transitions(omega_a, omega_b, xi):
 # -- atom files ---------------------------------------------------------------
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(params=["libyaml", "pure-python"])
+def yaml_loader(request, monkeypatch):
+    """load_atom_file through PyYAML's libyaml CSafeLoader, or through the SafeLoader it falls back to."""
+    if request.param == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    if request.param == "pure-python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+# the malformed-file cases keep their file:line messages under both loaders
+both_loaders = pytest.mark.usefixtures("yaml_loader")
+
+
 def _load(tmp_path, text):
     path = tmp_path / "atom.yaml"
     path.write_text(text)
     return load_atom_file(path)
+
+
+def _readme_example() -> str:
+    section = (ROOT / "README.md").read_text().split("## Atom files", 1)[1]
+    return re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
 
 
 def test_load_full_atom_file(tmp_path):
@@ -272,16 +299,19 @@ def test_missing_file_error_names_path():
         load_atom_file("no/such/file.yaml")
 
 
+@both_loaders
 def test_unknown_key_error_carries_line_number(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:3:"):
         _load(tmp_path, "label: x\nbeta_d: -1.0\nwalrus: 3\n")
 
 
+@both_loaders
 def test_positive_beta_d_rejected_with_location(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:2:.*Lenz"):
         _load(tmp_path, "label: x\nbeta_d: 0.25\n")
 
 
+@both_loaders
 def test_both_beta_sources_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="not both"):
         _load(
@@ -290,6 +320,7 @@ def test_both_beta_sources_rejected(tmp_path):
         )
 
 
+@both_loaders
 def test_bad_number_rejected_with_location(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:4:"):
         _load(
@@ -298,6 +329,7 @@ def test_bad_number_rejected_with_location(tmp_path):
         )
 
 
+@both_loaders
 @pytest.mark.parametrize("spelling", [".inf", "-.Inf", "+.INF", ".NaN", ".nan"])
 def test_yaml_non_finite_spellings_reach_the_finiteness_check(tmp_path, spelling):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:3: particle charge must be finite"):
@@ -306,52 +338,86 @@ def test_yaml_non_finite_spellings_reach_the_finiteness_check(tmp_path, spelling
         _load(tmp_path, f"label: x\nelectric_transitions:\n  - {{omega: {spelling}, mu_sq: 1.0}}\n")
 
 
+@both_loaders
+def test_invalid_yaml_is_reported_with_the_offending_line(tmp_path):
+    # in the pure-Python loader's words, which libyaml's differ from
+    with pytest.raises(AtomFileError, match=r"atom\.yaml: not valid YAML: mapping values are not allowed here\n"
+                       r'  in "<unicode string>", line 2, column 11:\n    beta_d: -1: 2\n'):
+        _load(tmp_path, "label: x\nbeta_d: -1: 2\n")
+
+
+@both_loaders
 def test_all_zero_atom_file_rejected_with_location(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:1: .*every static response is zero"):
         _load(tmp_path, "label: x\nelectric_transitions:\n  - {omega: 1.0, mu_sq: 0}\n")
 
 
+@both_loaders
 def test_missing_label_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="label"):
         _load(tmp_path, "beta_d: -1.0\n")
 
 
+@both_loaders
 def test_empty_file_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="empty"):
         _load(tmp_path, "")
 
 
+@both_loaders
 def test_non_mapping_top_level_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="mapping"):
         _load(tmp_path, "- 1\n- 2\n")
 
 
+@both_loaders
 def test_transition_missing_field_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="omega"):
         _load(tmp_path, "label: x\nelectric_transitions:\n  - mu_sq: 1.0\n")
 
 
+@both_loaders
 def test_empty_atom_file_content_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="response"):
         _load(tmp_path, "label: x\n")
 
 
 def test_bundled_example_atoms_load():
-    atoms_dir = Path(__file__).resolve().parents[1] / "atoms"
+    atoms_dir = ROOT / "atoms"
     labels = set()
     for path in sorted(atoms_dir.glob("*.yaml")):
         labels.add(load_atom_file(path).label)
     assert {"electric-unit", "paramagnetic-unit", "diamagnetic-unit", "hydrogen-1s"} <= labels
 
 
+@both_loaders
 def test_readme_atom_file_example_parses(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Atom files", 1)[1]
-    example = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
-    atom = _load(tmp_path, example)
+    atom = _load(tmp_path, _readme_example())
     assert atom.label == "hydrogen-1s"
     assert atom.electric_transitions == (
         Transition(omega=1.55e16, dipole_sq=1.82e-58, kind=ELECTRIC),
     )
     assert atom.magnetic_transitions == ()
     assert diamagnetisability(atom.diamagnetic) == pytest.approx(-3.946e-29, rel=1e-3)
+
+
+def test_libyaml_and_pure_python_loaders_give_equal_atoms(tmp_path, monkeypatch):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    readme = tmp_path / "readme.yaml"
+    readme.write_text(_readme_example())
+    paths = [*sorted(ROOT.glob("atoms/*.yaml")), *sorted(ROOT.glob("bench/data/*.yaml")), readme]
+    with_libyaml = [load_atom_file(path) for path in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert [load_atom_file(path) for path in paths] == with_libyaml
+    assert len(paths) == 7
+
+
+def test_importing_vdwcp_leaves_pyyaml_unloaded():
+    # PyYAML loads with the first atom file, not with the package
+    source = str(Path(vdwcp.__file__).resolve().parents[1])
+    probe = "import sys, vdwcp; print('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": source}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
