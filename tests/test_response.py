@@ -232,20 +232,6 @@ def test_polarisability_additive_over_transitions(omega_a, omega_b, xi):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(params=["libyaml", "pure-python"])
-def yaml_loader(request, monkeypatch):
-    """load_atom_file through PyYAML's libyaml CSafeLoader, or through the SafeLoader it falls back to."""
-    if request.param == "libyaml" and not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML is built without libyaml")
-    if request.param == "pure-python":
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    return request.param
-
-
-# the malformed-file cases keep their file:line messages under both loaders
-both_loaders = pytest.mark.usefixtures("yaml_loader")
-
-
 def _load(tmp_path, text):
     path = tmp_path / "atom.yaml"
     path.write_text(text)
@@ -299,19 +285,16 @@ def test_missing_file_error_names_path():
         load_atom_file("no/such/file.yaml")
 
 
-@both_loaders
 def test_unknown_key_error_carries_line_number(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:3:"):
         _load(tmp_path, "label: x\nbeta_d: -1.0\nwalrus: 3\n")
 
 
-@both_loaders
 def test_positive_beta_d_rejected_with_location(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:2:.*Lenz"):
         _load(tmp_path, "label: x\nbeta_d: 0.25\n")
 
 
-@both_loaders
 def test_both_beta_sources_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="not both"):
         _load(
@@ -320,7 +303,6 @@ def test_both_beta_sources_rejected(tmp_path):
         )
 
 
-@both_loaders
 def test_bad_number_rejected_with_location(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:4:"):
         _load(
@@ -329,8 +311,10 @@ def test_bad_number_rejected_with_location(tmp_path):
         )
 
 
-@both_loaders
-@pytest.mark.parametrize("spelling", [".inf", "-.Inf", "+.INF", ".NaN", ".nan"])
+NON_FINITE_SPELLINGS = [".inf", "-.Inf", "+.INF", ".NaN", ".nan"]
+
+
+@pytest.mark.parametrize("spelling", NON_FINITE_SPELLINGS)
 def test_yaml_non_finite_spellings_reach_the_finiteness_check(tmp_path, spelling):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:3: particle charge must be finite"):
         _load(tmp_path, f"label: x\nparticles:\n  - {{q: {spelling}, m: 1.0, r_sq: 1.0}}\n")
@@ -338,7 +322,6 @@ def test_yaml_non_finite_spellings_reach_the_finiteness_check(tmp_path, spelling
         _load(tmp_path, f"label: x\nelectric_transitions:\n  - {{omega: {spelling}, mu_sq: 1.0}}\n")
 
 
-@both_loaders
 def test_invalid_yaml_is_reported_with_the_offending_line(tmp_path):
     # in the pure-Python loader's words, which libyaml's differ from
     with pytest.raises(AtomFileError, match=r"atom\.yaml: not valid YAML: mapping values are not allowed here\n"
@@ -346,40 +329,67 @@ def test_invalid_yaml_is_reported_with_the_offending_line(tmp_path):
         _load(tmp_path, "label: x\nbeta_d: -1: 2\n")
 
 
-@both_loaders
 def test_all_zero_atom_file_rejected_with_location(tmp_path):
     with pytest.raises(AtomFileError, match=r"atom\.yaml:1: .*every static response is zero"):
         _load(tmp_path, "label: x\nelectric_transitions:\n  - {omega: 1.0, mu_sq: 0}\n")
 
 
-@both_loaders
 def test_missing_label_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="label"):
         _load(tmp_path, "beta_d: -1.0\n")
 
 
-@both_loaders
 def test_empty_file_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="empty"):
         _load(tmp_path, "")
 
 
-@both_loaders
 def test_non_mapping_top_level_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="mapping"):
         _load(tmp_path, "- 1\n- 2\n")
 
 
-@both_loaders
 def test_transition_missing_field_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="omega"):
         _load(tmp_path, "label: x\nelectric_transitions:\n  - mu_sq: 1.0\n")
 
 
-@both_loaders
 def test_empty_atom_file_content_rejected(tmp_path):
     with pytest.raises(AtomFileError, match="response"):
         _load(tmp_path, "label: x\n")
+
+
+# The malformed-file cases above load through libyaml where PyYAML has it; this
+# reruns each through the pure-Python SafeLoader, and the file:line messages must hold.
+@pytest.mark.parametrize(
+    ("case", "kwargs"),
+    [
+        *(
+            pytest.param(case, {}, id=case.__name__.removeprefix("test_"))
+            for case in (
+                test_unknown_key_error_carries_line_number,
+                test_positive_beta_d_rejected_with_location,
+                test_both_beta_sources_rejected,
+                test_bad_number_rejected_with_location,
+                test_invalid_yaml_is_reported_with_the_offending_line,
+                test_all_zero_atom_file_rejected_with_location,
+                test_missing_label_rejected,
+                test_empty_file_rejected,
+                test_non_mapping_top_level_rejected,
+                test_transition_missing_field_rejected,
+                test_empty_atom_file_content_rejected,
+            )
+        ),
+        *(
+            pytest.param(test_yaml_non_finite_spellings_reach_the_finiteness_check, {"spelling": s},
+                         id=f"non_finite_spelling_{s}")
+            for s in NON_FINITE_SPELLINGS
+        ),
+    ],
+)
+def test_malformed_files_keep_their_locations_without_libyaml(tmp_path, monkeypatch, case, kwargs):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    case(tmp_path, **kwargs)
 
 
 def test_bundled_example_atoms_load():
@@ -390,7 +400,6 @@ def test_bundled_example_atoms_load():
     assert {"electric-unit", "paramagnetic-unit", "diamagnetic-unit", "hydrogen-1s"} <= labels
 
 
-@both_loaders
 def test_readme_atom_file_example_parses(tmp_path):
     atom = _load(tmp_path, _readme_example())
     assert atom.label == "hydrogen-1s"
