@@ -60,7 +60,8 @@ def parse_grid(text: str) -> np.ndarray:
 def _metadata(args, **extra) -> dict[str, str]:
     meta = {"engine": f"vdwcp {__version__}", "subcommand": args.subcommand}
     meta.update(extra)
-    meta["rel-tol"] = format(args.rel_tol, "g")
+    if "rel_tol" in args:  # tables takes no --rel-tol
+        meta["rel-tol"] = format(args.rel_tol, "g")
     return meta
 
 
@@ -95,12 +96,6 @@ def _render_curve(args, curve: PotentialCurve, metadata: dict[str, str]) -> str:
     return _csv_document(metadata, names, rows)
 
 
-def _units_for(args, natural_default: bool = False) -> UnitSystem:
-    if args.units is not None:
-        return UnitSystem(args.units)
-    return UnitSystem.NATURAL if natural_default else UnitSystem.SI
-
-
 def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol)
 
@@ -123,7 +118,7 @@ def _curve(args, units: UnitSystem) -> tuple[PotentialCurve, dict[str, str]]:
 
 
 def cmd_curve(args) -> int:
-    units = _units_for(args)
+    units = UnitSystem(args.units)
     curve, atoms = _curve(args, units)
     meta = _metadata(
         args,
@@ -143,7 +138,7 @@ def cmd_slopes(args) -> int:
         )
     if args.atom_b and args.plate is not None:
         raise ValueError("--plate applies to mirror geometry only; drop it or --atom-b")
-    units = _units_for(args)
+    units = UnitSystem(args.units)
     curve, atoms = _curve(args, units)
     channel = "total" if args.channel == "total" else Channel(args.channel)
     if channel != "total" and channel not in curve.values:
@@ -170,12 +165,8 @@ def cmd_slopes(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    units = _units_for(args, natural_default=True)
-    if units is not UnitSystem.NATURAL:
-        raise ValueError("table verification is defined in natural units")
-    _quad_spec(args)  # validates rel_tol before any computation
-    report = verify_tables(rel_tol=args.rel_tol)
-    meta = _metadata(args, units=units.value)
+    report = verify_tables()
+    meta = _metadata(args, units=UnitSystem.NATURAL.value)
     if args.format == "json":
         body = {
             "all_passed": report.all_passed,
@@ -211,11 +202,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    units = _units_for(args, natural_default=True)
-    if units is not UnitSystem.NATURAL:
-        raise ValueError("the selftest is defined in natural units")
     report = run_selftest(rel_tol=args.rel_tol)
-    meta = _metadata(args, units=units.value)
+    meta = _metadata(args, units=UnitSystem.NATURAL.value)
     if args.format == "json":
         _emit(args, _json_document(meta, report.as_dict()))
     elif args.format == "csv":
@@ -232,11 +220,6 @@ def cmd_selftest(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str | None = "csv") -> None:
-    parser.add_argument("--units", choices=["si", "natural"], default=None,
-                        help="unit system (default: si for curves, natural for checks)")
-    parser.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol",
-                        help="relative tolerance of the selftest's quadratures, "
-                             "in [1e-13, 1e-2] (default 1e-10)")
     parser.add_argument("--format", choices=["csv", "json"], default=default_format,
                         help="output format")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -289,6 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="run the full oracle battery")
     _add_common(selftest, default_format=None)
 
+    # tables and selftest run in natural units; tables takes no quadrature tolerance
+    for curves in (mirror, pair, slopes):
+        curves.add_argument("--units", choices=["si", "natural"], default="si",
+                            help="unit system (default: si)")
+    for tolerant in (mirror, pair, slopes, selftest):
+        tolerant.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol",
+                              help="relative tolerance of the selftest's quadratures, "
+                                   "in [1e-13, 1e-2] (default 1e-10)")
     return parser
 
 

@@ -14,11 +14,18 @@ exactly zero; a channel value outside the float range is a ValueError naming
 the channel and the distance. Every value is a point of a PotentialCurve. A
 QuadratureSpec bounds only the quadrature oracles (vdw_pair_total_direct, selftest).
 
-Sign conventions that the whole module hangs on: the mirror magnetic trace is
-positive for a conducting plate and the electric trace is its negative; in
-free space the like-response kernel enters with a minus sign and the crossed
-electric-magnetic kernel with a plus sign. Everything else follows from the
-signs of the static responses themselves (alpha, beta_p >= 0, beta_d <= 0).
+One rule builds every channel of both geometries (_channel_values):
+
+    s_geom (-1)^n_e prefactor(d) unit c^(2 n_e) statics integral
+
+n_e counts the channel's electric letters. At a mirror s_geom is plate.sign
+(the magnetic trace is positive at a conductor, the electric trace its
+negative), unit is mu0 and the prefactor hbar c / (32 pi^2 z^4); in free
+space s_geom is -1, unit 1 and the prefactor hbar mu0^2 c / (16 pi^3 l^7).
+statics is the product of the channel's static responses, the smaller
+first, and integral that of their ratios against the kernel: mirror at a
+mirror; in free space cross, times x^2, for n_e = 1 and same otherwise.
+Every other sign is that of the statics (alpha, beta_p >= 0, beta_d <= 0).
 """
 from __future__ import annotations
 
@@ -431,31 +438,66 @@ def _check_channel(row: np.ndarray, channel: Channel, distances: np.ndarray, nam
         )
 
 
-def _mirror_values(
-    atom: AtomModel, distances: np.ndarray, plate: PlateKind, consts: Constants
-) -> np.ndarray:
-    """Every mirror channel at every distance, one row per MIRROR_CHANNELS entry.
+def _live(channels, responses: list, self_pair: bool):
+    """Each channel without a zero static: row, channel, electric letters, statics and poles.
 
-    The one mirror evaluation path: prefactor(z) * static * int R(c x / 2z)
-    mirror_kernel(x) dx, the integral from _channel_integrals or, for the
-    diamagnetic ratio 1, MIRROR_D_MOMENT. A zero static response stays zero.
+    The statics come smaller first; the poles are those of the sides whose ratio is not 1.
+    A self-pair's ep, ed and pd stand for pe, de and dp too. A generator, which
+    _channel_values takes twice: a list of every channel raised the verify memory peak.
     """
-    bases = _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, distances, 4, "mirror distance z")
-    responses = [_response(atom, ch.value, consts.hbar) for ch in MIRROR_CHANNELS]
-    channels = [("mirror", [poles]) for _, poles in responses if poles is not None]
-    integrals = _channel_integrals(channels, 2.0 * distances / consts.c)
-    values = np.zeros((len(MIRROR_CHANNELS), distances.size))
-    for row, ch, (static, poles) in zip(values, MIRROR_CHANNELS, responses):
-        if static == 0.0:
-            continue
-        integral = MIRROR_D_MOMENT if poles is None else next(integrals)
+    for row, ch in enumerate(channels):
+        if not (self_pair and ch.value[0] > ch.value[1]):
+            picked = [side[letter] for side, letter in zip(responses, ch.value)]
+            statics = sorted(static for static, _ in picked)
+            if 0.0 not in statics:
+                sides = [poles for _, poles in picked if poles is not None]
+                yield row, ch, ch.value.count(ELECTRIC_LETTER), statics, sides
+
+
+def _channel_values(
+    atoms: tuple[AtomModel, ...], distances: np.ndarray, plate: PlateKind | None, consts: Constants
+) -> np.ndarray:
+    """Every channel of one geometry at every distance, one row per channel.
+
+    The one evaluation path: one atom at a plate (MIRROR_CHANNELS) or two atoms
+    in free space (plate None, PAIR_CHANNELS), by the channel rule of the module
+    docstring; the all-diamagnetic channel integrates MIRROR_D_MOMENT or
+    PAIR_DD_MOMENT. A zero static response leaves its channel zero.
+    """
+    hbar, c = consts.hbar, consts.c
+    if plate is None:
+        channels, name, kernel, moment = PAIR_CHANNELS, "separation l", None, PAIR_DD_MOMENT
+        sign, unit = -1.0, 1.0
+        bases = _prefactors(hbar * consts.mu0**2 * c, 16.0 * np.pi**3, distances, 7, name)
+    else:
+        channels, name, kernel, moment = MIRROR_CHANNELS, "mirror distance z", "mirror", MIRROR_D_MOMENT
+        sign, unit = plate.sign, consts.mu0
+        bases = _prefactors(hbar * c, 32.0 * np.pi**2, distances, 4, name)
+    self_pair = len(atoms) == 2 and atoms[1] is atoms[0]
+    responses = [
+        {letter: _response(atom, letter, hbar) for letter in _STATIC_NAMES}
+        for atom in (atoms[:1] if self_pair else atoms)
+    ] * (1 + self_pair)  # a self-pair looks its atom up once, for both sides
+    integrals = _channel_integrals(
+        [
+            (kernel or ("cross" if electric == 1 else "same"), sides)
+            for _, _, electric, _, sides in _live(channels, responses, self_pair)
+            if sides
+        ],
+        2.0 * distances / c,
+    )
+    values = np.zeros((len(channels), distances.size))
+    for row, ch, electric, statics, sides in _live(channels, responses, self_pair):
+        integral = next(integrals) if sides else moment
         with np.errstate(over="ignore"):
-            if ch is Channel.E:
-                # electric trace = -(magnetic trace), hence the opposite sign
-                row[:] = -plate.sign * bases / consts.eps0 * static * integral
-            else:
-                row[:] = plate.sign * bases * consts.mu0 * static * integral
-        _check_channel(row, ch, distances, "mirror distance z")
+            value = bases * (sign * (-1) ** electric * unit * c ** (2 * electric))
+            for static in statics:  # the smaller first: no product of statics leaves the float range
+                value *= static
+            values[row] = value * integral
+        _check_channel(values[row], ch, distances, name)
+    for row, ch in enumerate(channels if self_pair else ()):
+        if ch.value[0] > ch.value[1]:
+            values[row] = values[channels.index(Channel(ch.value[::-1]))]
     return values
 
 
@@ -474,50 +516,6 @@ def cp_mirror_diamagnetic_closed(
     return plate.sign * 3.0 * consts.hbar * consts.mu0 * consts.c * beta_d / (
         32.0 * np.pi**2 * z**4
     )
-
-
-def _pair_values(
-    atom_a: AtomModel, atom_b: AtomModel, distances: np.ndarray, consts: Constants
-) -> np.ndarray:
-    """Every pair channel at every separation, one row per PAIR_CHANNELS entry.
-
-    The one pair evaluation path, see pair_curve, with dd = PAIR_DD_MOMENT. The
-    prefactor takes the smaller static response first, then the larger: no
-    product of statics can leave the float range, and a swap changes no bit.
-    """
-    hbar, c = consts.hbar, consts.c
-    bases = _prefactors(hbar * consts.mu0**2 * c, 16.0 * np.pi**3, distances, 7, "separation l")
-    letters = (ELECTRIC_LETTER, PARA_LETTER, DIA_LETTER)
-    responses_a = {letter: _response(atom_a, letter, hbar) for letter in letters}
-    if atom_b is atom_a:
-        responses_b = responses_a
-    else:
-        responses_b = {letter: _response(atom_b, letter, hbar) for letter in letters}
-
-    live = []  # a self-pair's ep, ed and pd stand for pe, de and dp too
-    for ch in PAIR_CHANNELS:
-        (static_a, poles_a), (static_b, poles_b) = responses_a[ch.value[0]], responses_b[ch.value[1]]
-        if static_a != 0.0 and static_b != 0.0 and not (atom_b is atom_a and ch.value[0] > ch.value[1]):
-            sides = [poles for poles in (poles_a, poles_b) if poles is not None]
-            live.append((ch, ch.value.count(ELECTRIC_LETTER) == 1, sorted((static_a, static_b)), sides))
-    channels = [("cross" if crossed else "same", sides) for _, crossed, _, sides in live if sides]
-    integrals = _channel_integrals(channels, 2.0 * distances / c)
-
-    values = np.zeros((len(PAIR_CHANNELS), distances.size))
-    for ch, crossed, (smaller, larger), sides in live:
-        row = values[PAIR_CHANNELS.index(ch)]
-        integral = next(integrals) if sides else PAIR_DD_MOMENT
-        with np.errstate(over="ignore"):
-            if crossed:
-                row[:] = bases * c**2 * smaller * larger * integral
-            else:
-                weight = c**4 if ch is Channel.EE else 1.0
-                row[:] = -bases * weight * smaller * larger * integral
-        _check_channel(row, ch, distances, "separation l")
-    for row, ch in zip(values, PAIR_CHANNELS):
-        if atom_b is atom_a and ch.value[0] > ch.value[1]:
-            row[:] = values[PAIR_CHANNELS.index(Channel(ch.value[::-1]))]
-    return values
 
 
 def vdw_pair_total_direct(
@@ -684,7 +682,7 @@ def mirror_curve(
     item 1 unblocks its deletion.
     """
     d = _grid(distances)
-    values = _mirror_values(atom, d, plate, constants_for(units))
+    values = _channel_values((atom,), d, plate, constants_for(units))
     return PotentialCurve(distances=d, values=dict(zip(MIRROR_CHANNELS, values)), plate=plate)
 
 
@@ -714,7 +712,7 @@ def pair_curve(
     deletion.
     """
     d = _grid(distances)
-    values = _pair_values(atom_a, atom_b, d, constants_for(units))
+    values = _channel_values((atom_a, atom_b), d, None, constants_for(units))
     return PotentialCurve(distances=d, values=dict(zip(PAIR_CHANNELS, values)))
 
 

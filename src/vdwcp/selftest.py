@@ -190,9 +190,10 @@ def _check_mirror_diamagnetic(ratio: float, tol: float) -> CheckResult:
     consts = constants_for(UnitSystem.NATURAL)
     atom = default_fixtures()["d"]
     worst = 0.0
-    for z in (0.5, 1.0, 2.0, 5.0):
-        for plate in PlateKind:
-            quad = mirror_curve(atom, [z], plate, UnitSystem.NATURAL).values[Channel.D][0] * ratio
+    grid = (0.5, 1.0, 2.0, 5.0)
+    for plate in PlateKind:
+        values = mirror_curve(atom, grid, plate, UnitSystem.NATURAL).values[Channel.D] * ratio
+        for z, quad in zip(grid, values):
             closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, consts)
             worst = max(worst, _max_rel_dev(quad, closed))
     return CheckResult(
@@ -342,9 +343,9 @@ def _check_lenz_flip() -> CheckResult:
     )
     problems = []
     for label, (a1, b1, ch1), (a2, b2, ch2) in comparisons:
-        for l in grid:
-            u1 = pair_curve(a1, b1, [l], UnitSystem.NATURAL).values[ch1][0]
-            u2 = pair_curve(a2, b2, [l], UnitSystem.NATURAL).values[ch2][0]
+        first = pair_curve(a1, b1, grid, UnitSystem.NATURAL).values[ch1]
+        second = pair_curve(a2, b2, grid, UnitSystem.NATURAL).values[ch2]
+        for l, u1, u2 in zip(grid, first, second):
             if not (u1 != 0.0 and u2 != 0.0 and np.sign(u1) == -np.sign(u2)):
                 problems.append(f"{label} at l={l:.3g}")
     return CheckResult(

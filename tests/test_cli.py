@@ -183,9 +183,11 @@ def test_tables_pass_in_both_formats(capsys):
 
 
 def test_tables_reject_si_units(capsys):
-    code, _, err = _run(capsys, "tables", "--units", "si")
-    assert code == 2
-    assert "natural" in err
+    # tables runs in natural units only and takes no --units
+    with pytest.raises(SystemExit) as exit_:
+        main(["tables", "--units", "si"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --units si" in capsys.readouterr().err
 
 
 def test_selftest_text_contains_adjudication(capsys):

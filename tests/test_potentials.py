@@ -701,7 +701,7 @@ def test_lines_of_all_sides_share_their_moment_calls(monkeypatch):
     calls.clear()
     verify_tables()
     run_selftest()
-    assert len(calls) == 66
+    assert len(calls) == 36
 
 
 def _ladder_atom(lines, shift=1.0):

@@ -23,5 +23,5 @@ def test_battery_integrates_each_kernel_moment_once(monkeypatch):
     # four kernel moments; the q-integral and the unfactored total integrate in their own modules
     assert len(quadratures) == 4
     # pair-dd: one 20-point curve and its spot point; additivity: one 3-point curve;
-    # asymptotes 4, swap 6 and Lenz 42 one-point curves
-    assert len(pair_curves) == 55
+    # asymptotes 4 and swap 6 one-point curves; Lenz 6 seven-point curves
+    assert len(pair_curves) == 19

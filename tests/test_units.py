@@ -15,8 +15,7 @@ from vdwcp.potentials import (
     PAIR_CHANNELS,
     Channel,
     Regime,
-    _mirror_values,
-    _pair_values,
+    _channel_values,
     cp_mirror_diamagnetic_closed,
     vdw_asymptote,
 )
@@ -71,15 +70,15 @@ def _mirror(atom, z, plate, channel):
     """One channel at one distance in the fake constants.
 
     Curves take a UnitSystem, so the fake constants go straight to the one
-    evaluation path, _mirror_values / _pair_values.
+    evaluation path of both geometries, _channel_values.
     """
-    values = _mirror_values(atom, np.array([z]), plate, FAKE)
+    values = _channel_values((atom,), np.array([z]), plate, FAKE)
     return values[MIRROR_CHANNELS.index(channel), 0]
 
 
 def _pair(atom_a, atom_b, l, channel):
     """One pair channel at one separation, in the fake constants."""
-    values = _pair_values(atom_a, atom_b, np.array([l]), FAKE)
+    values = _channel_values((atom_a, atom_b), np.array([l]), None, FAKE)
     return values[PAIR_CHANNELS.index(channel), 0]
 
 
