@@ -4,8 +4,8 @@ Isotropic atoms only ever probe traces of Green-tensor products, so this
 module exposes scalar kernels: the free-space like-type and cross-type trace
 products entering two-atom potentials, and the scattering-part trace at
 coincident points in front of a perfect mirror (the bulk part diverges there
-and is never evaluated). A minimal 3x3 assembly of the free-space tensors is
-kept module-private for the brute-force oracle tests.
+and is never evaluated). A minimal 3x3 assembly of the free-space tensors,
+stacked over samples, is kept module-private for the brute-force oracles.
 
 All kernels are real for xi >= 0 and decay at least like exp(-2x) in the
 dimensionless distance-frequency product x.
@@ -59,31 +59,33 @@ def pair_kernel_cross(x):
     return (1.0 + x) ** 2 * np.exp(-2.0 * x)
 
 
-def trace_gmm_gmm_free(l: float, xi: float, c: float) -> float:
+def _free_arguments(l, xi):
+    """l and xi as float arrays, checked: every l > 0 (naming the first that is not) and xi >= 0."""
+    l, xi = np.asarray(l, dtype=float), np.asarray(xi, dtype=float)
+    if not np.all(l > 0.0):
+        raise ValueError(f"separation l must be positive, got {float(l[~(l > 0.0)][0])!r}")
+    if np.any(xi < 0.0):
+        raise ValueError("xi must be >= 0")
+    return l, xi
+
+
+def trace_gmm_gmm_free(l, xi, c):
     """Tr[Gmm0(A,B) . Gmm0(B,A)] for two points a distance l apart in free space.
 
-    Equals 2 * pair_kernel_same(l xi / c) / (16 pi^2 l^6); positive.
+    Equals 2 * pair_kernel_same(l xi / c) / (16 pi^2 l^6); positive. l, xi, c broadcast.
     """
-    if not l > 0.0:
-        raise ValueError(f"separation l must be positive, got {l!r}")
-    if xi < 0.0:
-        raise ValueError("xi must be >= 0")
-    x = l * xi / c
-    return float(pair_kernel_same(x)) / (8.0 * np.pi**2 * l**6)
+    l, xi = _free_arguments(l, xi)
+    return pair_kernel_same(l * xi / c) / (8.0 * np.pi**2 * l**6)
 
 
-def trace_gme_gem_free(l: float, xi: float, c: float) -> float:
+def trace_gme_gem_free(l, xi, c):
     """Tr[Gme0(A,B) . Gem0(B,A)] for two points a distance l apart in free space.
 
     Equals -xi^2 pair_kernel_cross(l xi / c) / (8 pi^2 c^2 l^4); the minus sign
-    is what makes the crossed electric-magnetic channels repulsive.
+    is what makes the crossed electric-magnetic channels repulsive. l, xi, c broadcast.
     """
-    if not l > 0.0:
-        raise ValueError(f"separation l must be positive, got {l!r}")
-    if xi < 0.0:
-        raise ValueError("xi must be >= 0")
-    x = l * xi / c
-    return -(xi**2) * float(pair_kernel_cross(x)) / (8.0 * np.pi**2 * c**2 * l**4)
+    l, xi = _free_arguments(l, xi)
+    return -(xi**2) * pair_kernel_cross(l * xi / c) / (8.0 * np.pi**2 * c**2 * l**4)
 
 
 def mirror_kernel(x):
@@ -153,45 +155,45 @@ def mirror_gmm_trace_via_q_integral(
     return result.value / (8.0 * np.pi * z)
 
 
-# --- 3x3 assembly, used only by the brute-force trace oracles in the tests ---
+# --- 3x3 assembly, only for the brute-force trace oracles (selftest and tests) ---
+# l_vec (..., 3) with xi and c broadcasting against its leading axes gives
+# (..., 3, 3): a stack of samples takes one call, each with the bits it has alone.
 
 def _cross_matrix(e: np.ndarray) -> np.ndarray:
-    """Matrix K with K v = e x v."""
-    return np.array(
-        [
-            [0.0, -e[2], e[1]],
-            [e[2], 0.0, -e[0]],
-            [-e[1], e[0], 0.0],
-        ]
-    )
+    """Matrices K with K v = e x v, stacked like e."""
+    k = np.zeros(e.shape + (3,))
+    k[..., 2, 1], k[..., 0, 2], k[..., 1, 0] = e[..., 0], e[..., 1], e[..., 2]
+    return k - np.swapaxes(k, -1, -2)
 
 
-def _free_tensor_mm(l_vec: np.ndarray, xi: float, c: float) -> np.ndarray:
+def _separation(l_vec, xi, c):
+    """|l_vec|, its direction and x = |l_vec| xi / c, for l_vec = r_A - r_B."""
+    l_vec = np.asarray(l_vec, dtype=float)
+    # a dot product per vector, as np.linalg.norm takes; an array even for one, so l**3 is numpy's power
+    l = np.sqrt(l_vec[..., None, :] @ l_vec[..., :, None]).reshape(l_vec.shape[:-1])
+    if not np.all(l > 0.0):
+        raise ValueError("coincident points have no finite free-space tensor")
+    return l, l_vec / l[..., None], l * xi / c
+
+
+def _free_tensor_mm(l_vec: np.ndarray, xi, c) -> np.ndarray:
     """Gmm0(r_A, r_B) as a 3x3 matrix, l_vec = r_A - r_B, xi > 0.
 
     (xi/c)^2 times the free Green tensor; the x^2 denominator of the scalar
     form cancels, leaving e^(-x) (f I - g e e) / (4 pi l^3).
     """
-    l = float(np.linalg.norm(l_vec))
-    if not l > 0.0:
-        raise ValueError("coincident points have no finite free-space tensor")
-    e = np.asarray(l_vec, dtype=float) / l
-    x = l * xi / c
-    f, g = fg(x)
-    return np.exp(-x) / (4.0 * np.pi * l**3) * (float(f) * np.eye(3) - float(g) * np.outer(e, e))
+    l, e, x = _separation(l_vec, xi, c)
+    scale, f, g = (v[..., None, None] for v in (np.exp(-x) / (4.0 * np.pi * l**3), *fg(x)))
+    return scale * (f * np.eye(3) - g * (e[..., :, None] * e[..., None, :]))
 
 
-def _free_tensor_me(l_vec: np.ndarray, xi: float, c: float) -> np.ndarray:
+def _free_tensor_me(l_vec: np.ndarray, xi, c) -> np.ndarray:
     """Gme0(r_A, r_B) as a 3x3 matrix, l_vec = r_A - r_B."""
-    l = float(np.linalg.norm(l_vec))
-    if not l > 0.0:
-        raise ValueError("coincident points have no finite free-space tensor")
-    e = np.asarray(l_vec, dtype=float) / l
-    x = l * xi / c
+    l, e, x = _separation(l_vec, xi, c)
     amplitude = xi * (1.0 + x) * np.exp(-x) / (4.0 * np.pi * c * l**2)
-    return amplitude * _cross_matrix(e)
+    return amplitude[..., None, None] * _cross_matrix(e)
 
 
-def _free_tensor_em(l_vec: np.ndarray, xi: float, c: float) -> np.ndarray:
+def _free_tensor_em(l_vec: np.ndarray, xi, c) -> np.ndarray:
     """Gem0(r_A, r_B) = -Gme0(r_A, r_B)."""
     return -_free_tensor_me(l_vec, xi, c)

@@ -121,26 +121,30 @@ def _check_kernel_identities(rng) -> CheckResult:
 
 
 def _check_tensor_traces(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(100):
-        c = float(rng.choice([1.0, 2.0]))
-        l = float(rng.uniform(0.2, 3.0))
-        xi = float(rng.uniform(0.05, 5.0))
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        l_vec = l * direction
+    """Brute 3x3 tensor products against the scalar traces at 100 random samples.
 
-        brute_mm = np.trace(
-            _free_tensor_mm(l_vec, xi, c) @ _free_tensor_mm(-l_vec, xi, c)
-        )
-        brute_cross = np.trace(
-            _free_tensor_me(l_vec, xi, c) @ _free_tensor_em(-l_vec, xi, c)
-        )
-        worst = max(
-            worst,
-            _max_rel_dev(brute_mm, trace_gmm_gmm_free(l, xi, c)),
-            _max_rel_dev(brute_cross, trace_gme_gem_free(l, xi, c)),
-        )
+    The samples are drawn one at a time, in the order of a per-sample loop,
+    and evaluated in stacked blocks of 20. A block's tensors set the check's
+    tracemalloc peak: 8.1 KB for blocks of one sample, 14 KB for 20, 29 KB
+    for 50, 53 KB for 100; the rest of a verify request peaks at about 17 KB.
+    """
+    worst, block = 0.0, 20
+    products = (
+        (_free_tensor_mm, _free_tensor_mm, trace_gmm_gmm_free),
+        (_free_tensor_me, _free_tensor_em, trace_gme_gem_free),
+    )
+    for _ in range(100 // block):
+        c, l, xi, l_vec = np.empty(block), np.empty(block), np.empty(block), np.empty((block, 3))
+        for i in range(block):
+            c[i] = rng.choice([1.0, 2.0])
+            l[i] = rng.uniform(0.2, 3.0)
+            xi[i] = rng.uniform(0.05, 5.0)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            l_vec[i] = l[i] * direction
+        for forward, backward, trace in products:
+            brute = np.einsum("nij,nji->n", forward(l_vec, xi, c), backward(-l_vec, xi, c))
+            worst = max(worst, _max_rel_dev(brute, trace(l, xi, c)))
     return CheckResult(
         name="free-tensor-traces",
         passed=worst <= 1e-12,

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+import vdwcp.asymptotics
 from vdwcp.asymptotics import (
     ALL_TABLE_ENTRIES,
     MIRROR_TABLE,
     PAIR_TABLE,
+    REGIME_DEPTH,
     default_fixtures,
     local_log_slope,
     verify_tables,
@@ -17,6 +19,7 @@ from vdwcp.potentials import (
     Channel,
     PotentialCurve,
     mirror_curve,
+    pair_curve,
 )
 from vdwcp.units import UnitSystem
 
@@ -117,3 +120,63 @@ def test_verify_tables_cell_dict_roundtrip():
     assert as_dict["channel"] == cell.entry.channel.value
     assert as_dict["passed"] is True
     assert isinstance(as_dict["measured_slope"], float)
+
+
+def test_table_cells_are_bitwise_the_per_fixture_curves(monkeypatch):
+    # verify_tables takes one mirror and one self-pair curve of a fixture with the e, p and d
+    # responses; each cell's five values are those of its single-response fixtures' own curve
+    curves = {"mirror_curve": [], "pair_curve": []}
+    for name, taken in curves.items():
+        def recorded(*args, _original=getattr(vdwcp.asymptotics, name), _taken=taken, **kwargs):
+            _taken.append(_original(*args, **kwargs))
+            return _taken[-1]
+
+        monkeypatch.setattr(vdwcp.asymptotics, name, recorded)
+    report = verify_tables()
+    assert [len(taken) for taken in curves.values()] == [1, 1]
+    (mirror,), (pair,) = curves.values()
+    fixtures = default_fixtures()
+    for entry, cell in zip(ALL_TABLE_ENTRIES, report.cells):
+        grid = 1.02 ** np.arange(-2, 3) * REGIME_DEPTH[entry.regime]
+        if entry.geometry == "mirror":
+            atom = fixtures[entry.channel.value]
+            curve, alone = mirror, mirror_curve(atom, grid, PlateKind.CONDUCTING, UnitSystem.NATURAL)
+        else:
+            atoms = [fixtures[letter] for letter in entry.channel.value]
+            curve, alone = pair, pair_curve(*atoms, grid, UnitSystem.NATURAL)
+        start = int(np.flatnonzero(curve.distances == grid[0])[0])
+        assert curve.distances[start : start + 5].tobytes() == grid.tobytes()
+        values = curve.values[entry.channel][start : start + 5]
+        assert values.tobytes() == alone.values[entry.channel].tobytes(), entry
+        profile = local_log_slope(alone, entry.channel)
+        assert cell.measured_slope == profile.exponent[profile.exponent.size // 2], entry
+
+
+def _loop_log_slope(d, u):
+    """The per-point loop that local_log_slope's array form replaced, as its reference."""
+    kept, slopes, signs = [], [], []
+    log_d = np.log(d)
+    for i in range(1, d.size - 1):
+        window = u[i - 1 : i + 2]
+        s = np.sign(window)
+        if np.any(window == 0.0) or not (s == s[0]).all():
+            continue
+        slopes.append((np.log(abs(u[i + 1])) - np.log(abs(u[i - 1]))) / (log_d[i + 1] - log_d[i - 1]))
+        kept.append(i)
+        signs.append(int(s[0]))
+    return d[kept], np.array(slopes), np.array(signs, dtype=int)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slopes_are_bitwise_the_per_point_loop(seed):
+    rng = np.random.default_rng(seed)
+    distances = np.geomspace(0.5, 8.0, 13)
+    signs = rng.choice([-1.0, 0.0, 1.0], p=[0.3, 0.1, 0.6], size=13)
+    dd = signs * rng.uniform(0.5, 2.0, size=13) * distances ** rng.uniform(-7.0, -3.0)
+    values = {ch: np.zeros(13) for ch in PAIR_CHANNELS}
+    values[Channel.DD] = dd
+    profile = local_log_slope(PotentialCurve(distances=distances, values=values), Channel.DD)
+    reference = _loop_log_slope(distances, dd)
+    for got, expected in zip((profile.distances, profile.exponent, profile.sign), reference):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vdwcp.selftest
 from vdwcp.green import (
     PlateKind,
     _free_tensor_em,
@@ -137,3 +138,73 @@ def test_free_traces_validate_arguments():
         trace_gmm_gmm_free(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         mirror_gmm_trace(-1.0, 1.0, PlateKind.CONDUCTING, 1.0)
+
+
+def _stacked_samples(n):
+    c = RNG.choice([1.0, 2.0], size=n)
+    l = RNG.uniform(0.2, 3.0, size=n)
+    xi = RNG.uniform(0.05, 5.0, size=n)
+    directions = RNG.normal(size=(n, 3))
+    return c, l, xi, l[:, None] * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+
+
+def test_stacked_tensors_and_traces_are_their_one_sample_results():
+    c, l, xi, l_vec = _stacked_samples(20)
+    for tensor in (_free_tensor_mm, _free_tensor_me, _free_tensor_em):
+        stacked = tensor(l_vec, xi, c)
+        assert stacked.shape == (20, 3, 3)
+        for i in range(20):
+            assert stacked[i].tobytes() == tensor(l_vec[i], float(xi[i]), float(c[i])).tobytes()
+        # any leading axes
+        square = tensor(l_vec.reshape(4, 5, 3), xi.reshape(4, 5), c.reshape(4, 5))
+        assert square.tobytes() == stacked.tobytes()
+    for trace in (trace_gmm_gmm_free, trace_gme_gem_free):
+        stacked = trace(l, xi, c)
+        assert stacked.shape == (20,)
+        alone = [trace(float(l[i]), float(xi[i]), float(c[i])) for i in range(20)]
+        assert stacked.tolist() == alone
+
+
+def test_trace_battery_draws_the_per_sample_loop_samples(monkeypatch):
+    # the samples and the generator state after them are those of one draw per sample, in order
+    drawn = {"l_vec": [], "lxc": []}
+
+    def record(name, original, key, pick):
+        def recorded(*args):
+            drawn[key].append(pick(*args))
+            return original(*args)
+
+        monkeypatch.setattr(vdwcp.selftest, name, recorded)
+
+    record("_free_tensor_me", _free_tensor_me, "l_vec", lambda l_vec, xi, c: l_vec.copy())
+    record("trace_gmm_gmm_free", trace_gmm_gmm_free, "lxc", lambda l, xi, c: np.stack([l, xi, c], axis=1))
+    batched = np.random.default_rng(vdwcp.selftest._RNG_SEED)
+    assert vdwcp.selftest._check_tensor_traces(batched).passed
+    rng = np.random.default_rng(vdwcp.selftest._RNG_SEED)
+    samples, vectors = [], []
+    for _ in range(100):
+        c = float(rng.choice([1.0, 2.0]))
+        l = float(rng.uniform(0.2, 3.0))
+        xi = float(rng.uniform(0.05, 5.0))
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        samples.append((l, xi, c))
+        vectors.append(l * direction)
+    assert np.concatenate(drawn["lxc"]).tobytes() == np.array(samples).tobytes()
+    assert np.concatenate(drawn["l_vec"]).tobytes() == np.array(vectors).tobytes()
+    assert batched.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trace", [trace_gmm_gmm_free, trace_gme_gem_free])
+@pytest.mark.parametrize("l, xi", [(0.0, 1.0), (-0.5, 1.0), (float("nan"), 1.0), (1.0, -0.1)])
+def test_free_traces_reject_one_bad_sample_as_its_scalar(trace, l, xi):
+    with pytest.raises(ValueError) as scalar:
+        trace(l, xi, 1.0)
+    with pytest.raises(ValueError) as stacked:
+        trace(np.array([1.0, l, 2.0]), np.array([0.5, xi, 0.5]), 1.0)
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_stacked_tensors_reject_one_coincident_pair():
+    with pytest.raises(ValueError, match="coincident"):
+        _free_tensor_mm(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1.0, 1.0)
