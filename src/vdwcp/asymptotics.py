@@ -185,35 +185,29 @@ def _check_entry(entry: TableEntry, distances: np.ndarray, values: np.ndarray) -
         problems.append(
             f"slope {measured_slope:.4f} off expected {entry.expected_power} by more than {SLOPE_TOL}"
         )
-    return TableCellResult(
-        entry=entry,
-        measured_slope=measured_slope,
-        measured_sign=measured_sign,
-        passed=not problems,
-        detail="; ".join(problems) if problems else "ok",
-    )
+    return TableCellResult(entry, measured_slope, measured_sign, not problems, "; ".join(problems) or "ok")
 
 
 def verify_tables(rel_tol: float = 1e-10) -> TableReport:
     """Check every sign/power cell against curves computed in the deep regimes.
 
-    Two curves of one fixture atom with the e, p and d responses serve all 23
-    cells: a conducting-mirror curve and a self-pair curve, each on the
-    five-point grids of its _CURVE_REGIMES in turn. A cell reads its channel's
-    five values in its regime. A channel reads only its own two responses,
-    and a value depends on no other point of its curve, so these are bit for
-    bit the values of the single-response fixtures' curve on that grid alone.
+    A conducting-mirror and a self-pair curve of one fixture atom with the e,
+    p and d responses serve all 23 cells, on the five-point grids of their
+    _CURVE_REGIMES in turn. A channel reads only its own two responses, and a
+    value depends on no other point of its curve, so a cell's five values are
+    those of the single-response fixtures' curve on its grid alone, bit for bit.
     Deterministic: the fixture and grids are fixed and the curves exact (rel_tol
     bounds no quadrature here); runs in natural units with O(1) fixture magnitudes.
     """
     QuadratureSpec(rel_tol=rel_tol)  # checked only: bench/workloads.py passes it (ROADMAP item 1)
     e, p, d = default_fixtures().values()
     atom = AtomModel("table-fixture", e.electric_transitions, p.magnetic_transitions, d.diamagnetic)
-    grid = {g: np.concatenate([_grid_around(REGIME_DEPTH[r]) for r in rs]) for g, rs in _CURVE_REGIMES.items()}
-    curves = {
-        "mirror": mirror_curve(atom, grid["mirror"], PlateKind.CONDUCTING, UnitSystem.NATURAL),
-        "pair": pair_curve(atom, atom, grid["pair"], UnitSystem.NATURAL),
+    grid = {
+        geometry: np.concatenate([_grid_around(REGIME_DEPTH[regime]) for regime in regimes])
+        for geometry, regimes in _CURVE_REGIMES.items()
     }
+    mirror = mirror_curve(atom, grid["mirror"], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    curves = {"mirror": mirror, "pair": pair_curve(atom, atom, grid["pair"], UnitSystem.NATURAL)}
     cells = []
     for entry in ALL_TABLE_ENTRIES:
         curve, start = curves[entry.geometry], 5 * _CURVE_REGIMES[entry.geometry].index(entry.regime)

@@ -156,20 +156,21 @@ def mirror_gmm_trace_via_q_integral(
 
 
 # --- 3x3 assembly, only for the brute-force trace oracles (selftest and tests) ---
-# l_vec (..., 3) with xi and c broadcasting against its leading axes gives
-# (..., 3, 3): a stack of samples takes one call, each with the bits it has alone.
+# l_vec (..., 3), with xi and c broadcasting against its leading axes, gives
+# (..., 3, 3): a stack of samples in one call, each with the bits it has alone.
 
 def _cross_matrix(e: np.ndarray) -> np.ndarray:
     """Matrices K with K v = e x v, stacked like e."""
     k = np.zeros(e.shape + (3,))
     k[..., 2, 1], k[..., 0, 2], k[..., 1, 0] = e[..., 0], e[..., 1], e[..., 2]
-    return k - np.swapaxes(k, -1, -2)
+    k[..., 1, 2], k[..., 2, 0], k[..., 0, 1] = -e[..., 0], -e[..., 1], -e[..., 2]
+    return k
 
 
 def _separation(l_vec, xi, c):
-    """|l_vec|, its direction and x = |l_vec| xi / c, for l_vec = r_A - r_B."""
+    """|l_vec|, its direction and x = |l_vec| xi / c. |l_vec| is a dot product, as np.linalg.norm
+    takes, and an array even for one l_vec, so that its powers are numpy's for one sample too."""
     l_vec = np.asarray(l_vec, dtype=float)
-    # a dot product per vector, as np.linalg.norm takes; an array even for one, so l**3 is numpy's power
     l = np.sqrt(l_vec[..., None, :] @ l_vec[..., :, None]).reshape(l_vec.shape[:-1])
     if not np.all(l > 0.0):
         raise ValueError("coincident points have no finite free-space tensor")
@@ -183,15 +184,20 @@ def _free_tensor_mm(l_vec: np.ndarray, xi, c) -> np.ndarray:
     form cancels, leaving e^(-x) (f I - g e e) / (4 pi l^3).
     """
     l, e, x = _separation(l_vec, xi, c)
-    scale, f, g = (v[..., None, None] for v in (np.exp(-x) / (4.0 * np.pi * l**3), *fg(x)))
-    return scale * (f * np.eye(3) - g * (e[..., :, None] * e[..., None, :]))
+    f, g = fg(x)
+    # f I - g e e in one array: -(g e e), then f added on the diagonal, rounds as f I - g e e does
+    tensor = e[..., :, None] * e[..., None, :]
+    tensor *= -g[..., None, None]
+    tensor[..., range(3), range(3)] += f[..., None]
+    tensor *= (np.exp(-x) / (4.0 * np.pi * l**3))[..., None, None]
+    return tensor
 
 
 def _free_tensor_me(l_vec: np.ndarray, xi, c) -> np.ndarray:
     """Gme0(r_A, r_B) as a 3x3 matrix, l_vec = r_A - r_B."""
     l, e, x = _separation(l_vec, xi, c)
     amplitude = xi * (1.0 + x) * np.exp(-x) / (4.0 * np.pi * c * l**2)
-    return amplitude[..., None, None] * _cross_matrix(e)
+    return _cross_matrix(amplitude[..., None] * e)
 
 
 def _free_tensor_em(l_vec: np.ndarray, xi, c) -> np.ndarray:

@@ -125,8 +125,8 @@ def _check_tensor_traces(rng) -> CheckResult:
 
     The samples are drawn one at a time, in the order of a per-sample loop,
     and evaluated in stacked blocks of 20. A block's tensors set the check's
-    tracemalloc peak: 8.1 KB for blocks of one sample, 14 KB for 20, 29 KB
-    for 50, 53 KB for 100; the rest of a verify request peaks at about 17 KB.
+    tracemalloc peak: 5.8 KB for blocks of one sample, 11.8 KB for 20, 24 KB
+    for 50, 44 KB for 100; the rest of a verify request peaks at about 17 KB.
     """
     worst, block = 0.0, 20
     products = (
