@@ -4,11 +4,15 @@ Exit codes: 0 success, 1 failed check (tables/selftest), 2 usage or
 configuration error, 3 numerical failure, 4 internal error (any other
 exception, reported as one "internal error: <type>: <message>" line on
 stderr). Output is byte-deterministic for a fixed command line; every file
-carries its configuration as metadata.
+carries its configuration as metadata. Standard output and an --out file carry
+the same UTF-8 bytes. Each command computes its whole result before it opens
+its output, so one that exits 2, 3 or 4 writes no output and creates no file
+(short of a write that fails part way, such as on a full disk).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -30,7 +34,7 @@ from .potentials import (
     pair_curve,
 )
 from .quad import QuadratureError, QuadratureSpec
-from .response import AtomFileError, load_atom_file
+from .response import load_atom_file
 from .selftest import run_selftest
 from .units import UnitSystem
 
@@ -65,69 +69,67 @@ def _metadata(args, **extra) -> dict[str, str]:
     return meta
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as sink:
-            sink.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(args, meta: dict[str, str], body: dict, header: list[str], rows, text=()) -> None:
+    """Write one document to --out or to stdout, as the same UTF-8 bytes either way.
+
+    JSON is `body` under "metadata", dumped in one piece. CSV and selftest's text
+    format (no --format) open with `# key: value` lines; CSV then streams the
+    header and `rows` through one csv.writer, and text writes `text` one per line.
+    """
+    with contextlib.ExitStack() as stack:
+        if args.out:
+            sink = stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
+        elif hasattr(sys.stdout, "buffer"):  # an io.StringIO under redirect_stdout has none
+            sys.stdout.flush()
+            sink = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
+            stack.callback(sink.detach)
+        else:
+            sink = sys.stdout
+        if args.format == "json":
+            sink.write(json.dumps({"metadata": meta, **body}, indent=2) + "\n")
+            return
+        sink.writelines(f"# {key}: {value}\n" for key, value in meta.items())
+        if args.format == "csv":
+            writer = csv.writer(sink, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            sink.writelines(f"{line}\n" for line in text)
 
 
-def _csv_document(metadata: dict[str, str], header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    for key, value in metadata.items():
-        buffer.write(f"# {key}: {value}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _write_columns(args, meta: dict[str, str], columns: dict[str, np.ndarray]) -> None:
+    """mirror, pair and slopes: named columns of one length, `.17g` in CSV and lists in JSON."""
+    columns = {name: column.tolist() for name, column in columns.items()}
+    rows = ([format(v, ".17g") for v in row] for row in zip(*columns.values()))
+    _write(args, meta, {"columns": columns}, list(columns), rows)
 
 
-def _json_document(metadata: dict[str, str], body: dict) -> str:
-    return json.dumps({"metadata": metadata, **body}, indent=2) + "\n"
-
-
-def _render_curve(args, curve: PotentialCurve, metadata: dict[str, str]) -> str:
-    names = ["distance"] + [f"channel:{ch.value}" for ch in curve.values] + ["total"]
-    columns = [curve.distances, *curve.values.values(), curve.total]
-    if args.format == "json":
-        return _json_document(metadata, {"columns": {n: col.tolist() for n, col in zip(names, columns)}})
-    rows = [[format(v, ".17g") for v in row] for row in np.array(columns).T.tolist()]
-    return _csv_document(metadata, names, rows)
-
-
-def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=args.rel_tol)
-
-
-def _curve(args, units: UnitSystem) -> tuple[PotentialCurve, dict[str, str]]:
-    """The curve the arguments ask for and its atoms' metadata.
+def _curve(args) -> tuple[PotentialCurve, dict[str, str]]:
+    """The curve the arguments ask for and the metadata that every curve command writes.
 
     Two atoms give a pair curve; one atom gives a mirror curve at args.plate.
     """
-    _quad_spec(args)  # --rel-tol bounds no curve; checked because bench/workloads.py passes it
+    # --rel-tol bounds no curve; it is checked because bench/workloads.py passes it
+    QuadratureSpec(rel_tol=args.rel_tol)
+    units = UnitSystem(args.units)
     atom = load_atom_file(args.atom)
     atom_b_path = getattr(args, "atom_b", None)
     if atom_b_path:
         atom_b = load_atom_file(atom_b_path)
         curve = pair_curve(atom, atom_b, parse_grid(args.grid), units)
-        return curve, {"atom": atom.label, "atom_b": atom_b.label}
-    plate = PlateKind(args.plate)
-    curve = mirror_curve(atom, parse_grid(args.grid), plate, units)
-    return curve, {"atom": atom.label, "plate": plate.value}
+        atoms = {"atom": atom.label, "atom_b": atom_b.label}
+    else:
+        plate = PlateKind(args.plate)
+        curve = mirror_curve(atom, parse_grid(args.grid), plate, units)
+        atoms = {"atom": atom.label, "plate": plate.value}
+    return curve, {"units": units.value, **atoms, "grid": f"{args.grid} (geometric)"}
 
 
 def cmd_curve(args) -> int:
-    units = UnitSystem(args.units)
-    curve, atoms = _curve(args, units)
-    meta = _metadata(
-        args,
-        units=units.value,
-        **atoms,
-        grid=f"{args.grid} (geometric)",
-        method="closed-form",
-    )
-    _emit(args, _render_curve(args, curve, meta))
+    curve, shared = _curve(args)
+    channels = {f"channel:{ch.value}": values for ch, values in curve.values.items()}
+    meta = _metadata(args, **shared, method="closed-form")
+    _write_columns(args, meta, {"distance": curve.distances, **channels, "total": curve.total})
     return 0
 
 
@@ -138,84 +140,61 @@ def cmd_slopes(args) -> int:
         )
     if args.atom_b and args.plate is not None:
         raise ValueError("--plate applies to mirror geometry only; drop it or --atom-b")
-    units = UnitSystem(args.units)
-    curve, atoms = _curve(args, units)
     channel = "total" if args.channel == "total" else Channel(args.channel)
-    if channel != "total" and channel not in curve.values:
+    if channel not in ("total", *(PAIR_CHANNELS if args.atom_b else MIRROR_CHANNELS)):
         raise ValueError(
             f"channel {args.channel!r} does not exist in this geometry"
         )
+    curve, shared = _curve(args)
     profile = local_log_slope(curve, channel)
-    meta = _metadata(
-        args,
-        units=units.value,
-        **atoms,
-        grid=f"{args.grid} (geometric)",
-        channel=args.channel,
-    )
-    distances, slopes, signs = profile.distances.tolist(), profile.exponent.tolist(), profile.sign.tolist()
-    if args.format == "json":
-        body = {"columns": {"distance": distances, "slope": slopes, "sign": signs}}
-        _emit(args, _json_document(meta, body))
-    else:
-        rows = [[format(d, ".17g"), format(slope, ".17g"), str(sign)]
-                for d, slope, sign in zip(distances, slopes, signs)]
-        _emit(args, _csv_document(meta, ["distance", "slope", "sign"], rows))
+    meta = _metadata(args, **shared, channel=args.channel)
+    columns = {"distance": profile.distances, "slope": profile.exponent, "sign": profile.sign}
+    _write_columns(args, meta, columns)
     return 0
 
 
 def cmd_tables(args) -> int:
     report = verify_tables()
     meta = _metadata(args, units=UnitSystem.NATURAL.value)
-    if args.format == "json":
-        body = {
-            "all_passed": report.all_passed,
-            "cells": [cell.as_dict() for cell in report.cells],
-        }
-        _emit(args, _json_document(meta, body))
-    else:
-        header = [
-            "channel",
-            "geometry",
-            "regime",
-            "expected_sign",
-            "expected_power",
-            "measured_slope",
-            "measured_sign",
-            "status",
+    body = {
+        "all_passed": report.all_passed,
+        "cells": [cell.as_dict() for cell in report.cells],
+    }
+    header = [
+        "channel",
+        "geometry",
+        "regime",
+        "expected_sign",
+        "expected_power",
+        "measured_slope",
+        "measured_sign",
+        "status",
+    ]
+    rows = (
+        [
+            cell.entry.channel.value,
+            cell.entry.geometry,
+            cell.entry.regime,
+            f"{cell.entry.expected_sign:+d}",
+            str(cell.entry.expected_power),
+            format(cell.measured_slope, ".6g"),
+            f"{cell.measured_sign:+d}",
+            "PASS" if cell.passed else "FAIL",
         ]
-        rows = [
-            [
-                cell.entry.channel.value,
-                cell.entry.geometry,
-                cell.entry.regime,
-                f"{cell.entry.expected_sign:+d}",
-                str(cell.entry.expected_power),
-                format(cell.measured_slope, ".6g"),
-                f"{cell.measured_sign:+d}",
-                "PASS" if cell.passed else "FAIL",
-            ]
-            for cell in report.cells
-        ]
-        _emit(args, _csv_document(meta, header, rows))
+        for cell in report.cells
+    )
+    _write(args, meta, body, header, rows)
     return 0 if report.all_passed else 1
 
 
 def cmd_selftest(args) -> int:
     report = run_selftest(rel_tol=args.rel_tol)
     meta = _metadata(args, units=UnitSystem.NATURAL.value)
-    if args.format == "json":
-        _emit(args, _json_document(meta, report.as_dict()))
-    elif args.format == "csv":
-        rows = [
-            [check.name, "PASS" if check.passed else "FAIL", check.detail]
-            for check in report.checks
-        ]
-        _emit(args, _csv_document(meta, ["check", "status", "detail"], rows))
-    else:
-        lines = [f"# {key}: {value}" for key, value in meta.items()]
-        lines.extend(report.lines())
-        _emit(args, "\n".join(lines) + "\n")
+    rows = (
+        [check.name, "PASS" if check.passed else "FAIL", check.detail]
+        for check in report.checks
+    )
+    _write(args, meta, report.as_dict(), ["check", "status", "detail"], rows, text=report.lines())
     return 0 if report.all_passed else 1
 
 
@@ -289,16 +268,10 @@ def main(argv=None) -> int:
                 "tables": cmd_tables, "selftest": cmd_selftest}
     try:
         return handlers[args.subcommand](args)
-    except AtomFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # an AtomFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,4 +1,5 @@
 """Command-line behaviour: formats, determinism, exit codes."""
+import contextlib
 import csv
 import io
 import json
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vdwcp.cli
 from vdwcp.cli import main
 from vdwcp.quad import ConvergenceError, QuadratureResult
+from vdwcp.selftest import run_selftest
 
 ATOMS = Path(__file__).resolve().parents[1] / "atoms"
 ELEC = str(ATOMS / "electric_unit.yaml")
@@ -407,16 +410,61 @@ def test_pair_of_extreme_statics_keeps_a_representable_ee(tmp_path, capsys, mu_s
     assert all(math.isfinite(value) and value < 0.0 for value in values)
 
 
-def test_numerical_failure_maps_to_exit_three(capsys, monkeypatch):
+def test_numerical_failure_maps_to_exit_three(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError(QuadratureResult(0.0, 1.0, 15), 1e-10)
 
     monkeypatch.setattr("vdwcp.cli.mirror_curve", explode)
+    target = tmp_path / "mirror.csv"
     code, _, err = _run(
         capsys, "mirror", "--atom", DIA, "--plate", "conducting", "--grid", "1:2:5",
+        "--out", str(target),
     )
     assert code == 3
     assert "numerical failure" in err
+    assert not target.exists()
+
+
+def test_out_in_a_missing_directory_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "missing" / "mirror.csv"
+    code, out, err = _run(
+        capsys, "mirror", "--atom", DIA, "--plate", "conducting", "--grid", "1:2:5",
+        "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "geometry, channel",
+    [(["--atom-b", DIA], "e"), (["--plate", "conducting"], "ee")],
+)
+def test_slopes_rejects_a_channel_of_the_other_geometry_before_loading(
+    capsys, monkeypatch, geometry, channel
+):
+    calls = []
+    for name in ("load_atom_file", "mirror_curve", "pair_curve"):
+        def counted(*args, _original=getattr(vdwcp.cli, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(vdwcp.cli, name, counted)
+    code, out, err = _run(
+        capsys, "slopes", "--atom", DIA, *geometry, "--grid", "0.5:2:7", "--channel", channel,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"channel {channel!r} does not exist in this geometry" in err
+    assert calls == []
+    # the channel is checked first, so a missing atom file is not what gets reported
+    code, _, err = _run(
+        capsys, "slopes", "--atom", "/nope/missing.yaml", *geometry, "--grid", "0.5:2:7",
+        "--channel", channel,
+    )
+    assert code == 2
+    assert f"channel {channel!r} does not exist in this geometry" in err
 
 
 def test_unexpected_exception_maps_to_exit_four(capsys, monkeypatch):
@@ -441,6 +489,61 @@ def test_output_file_is_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().startswith(b"# engine: vdwcp")
+
+
+_DOCUMENTS = {
+    "mirror": ["mirror", "--atom", DIA, "--plate", "conducting", "--grid", "0.5:4:5", "--units", "natural"],
+    "pair": ["pair", "--atom", ELEC, "--atom-b", DIA, "--grid", "0.01:10:9"],
+    "slopes": ["slopes", "--atom", ELEC, "--atom-b", DIA, "--grid", "0.01:10:9", "--channel", "ed"],
+    "tables": ["tables"],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [(command, fmt) for command in _DOCUMENTS for fmt in ("csv", "json")] + [("selftest", None)],
+)
+def test_stdout_and_out_file_carry_the_same_bytes(tmp_path, capsysbinary, command, fmt):
+    argv = _DOCUMENTS[command] + (["--format", fmt] if fmt else [])
+    target = tmp_path / "document"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed == target.read_bytes()
+    text = printed.decode("utf-8")
+    if fmt == "json":
+        assert json.loads(text)["metadata"]["subcommand"] == command
+    elif fmt == "csv":
+        meta, header, rows = _parse_csv(text)
+        assert meta["subcommand"] == command
+        assert rows and all(len(row) == len(header) for row in rows)
+        if command == "selftest":
+            details = [check.detail for check in run_selftest().checks]
+            assert any("," in detail for detail in details)
+            assert [row[2] for row in rows] == details
+    else:
+        assert text.startswith("# engine: vdwcp") and "all 12 checks passed" in text
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+def test_stdout_is_utf8_whatever_its_own_encoding(tmp_path, monkeypatch, fmt):
+    # the selftest report holds a π, which latin-1 cannot encode
+    target = tmp_path / "selftest"
+    assert main(["selftest", *fmt, "--out", str(target)]) == 0
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="latin-1"))
+    assert main(["selftest", *fmt]) == 0
+    assert raw.getvalue() == target.read_bytes()
+    assert "π".encode("utf-8") in raw.getvalue()
+
+
+def test_text_only_stdout_receives_the_document(tmp_path):
+    target = tmp_path / "selftest"
+    assert main(["selftest", "--out", str(target)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(["selftest"]) == 0
+    assert text.getvalue().encode("utf-8") == target.read_bytes()
 
 
 def test_module_entry_point_runs_selftest():
