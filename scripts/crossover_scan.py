@@ -31,11 +31,11 @@ def main(argv=None) -> int:
         grid = parse_grid(args.grid)
         curve = pair_curve(fixtures["e"], fixtures["d"], grid, UnitSystem.NATURAL)
         profile = local_log_slope(curve, Channel.ED)
-    except ValueError as exc:
+        sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["distance", "slope", "value", "value/nonretarded", "value/retarded"])
     index = {float(d): i for i, d in enumerate(curve.distances)}

@@ -58,7 +58,10 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError(
             f"grid needs 0 < min < max and points >= 2, got {text!r}"
         )
-    return np.geomspace(lo, hi, points)
+    try:
+        return np.geomspace(lo, hi, points)
+    except (MemoryError, IndexError, ValueError):  # numpy refuses the count before filling it
+        raise ValueError(f"grid of {points} points is too large to build") from None
 
 
 def _metadata(args, **extra) -> dict[str, str]:

@@ -200,27 +200,22 @@ def beta_total(atom: AtomModel, xi, hbar: float):
 
 # --- atom definition files ------------------------------------------------
 #
-# YAML schema (all frequencies rad/s, SI units unless the file is meant for
-# natural-unit runs):
-#
-#   label: hydrogen-like
-#   electric_transitions:
-#     - {omega: 1.55e16, mu_sq: 1.8e-58}
-#   magnetic_transitions:
-#     - {omega: 4.4e9, m_sq: 8.6e-47}
-#   beta_d: -3.9e-29          # or instead:
-#   particles:
-#     - {q: -1.602176634e-19, m: 9.1093837015e-31, r_sq: 8.4e-21}
+# A YAML mapping of a non-empty label, the lists of _ENTRIES, and beta_d
+# (J/T^2) as the alternative to particles. Numbers are SI, frequencies in
+# rad/s, unless the file is meant for natural-unit runs.
 
-_TOP_KEYS = {"label", "electric_transitions", "magnetic_transitions", "beta_d", "particles"}
-
-
-def _mark(path, node) -> str:
-    return f"{path}:{node.start_mark.line + 1}"
+# Per list: the class of its entries, their keys in order with the fields they
+# fill, and the fields every entry shares.
+_ENTRIES = {
+    "electric_transitions": (Transition, {"omega": "omega", "mu_sq": "dipole_sq"}, {"kind": ELECTRIC}),
+    "magnetic_transitions": (Transition, {"omega": "omega", "m_sq": "dipole_sq"}, {"kind": MAGNETIC}),
+    "particles": (ChargedParticle, {"q": "charge", "m": "mass", "r_sq": "mean_sq_radius"}, {}),
+}
+_TOP_KEYS = {"label", "beta_d", *_ENTRIES}
 
 
 def _fail(path, node, message: str):
-    raise AtomFileError(f"{_mark(path, node)}: {message}")
+    raise AtomFileError(f"{path}:{node.start_mark.line + 1}: {message}")
 
 
 # YAML's own spellings of the non-finite floats, which Python's float() rejects.
@@ -239,26 +234,18 @@ def _as_float(path, node) -> float:
         _fail(path, node, f"expected a number, got {node.value!r}")
 
 
-def _as_entries(path, node, what: str) -> list:
-    if node.id != "sequence":
-        _fail(path, node, f"{what} must be a list")
-    return node.value
-
-
-def _entry_map(path, node, allowed: set[str]) -> dict:
-    if node.id != "mapping":
-        _fail(path, node, f"expected a mapping with keys {sorted(allowed)}")
+def _keys(path, node, allowed) -> dict:
+    """A mapping node's value nodes by key; each key a scalar in allowed, given once."""
     out = {}
     for key_node, value_node in node.value:
+        if key_node.id != "scalar":
+            _fail(path, key_node, f"unknown {key_node.id} key, expected one of {sorted(allowed)}")
         key = key_node.value
         if key not in allowed:
             _fail(path, key_node, f"unknown key {key!r}, expected one of {sorted(allowed)}")
         if key in out:
             _fail(path, key_node, f"duplicate key {key!r}")
         out[key] = value_node
-    for key in allowed:
-        if key not in out:
-            _fail(path, node, f"missing key {key!r}")
     return out
 
 
@@ -270,28 +257,24 @@ def _construct(path, node, cls, **fields):
         _fail(path, node, str(exc))
 
 
-def _parse_transition(path, node, kind: str, dipole_key: str) -> Transition:
-    entries = _entry_map(path, node, {"omega", dipole_key})
-    return _construct(
-        path,
-        node,
-        Transition,
-        omega=_as_float(path, entries["omega"]),
-        dipole_sq=_as_float(path, entries[dipole_key]),
-        kind=kind,
-    )
-
-
-def _parse_particle(path, node) -> ChargedParticle:
-    entries = _entry_map(path, node, {"q", "m", "r_sq"})
-    return _construct(
-        path,
-        node,
-        ChargedParticle,
-        charge=_as_float(path, entries["q"]),
-        mass=_as_float(path, entries["m"]),
-        mean_sq_radius=_as_float(path, entries["r_sq"]),
-    )
+def _entries(path, nodes: dict, key: str) -> tuple:
+    """The objects that the top-level list `key` describes; () where it is absent."""
+    if key not in nodes:
+        return ()
+    if nodes[key].id != "sequence":
+        _fail(path, nodes[key], f"{key} must be a list")
+    cls, fields, fixed = _ENTRIES[key]
+    out = []
+    for node in nodes[key].value:
+        if node.id != "mapping":
+            _fail(path, node, f"expected a mapping with keys {sorted(fields)}")
+        given = _keys(path, node, fields)
+        for name in fields:
+            if name not in given:
+                _fail(path, node, f"missing key {name!r}")
+        values = {field: _as_float(path, given[name]) for name, field in fields.items()}
+        out.append(_construct(path, node, cls, **values, **fixed))
+    return tuple(out)
 
 
 def load_atom_file(path) -> AtomModel:
@@ -315,30 +298,14 @@ def load_atom_file(path) -> AtomModel:
     if root.id != "mapping":
         raise AtomFileError(f"{path}: top level must be a mapping")
 
-    nodes = {}
-    for key_node, value_node in root.value:
-        key = key_node.value
-        if key not in _TOP_KEYS:
-            _fail(path, key_node, f"unknown key {key!r}, expected one of {sorted(_TOP_KEYS)}")
-        if key in nodes:
-            _fail(path, key_node, f"duplicate key {key!r}")
-        nodes[key] = value_node
-
+    nodes = _keys(path, root, _TOP_KEYS)
     if "label" not in nodes:
         raise AtomFileError(f"{path}: missing required key 'label'")
-    if nodes["label"].id != "scalar" or not nodes["label"].value:
-        _fail(path, nodes["label"], "label must be a non-empty string")
-    label = nodes["label"].value
-
-    electric = tuple(
-        _parse_transition(path, n, ELECTRIC, "mu_sq")
-        for n in _as_entries(path, nodes["electric_transitions"], "electric_transitions")
-    ) if "electric_transitions" in nodes else ()
-    magnetic = tuple(
-        _parse_transition(path, n, MAGNETIC, "m_sq")
-        for n in _as_entries(path, nodes["magnetic_transitions"], "magnetic_transitions")
-    ) if "magnetic_transitions" in nodes else ()
-
+    label = nodes["label"]
+    if label.id != "scalar" or not label.value or label.tag == "tag:yaml.org,2002:null":
+        _fail(path, label, "label must be a non-empty string")
+    electric = _entries(path, nodes, "electric_transitions")
+    magnetic = _entries(path, nodes, "magnetic_transitions")
     if "beta_d" in nodes and "particles" in nodes:
         _fail(path, nodes["beta_d"], "give either beta_d or particles, not both")
     if "beta_d" in nodes:
@@ -348,21 +315,14 @@ def load_atom_file(path) -> AtomModel:
             DiamagneticSpec,
             direct_beta_d=_as_float(path, nodes["beta_d"]),
         )
-    elif "particles" in nodes:
-        dia = DiamagneticSpec(
-            particles=tuple(
-                _parse_particle(path, n)
-                for n in _as_entries(path, nodes["particles"], "particles")
-            )
-        )
     else:
-        dia = DiamagneticSpec()
+        dia = DiamagneticSpec(particles=_entries(path, nodes, "particles"))
 
     return _construct(
         path,
         root,
         AtomModel,
-        label=label,
+        label=label.value,
         electric_transitions=electric,
         magnetic_transitions=magnetic,
         diamagnetic=dia,

@@ -256,6 +256,10 @@ def test_malformed_grid_is_a_usage_error(capsys):
         ("mirror", "1e300:1e308:3", "mirror distance z 1e+300"),
         ("pair", "1:inf:3", "grid max must be finite, got 'inf'"),
         ("mirror", "nan:2:3", "grid min must be finite, got 'nan'"),
+        # point counts that numpy refuses before it allocates anything
+        ("mirror", "1:2:1000000000000000", "grid of 1000000000000000 points is too large to build"),
+        ("pair", "1:2:9223372036854775807", "grid of 9223372036854775807 points is too large to build"),
+        ("mirror", "1:2:1" + "0" * 30, f"grid of 1{'0' * 30} points is too large to build"),
     ],
 )
 def test_unrepresentable_distance_is_a_usage_error(capsys, subcommand, grid, named):
@@ -295,6 +299,27 @@ def test_non_finite_atom_parameter_is_a_usage_error(tmp_path, capsys, text, line
     assert out == ""
     assert f"{atom}:{line}:" in err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "text, line, expected",
+    [
+        ("label: x\n? [a]\n: 1\n", 2,
+         "['beta_d', 'electric_transitions', 'label', 'magnetic_transitions', 'particles']"),
+        ("label: x\nelectric_transitions:\n  - {[a]: 1}\n", 3, "['mu_sq', 'omega']"),
+    ],
+    ids=["top_level", "entry"],
+)
+def test_non_scalar_key_is_a_usage_error(tmp_path, capsys, text, line, expected):
+    atom = tmp_path / "atom.yaml"
+    atom.write_text(text)
+    code, out, err = _run(
+        capsys, "mirror", "--atom", str(atom), "--plate", "conducting",
+        "--grid", "1:2:3", "--units", "natural",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {atom}:{line}: unknown sequence key, expected one of {expected}\n"
 
 
 def test_all_zero_atom_is_a_usage_error(tmp_path, capsys):

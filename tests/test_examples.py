@@ -16,13 +16,25 @@ def _script(name: str):
 
 
 @pytest.mark.parametrize("script", ["crossover_scan"])
-@pytest.mark.parametrize("grid", ["1:0:5", "1e-3:1e3", "1:inf:5", "a:b:c"])
+# the last three hold counts that numpy refuses before it allocates anything
+@pytest.mark.parametrize("grid", ["1:0:5", "1e-3:1e3", "1:inf:5", "a:b:c", "1:2:1000000000000000",
+                                  "1:2:9223372036854775807", "1:2:1" + "0" * 30])
 def test_script_rejects_a_bad_grid_in_one_line(capsys, script, grid):
     code = _script(script).main(["--grid", grid])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert err.startswith("error: grid") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("script", ["crossover_scan"])
+def test_script_rejects_an_out_it_cannot_open_in_one_line(tmp_path, capsys, script):
+    out = tmp_path / "missing" / "out.csv"
+    code = _script(script).main(["--grid", "0.5:2:5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 @pytest.mark.parametrize("script, rows", [("crossover_scan", 3)])

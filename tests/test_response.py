@@ -392,6 +392,134 @@ def test_malformed_files_keep_their_locations_without_libyaml(tmp_path, monkeypa
     case(tmp_path, **kwargs)
 
 
+TOP_KEYS = "['beta_d', 'electric_transitions', 'label', 'magnetic_transitions', 'particles']"
+
+# (id, file text or None for no file, message with PATH for the file's path): every
+# message the loader gives, exactly; where a file has two faults, the one it reports first.
+LOADER_MESSAGES = [
+    ("no_file", None, "cannot read atom file PATH: [Errno 2] No such file or directory: 'PATH'"),
+    ("empty", "", "PATH: file is empty"),
+    ("comments_only", "# nothing\n", "PATH: file is empty"),
+    ("top_level_list", "- 1\n- 2\n", "PATH: top level must be a mapping"),
+    ("top_level_scalar", "x\n", "PATH: top level must be a mapping"),
+    ("invalid_yaml", "label: x\nbeta_d: -1: 2\n",
+     'PATH: not valid YAML: mapping values are not allowed here\n  in "<unicode string>", line 2, '
+     "column 11:\n    beta_d: -1: 2\n              ^"),
+    ("unknown_key", "label: x\nbeta_d: -1.0\nwalrus: 3\n",
+     f"PATH:3: unknown key 'walrus', expected one of {TOP_KEYS}"),
+    ("duplicate_key", "label: x\nbeta_d: -1.0\nlabel: y\n", "PATH:3: duplicate key 'label'"),
+    ("sequence_key", "label: x\n? [a]\n: 1\n", f"PATH:2: unknown sequence key, expected one of {TOP_KEYS}"),
+    ("mapping_key", "? {a: 1}\n: 1\nlabel: x\n", f"PATH:1: unknown mapping key, expected one of {TOP_KEYS}"),
+    ("missing_label", "beta_d: -1.0\n", "PATH: missing required key 'label'"),
+    ("label_list", "label: [a]\nbeta_d: -1.0\n", "PATH:1: label must be a non-empty string"),
+    ("label_empty", "label: ''\nbeta_d: -1.0\n", "PATH:1: label must be a non-empty string"),
+    ("label_blank", "beta_d: -1.0\nlabel:\n", "PATH:2: label must be a non-empty string"),
+    ("label_tilde", "label: ~\nbeta_d: -1.0\n", "PATH:1: label must be a non-empty string"),
+    ("label_null", "beta_d: -1.0\nlabel: null\n", "PATH:2: label must be a non-empty string"),
+    ("electric_not_a_list", "label: x\nelectric_transitions: 3\n",
+     "PATH:2: electric_transitions must be a list"),
+    ("magnetic_not_a_list", "label: x\nmagnetic_transitions:\n  omega: 1.0\n",
+     "PATH:3: magnetic_transitions must be a list"),
+    ("particles_not_a_list", "label: x\nparticles: p\n", "PATH:2: particles must be a list"),
+    ("entry_not_a_mapping", "label: x\nelectric_transitions:\n  - 3\n",
+     "PATH:3: expected a mapping with keys ['mu_sq', 'omega']"),
+    ("particle_not_a_mapping", "label: x\nparticles:\n  - [1, 2, 3]\n",
+     "PATH:3: expected a mapping with keys ['m', 'q', 'r_sq']"),
+    ("entry_unknown_key", "label: x\nmagnetic_transitions:\n  - {omega: 1.0, mu_sq: 1.0}\n",
+     "PATH:3: unknown key 'mu_sq', expected one of ['m_sq', 'omega']"),
+    ("entry_duplicate_key", "label: x\nparticles:\n  - q: 1.0\n    q: 2.0\n", "PATH:4: duplicate key 'q'"),
+    ("entry_sequence_key", "label: x\nelectric_transitions:\n  - {[a]: 1}\n",
+     "PATH:3: unknown sequence key, expected one of ['mu_sq', 'omega']"),
+    ("entry_missing_key", "label: x\nelectric_transitions:\n  - mu_sq: 1.0\n", "PATH:3: missing key 'omega'"),
+    ("entry_missing_keys", "label: x\nparticles: [{q: 1.0}]\n", "PATH:2: missing key 'm'"),
+    ("entry_missing_last_key", "label: x\nparticles:\n  - {r_sq: 1.0, q: 1.0}\n", "PATH:3: missing key 'm'"),
+    ("not_a_number", "label: x\nbeta_d: [1]\n", "PATH:2: expected a number"),
+    ("bad_number", "label: x\nelectric_transitions:\n  - omega: 1.0\n    mu_sq: banana\n",
+     "PATH:4: expected a number, got 'banana'"),
+    ("frequency", "label: x\nelectric_transitions:\n  - {omega: -1, mu_sq: 1.0}\n",
+     "PATH:3: transition frequency must be finite and positive, got -1.0"),
+    ("dipole", "label: x\nmagnetic_transitions:\n  - {omega: 1.0, m_sq: -.inf}\n",
+     "PATH:3: squared dipole element must be finite and >= 0, got -inf"),
+    ("omega_squared", "label: x\nelectric_transitions:\n  - {omega: 1e200, mu_sq: 1.0}\n",
+     "PATH:3: transition with omega = 1e+200 and squared dipole element 1.0: omega^2 must be a finite "
+     "non-zero float and the static term omega |d|^2 / omega^2 a finite one"),
+    ("charge", "label: x\nparticles:\n  - {q: .nan, m: 1.0, r_sq: 1.0}\n",
+     "PATH:3: particle charge must be finite, got nan"),
+    ("mass", "label: x\nparticles:\n  - {q: 1.0, m: 0, r_sq: 1.0}\n",
+     "PATH:3: particle mass must be finite and positive, got 0.0"),
+    ("mean_sq_radius", "label: x\nparticles:\n  - {q: 1.0, m: 1.0, r_sq: -1}\n",
+     "PATH:3: mean square radius must be finite and >= 0, got -1.0"),
+    ("both_beta_sources", "label: x\nparticles: []\nbeta_d: -1.0\n",
+     "PATH:3: give either beta_d or particles, not both"),
+    ("lenz", "label: x\nbeta_d: 0.25\n",
+     "PATH:2: diamagnetisability must be finite and <= 0 (Lenz rule), got 0.25"),
+    ("no_response", "label: x\n", "PATH:1: atom 'x' has no response at all: every static response is zero"),
+    ("all_zero", "\nlabel: z\nparticles:\n  - {q: 0, m: 1.0, r_sq: 1.0}\n",
+     "PATH:2: atom 'z' has no response at all: every static response is zero"),
+    # the order of the checks
+    ("top_keys_before_label", "label: [a]\nwalrus: 1\n",
+     f"PATH:2: unknown key 'walrus', expected one of {TOP_KEYS}"),
+    ("label_before_lists", "electric_transitions: 3\nlabel: ''\n",
+     "PATH:2: label must be a non-empty string"),
+    ("electric_before_magnetic", "label: x\nmagnetic_transitions: 3\nelectric_transitions: 3\n",
+     "PATH:3: electric_transitions must be a list"),
+    ("magnetic_before_conflict", "label: x\nbeta_d: -1.0\nparticles: []\nmagnetic_transitions: 3\n",
+     "PATH:4: magnetic_transitions must be a list"),
+    ("conflict_before_values", "label: x\nparticles: 3\nbeta_d: 1\n",
+     "PATH:3: give either beta_d or particles, not both"),
+    ("entry_keys_before_missing", "label: x\nparticles:\n  - {q: 1.0, walrus: 2}\n",
+     "PATH:3: unknown key 'walrus', expected one of ['m', 'q', 'r_sq']"),
+    ("missing_before_numbers", "label: x\nelectric_transitions:\n  - {omega: banana}\n",
+     "PATH:3: missing key 'mu_sq'"),
+    ("numbers_in_table_order", "label: x\nparticles:\n  - {r_sq: a, m: b, q: c}\n",
+     "PATH:3: expected a number, got 'c'"),
+    ("numbers_before_values", "label: x\nelectric_transitions:\n  - {omega: -1, mu_sq: b}\n",
+     "PATH:3: expected a number, got 'b'"),
+    ("entries_before_atom", "label: x\nelectric_transitions:\n  - {omega: 1, mu_sq: 0}\nbeta_d: 1\n",
+     "PATH:4: diamagnetisability must be finite and <= 0 (Lenz rule), got 1.0"),
+]
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "SafeLoader"])
+@pytest.mark.parametrize(
+    ("text", "message"), [pytest.param(*case[1:], id=case[0]) for case in LOADER_MESSAGES]
+)
+def test_loader_messages_are_exact(tmp_path, monkeypatch, loader, text, message):
+    if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    if loader == "SafeLoader":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "atom.yaml"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(AtomFileError) as caught:
+        load_atom_file(path)
+    assert str(caught.value) == message.replace("PATH", str(path))
+
+
+def test_missing_key_message_does_not_follow_the_hash_seed(tmp_path):
+    atom = tmp_path / "atom.yaml"
+    atom.write_text("label: x\nparticles: [{q: 1.0}]\n")
+    source = str(Path(vdwcp.__file__).resolve().parents[1])
+    probe = (
+        "import sys\nfrom vdwcp.response import load_atom_file\n"
+        "try:\n    load_atom_file(sys.argv[1])\nexcept ValueError as exc:\n    print(exc)\n"
+    )
+    lines = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", probe, str(atom)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        lines.add(done.stdout)
+    assert lines == {f"{atom}:2: missing key 'm'\n"}
+
+
+@pytest.mark.parametrize(("text", "label"), [("123", "123"), ("'null'", "null"), ("!!str ~", "~")])
+def test_a_label_that_is_not_null_keeps_its_text(tmp_path, text, label):
+    assert _load(tmp_path, f"label: {text}\nbeta_d: -1.0\n").label == label
+
+
 def test_bundled_example_atoms_load():
     atoms_dir = ROOT / "atoms"
     labels = set()
