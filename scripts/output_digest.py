@@ -20,7 +20,11 @@ plate, self-pair, mixed pair) in one unit system. The SI families rerun the
 corpus with every frequency scaled by 1e16 rad/s, electric and magnetic
 dipoles by 1e-58 C^2 m^2 and 1e-46 J^2/T^2, beta_d by 1e-29 J/T^2 and the
 grids by 1e-8 m, so that 2 omega d / c spans the same range; they are not
-part of the stdout digest.
+part of the stdout digest. Nor are the closed forms' parts, one per unit
+system, channel and regime of vdw_asymptote over every corpus atom with
+itself and with its partner at every grid distance (a channel without a
+closed form hashes a marker), and one per unit system and plate of
+cp_mirror_diamagnetic_closed with each atom's beta_d there.
 """
 import contextlib
 import dataclasses
@@ -28,6 +32,7 @@ import hashlib
 import io
 import math
 import random
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -39,7 +44,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from vdwcp import AtomModel, DiamagneticSpec, PlateKind, Transition, UnitSystem  # noqa: E402
 from vdwcp.cli import main as cli_main  # noqa: E402
-from vdwcp.potentials import mirror_curve, pair_curve  # noqa: E402
+from vdwcp.potentials import (  # noqa: E402
+    PAIR_CHANNELS,
+    Regime,
+    UnsupportedAsymptoteError,
+    cp_mirror_diamagnetic_closed,
+    mirror_curve,
+    pair_curve,
+    vdw_asymptote,
+)
+from vdwcp.response import diamagnetisability  # noqa: E402
+from vdwcp.units import constants_for  # noqa: E402
 
 ATOMS = ROOT / "atoms"
 DATA = ROOT / "bench" / "data"
@@ -152,6 +167,26 @@ def _curves(atoms, partners, units=UnitSystem.NATURAL, scale=1.0):
                 yield "mixed-pair", pair_curve(atom, partner, grid, units)
 
 
+def _closed_forms(atoms, partners, units, scale):
+    """(part, bytes) of every closed-form value over the corpus, in the grids' distances."""
+    consts, distances = constants_for(units), (np.concatenate(GRIDS) * scale).tolist()
+    for atom, partner in zip(atoms, partners):
+        beta_d = diamagnetisability(atom.diamagnetic)
+        for plate in PlateKind:
+            for z in distances:
+                value = cp_mirror_diamagnetic_closed(beta_d, z, plate, consts)
+                yield f"mirror-{plate.value} closed d", struct.pack("<d", value)
+        for other in (atom, partner) if partner is not None else (atom,):
+            for channel in PAIR_CHANNELS:
+                for regime in Regime:
+                    for l in distances:
+                        try:
+                            value = struct.pack("<d", vdw_asymptote(channel, atom, other, l, regime, consts))
+                        except UnsupportedAsymptoteError:
+                            value = b"unsupported"
+                        yield f"asymptote {channel.value} {regime.value}", value
+
+
 def _label(argv: list[str]) -> str:
     """The command line with atom paths relative to the checkout, and its unit system."""
     words = [str(Path(word).relative_to(ROOT)) if word.startswith(str(ROOT)) else word for word in argv]
@@ -188,10 +223,19 @@ def main() -> int:
     for family, curve in _curves(si_atoms, si_partners, UnitSystem.SI, SI_SCALES[-1]):
         for name, values in [*((ch.value, v) for ch, v in curve.values.items()), ("total", curve.total)]:
             part(f"si {family} {name}").update(values.tobytes())
+    closed = 0
+    for units, scale, atoms, others in (
+        (UnitSystem.NATURAL, 1.0, random_atoms + manyline, partners),
+        (UnitSystem.SI, SI_SCALES[-1], si_atoms, si_partners),
+    ):
+        for name, value in _closed_forms(atoms, others, units, scale):
+            part(f"{units.value} {name}").update(value)
+            closed += 1
     print(digest.hexdigest())
     for name, sink in parts.items():
         print(f"{sink.hexdigest()}  {name}", file=sys.stderr)
     print(f"{len(commands)} command outputs, {count} curves in natural units and as many in SI", file=sys.stderr)
+    print(f"{closed} closed-form values in natural units and SI", file=sys.stderr)
     return 0
 
 

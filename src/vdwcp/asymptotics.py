@@ -128,6 +128,16 @@ def default_fixtures() -> dict[str, AtomModel]:
     }
 
 
+# Built once per process: the fixtures, and the atom of verify_tables that carries all three responses.
+_FIXTURES = default_fixtures()
+_TABLE_ATOM = AtomModel(
+    "table-fixture",
+    _FIXTURES["e"].electric_transitions,
+    _FIXTURES["p"].magnetic_transitions,
+    _FIXTURES["d"].diamagnetic,
+)
+
+
 @dataclass(frozen=True, slots=True)
 class TableCellResult:
     entry: TableEntry
@@ -200,14 +210,12 @@ def verify_tables(rel_tol: float = 1e-10) -> TableReport:
     bounds no quadrature here); runs in natural units with O(1) fixture magnitudes.
     """
     QuadratureSpec(rel_tol=rel_tol)  # checked only: bench/workloads.py passes it (ROADMAP item 1)
-    e, p, d = default_fixtures().values()
-    atom = AtomModel("table-fixture", e.electric_transitions, p.magnetic_transitions, d.diamagnetic)
     grid = {
         geometry: np.concatenate([_grid_around(REGIME_DEPTH[regime]) for regime in regimes])
         for geometry, regimes in _CURVE_REGIMES.items()
     }
-    mirror = mirror_curve(atom, grid["mirror"], PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    curves = {"mirror": mirror, "pair": pair_curve(atom, atom, grid["pair"], UnitSystem.NATURAL)}
+    mirror = mirror_curve(_TABLE_ATOM, grid["mirror"], PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    curves = {"mirror": mirror, "pair": pair_curve(_TABLE_ATOM, _TABLE_ATOM, grid["pair"], UnitSystem.NATURAL)}
     cells = []
     for entry in ALL_TABLE_ENTRIES:
         curve, start = curves[entry.geometry], 5 * _CURVE_REGIMES[entry.geometry].index(entry.regime)

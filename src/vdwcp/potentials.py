@@ -40,7 +40,7 @@ from . import moment_table
 # mirror_kernel is not used here; bench/tracer.py wraps the kernels where this module binds them
 from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same  # noqa: F401
 from .quad import QuadratureSpec, integrate_semiinf
-from .response import AtomModel, alpha_iso, beta_para_iso, beta_total, diamagnetisability
+from .response import AtomModel, DiamagneticSpec, alpha_iso, beta_para_iso, beta_total, diamagnetisability
 from .units import Constants, UnitSystem, constants_for
 
 ELECTRIC_LETTER = "e"
@@ -156,12 +156,17 @@ def _response(atom: AtomModel, letter: str, hbar: float):
     else:
         static, poles = atom.poles[0 if letter == ELECTRIC_LETTER else 1]
         static *= 2.0 / (3.0 * hbar)  # alpha_iso / beta_para_iso at xi = 0 bit for bit
+    return _finite_static(atom, letter, static), poles
+
+
+def _finite_static(atom: AtomModel, letter: str, static: float) -> float:
+    """static, or a ValueError naming the atom and the response if it is not a finite float."""
     if not math.isfinite(static):
         raise ValueError(
             f"atom {atom.label!r}: the static {_STATIC_NAMES[letter]} is {static!r}; "
             "it must be a finite float"
         )
-    return static, poles
+    return static
 
 
 def _grid(distances) -> np.ndarray:
@@ -507,15 +512,26 @@ def cp_mirror_diamagnetic_closed(
     """Closed form of the diamagnetic mirror channel: sign * 3 hbar mu0 c beta_d / (32 pi^2 z^4).
 
     A single quartic law at every distance; attractive in front of a
-    conductor (beta_d <= 0), repulsive at a permeable mirror.
+    conductor (beta_d <= 0), repulsive at a permeable mirror. z must be a
+    distance that mirror_curve accepts, and beta_d obey the Lenz rule.
     """
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
-    if beta_d > 0.0:
-        raise ValueError(f"diamagnetisability must be <= 0, got {beta_d!r}")
+    # mirror_curve's check of z only
+    _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, np.array([z], dtype=float), 4, "mirror distance z")
+    DiamagneticSpec(direct_beta_d=beta_d)  # finite and <= 0
     return plate.sign * 3.0 * consts.hbar * consts.mu0 * consts.c * beta_d / (
         32.0 * np.pi**2 * z**4
     )
+
+
+def _pair_base(l: float, consts: Constants) -> float:
+    """hbar mu0^2 c / (16 pi^3 l^7), by pair_curve's range check of l."""
+    if not l > 0.0:
+        raise ValueError(f"separation l must be positive, got {l!r}")
+    numerator = consts.hbar * consts.mu0**2 * consts.c
+    [base] = _prefactors(numerator, 16.0 * np.pi**3, np.array([l], dtype=float), 7, "separation l").tolist()
+    return base
 
 
 def vdw_pair_total_direct(
@@ -532,8 +548,7 @@ def vdw_pair_total_direct(
     unfactored, so agreement with the summed pair_curve channels is a real
     cross-check rather than an identity.
     """
-    if not l > 0.0:
-        raise ValueError(f"separation l must be positive, got {l!r}")
+    base = _pair_base(l, consts)
     hbar, c = consts.hbar, consts.c
     scale = c / l
 
@@ -556,7 +571,6 @@ def vdw_pair_total_direct(
             * pair_kernel_cross(x)
         )
 
-    base = hbar * consts.mu0**2 * c / (16.0 * np.pi**3 * l**7)
     like = integrate_semiinf(like_integrand, spec, decay_scale=0.5).value
     cross = integrate_semiinf(cross_integrand, spec, decay_scale=0.5).value
     return -base * like + base * c**2 * cross
@@ -572,59 +586,41 @@ def vdw_asymptote(
 ) -> float:
     """Closed-form asymptotic value of a pair channel at separation l.
 
-    Coefficients exist for every channel with a diamagnetic side (dd holds at
-    all separations; de/ed and dp/pd in their nonretarded and retarded
-    limits) and for the retarded limit of ee, pp and ep/pe, where the static
-    responses come out of the integral. Other combinations raise
-    UnsupportedAsymptoteError rather than guessing.
+    Retarded, every response sits at its static value S, and a channel with
+    n_e electric letters is k hbar mu0^2 c^(1 + 2 n_e) S_A S_B / (64 pi^3 l^7),
+    k = 7 for a crossed channel (n_e = 1) and -23 for a like one (Casimir &
+    Polder 1948; Feinberg & Sucher, PRA 2, 2395 (1970)). dd follows that law
+    at every separation. Nonretarded, ed/de go as l^-5 and dp/pd as l^-6;
+    ee, ep, pe and pp have no closed nonretarded coefficient and raise
+    UnsupportedAsymptoteError. l must be a separation that pair_curve accepts
+    and the channel's statics finite, as there.
     """
     if not channel.is_pair:
         raise ValueError(f"asymptotes are defined for pair channels, got {channel}")
-    if not l > 0.0:
-        raise ValueError(f"separation l must be positive, got {l!r}")
-    hbar, c, mu0 = consts.hbar, consts.c, consts.mu0
-    letter_a, letter_b = channel.value
-    pi = np.pi
-
-    if channel is Channel.DD:
-        beta_a = diamagnetisability(atom_a.diamagnetic)
-        beta_b = diamagnetisability(atom_b.diamagnetic)
-        return -23.0 * hbar * mu0**2 * c * (beta_a * beta_b) / (64.0 * pi**3 * l**7)
-
-    if {letter_a, letter_b} == {DIA_LETTER, ELECTRIC_LETTER}:
-        dia_atom, elec_atom = (atom_a, atom_b) if letter_a == DIA_LETTER else (atom_b, atom_a)
-        beta_d = diamagnetisability(dia_atom.diamagnetic)
-        if regime is Regime.NONRETARDED:
-            weighted = sum(t.omega * t.dipole_sq for t in elec_atom.electric_transitions)
-            return 5.0 * mu0**2 * c * (beta_d * weighted) / (96.0 * pi**3 * l**5)
-        alpha0 = alpha_iso(elec_atom, 0.0, hbar)
-        return 7.0 * hbar * mu0**2 * c**3 * (beta_d * alpha0) / (64.0 * pi**3 * l**7)
-
-    if {letter_a, letter_b} == {DIA_LETTER, PARA_LETTER}:
-        dia_atom, para_atom = (atom_a, atom_b) if letter_a == DIA_LETTER else (atom_b, atom_a)
-        beta_d = diamagnetisability(dia_atom.diamagnetic)
-        if regime is Regime.NONRETARDED:
-            m_sq = sum(t.dipole_sq for t in para_atom.magnetic_transitions)
-            return -(mu0**2) * (beta_d * m_sq) / (16.0 * pi**2 * l**6)
-        beta_p0 = beta_para_iso(para_atom, 0.0, hbar)
-        return -23.0 * hbar * mu0**2 * c * (beta_d * beta_p0) / (64.0 * pi**3 * l**7)
-
-    if regime is not Regime.RETARDED:
-        raise UnsupportedAsymptoteError(
-            f"no closed nonretarded coefficient for channel {channel.value!r}"
-        )
-    if channel is Channel.EE:
-        product = alpha_iso(atom_a, 0.0, hbar) * alpha_iso(atom_b, 0.0, hbar)
-        return -23.0 * hbar * mu0**2 * c**5 * product / (64.0 * pi**3 * l**7)
-    if channel is Channel.PP:
-        product = beta_para_iso(atom_a, 0.0, hbar) * beta_para_iso(atom_b, 0.0, hbar)
-        return -23.0 * hbar * mu0**2 * c * product / (64.0 * pi**3 * l**7)
-    # ep or pe
-    if channel is Channel.EP:
-        product = alpha_iso(atom_a, 0.0, hbar) * beta_para_iso(atom_b, 0.0, hbar)
-    else:
-        product = beta_para_iso(atom_a, 0.0, hbar) * alpha_iso(atom_b, 0.0, hbar)
-    return 7.0 * hbar * mu0**2 * c**3 * product / (64.0 * pi**3 * l**7)
+    _pair_base(l, consts)  # pair_curve's checks of l only
+    hbar, c, mu0, pi = consts.hbar, consts.c, consts.mu0, np.pi
+    letters = channel.value
+    nonretarded = regime is Regime.NONRETARDED and channel is not Channel.DD
+    if nonretarded and DIA_LETTER not in letters:
+        raise UnsupportedAsymptoteError(f"no closed nonretarded coefficient for channel {letters!r}")
+    statics = []
+    for letter, atom in zip(letters, (atom_a, atom_b)):
+        if letter == DIA_LETTER:
+            static = diamagnetisability(atom.diamagnetic)
+        else:
+            static = (alpha_iso if letter == ELECTRIC_LETTER else beta_para_iso)(atom, 0.0, hbar)
+        statics.append(_finite_static(atom, letter, static))
+    electric = letters.count(ELECTRIC_LETTER)
+    if not nonretarded:
+        k = 7.0 if electric == 1 else -23.0
+        return k * hbar * mu0**2 * c ** (1 + 2 * electric) * (statics[0] * statics[1]) / (64.0 * pi**3 * l**7)
+    # one side diamagnetic, the other electric (l^-5) or paramagnetic (l^-6)
+    beta_d, sides = statics[letters.index(DIA_LETTER)], dict(zip(letters, (atom_a, atom_b)))
+    if electric:
+        weighted = sum(t.omega * t.dipole_sq for t in sides[ELECTRIC_LETTER].electric_transitions)
+        return 5.0 * mu0**2 * c * (beta_d * weighted) / (96.0 * pi**3 * l**5)
+    m_sq = sum(t.dipole_sq for t in sides[PARA_LETTER].magnetic_transitions)
+    return -(mu0**2) * (beta_d * m_sq) / (16.0 * pi**2 * l**6)
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _grid_around, default_fixtures, local_log_slope
+from .asymptotics import _FIXTURES, _grid_around, local_log_slope
 from .green import (
     PlateKind,
     _free_tensor_em,
@@ -57,6 +57,8 @@ DD_SPOT_REFERENCE = -1.1590e-2
 
 SUPPORTED_PREFACTOR = "1/(32π²z⁴)"
 REJECTED_PREFACTOR = "1/(32πz⁴)"
+
+_NATURAL = constants_for(UnitSystem.NATURAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,14 +193,13 @@ def _check_q_integral(spec: QuadratureSpec, tol: float) -> CheckResult:
 
 def _check_mirror_diamagnetic(ratio: float, tol: float) -> CheckResult:
     # the quadrature route: a curve value times ratio, the quadrature's moment over the exact one
-    consts = constants_for(UnitSystem.NATURAL)
-    atom = default_fixtures()["d"]
+    atom = _FIXTURES["d"]
     worst = 0.0
     grid = (0.5, 1.0, 2.0, 5.0)
     for plate in PlateKind:
         values = mirror_curve(atom, grid, plate, UnitSystem.NATURAL).values[Channel.D] * ratio
         for z, quad in zip(grid, values):
-            closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, consts)
+            closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, _NATURAL)
             worst = max(worst, _max_rel_dev(quad, closed))
     return CheckResult(
         name="mirror-diamagnetic-closed-form",
@@ -208,11 +209,10 @@ def _check_mirror_diamagnetic(ratio: float, tol: float) -> CheckResult:
 
 
 def _check_prefactor_adjudication(ratio: float, tol: float) -> CheckResult:
-    consts = constants_for(UnitSystem.NATURAL)
-    atom = default_fixtures()["d"]
+    atom = _FIXTURES["d"]
     curve = mirror_curve(atom, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL)
     quad = curve.values[Channel.D][0] * ratio
-    candidate_sq = cp_mirror_diamagnetic_closed(-1.0, 1.0, PlateKind.CONDUCTING, consts)
+    candidate_sq = cp_mirror_diamagnetic_closed(-1.0, 1.0, PlateKind.CONDUCTING, _NATURAL)
     candidate_single = candidate_sq * np.pi  # the 1/(32 pi) variant
     dev_sq = _max_rel_dev(quad, candidate_sq)
     dev_single = _max_rel_dev(quad, candidate_single)
@@ -237,13 +237,12 @@ def _check_prefactor_adjudication(ratio: float, tol: float) -> CheckResult:
 
 
 def _check_pair_dd(ratio: float, tol: float, rel_tol: float) -> CheckResult:
-    consts = constants_for(UnitSystem.NATURAL)
-    atom = default_fixtures()["d"]
+    atom = _FIXTURES["d"]
     grid = np.geomspace(0.1, 100.0, 20)
     curve = pair_curve(atom, atom, grid, UnitSystem.NATURAL)
     worst = 0.0
     for l, value in zip(grid, curve.values[Channel.DD]):
-        closed = vdw_asymptote(Channel.DD, atom, atom, float(l), Regime.RETARDED, consts)
+        closed = vdw_asymptote(Channel.DD, atom, atom, float(l), Regime.RETARDED, _NATURAL)
         worst = max(worst, _max_rel_dev(value * ratio, closed))
     spot = float(pair_curve(atom, atom, [1.0], UnitSystem.NATURAL).values[Channel.DD][0]) * ratio
     spot_tol = max(5e-7, 10.0 * rel_tol * abs(DD_SPOT_REFERENCE))
@@ -263,8 +262,7 @@ def _asymptote_check(
     channel: Channel,
     cases: tuple[tuple[float, Regime, float], ...],
 ) -> CheckResult:
-    consts = constants_for(UnitSystem.NATURAL)
-    atom_a, atom_b = [default_fixtures()[letter] for letter in channel.value]
+    atom_a, atom_b = [_FIXTURES[letter] for letter in channel.value]
     problems = []
     summaries = []
     for center, regime, expected_slope in cases:
@@ -273,7 +271,7 @@ def _asymptote_check(
         profile = local_log_slope(curve, channel)
         slope = float(profile.exponent[profile.exponent.size // 2])
         value = float(curve.values[channel][2])
-        reference = vdw_asymptote(channel, atom_a, atom_b, center, regime, consts)
+        reference = vdw_asymptote(channel, atom_a, atom_b, center, regime, _NATURAL)
         value_dev = _max_rel_dev(value, reference)
         summaries.append(
             f"l={center:g}: slope {slope:.4f} (expect {expected_slope:g}), value dev {value_dev:.2e}"
@@ -305,6 +303,9 @@ def _composite_pair() -> tuple[AtomModel, AtomModel]:
     return a, b
 
 
+_COMPOSITE = _composite_pair()
+
+
 def _pair_point(atom_a: AtomModel, atom_b: AtomModel, l: float):
     """Channel values and total of a one-point pair curve, without the curve.
 
@@ -315,7 +316,7 @@ def _pair_point(atom_a: AtomModel, atom_b: AtomModel, l: float):
 
 
 def _check_swap_symmetry() -> CheckResult:
-    a, b = _composite_pair()
+    a, b = _COMPOSITE
     mismatches = []
     for l in (0.5, 1.0, 2.0):
         forward, forward_total = _pair_point(a, b, l)
@@ -337,8 +338,7 @@ def _check_swap_symmetry() -> CheckResult:
 
 
 def _check_lenz_flip() -> CheckResult:
-    fixtures = default_fixtures()
-    e, p, d = fixtures["e"], fixtures["p"], fixtures["d"]
+    e, p, d = _FIXTURES.values()
     grid = np.geomspace(0.05, 50.0, 7)
     comparisons = (
         ("ep vs ed", (e, p, Channel.EP), (e, d, Channel.ED)),
@@ -364,14 +364,13 @@ def _check_lenz_flip() -> CheckResult:
 
 
 def _check_additivity() -> CheckResult:
-    consts = constants_for(UnitSystem.NATURAL)
-    a, b = _composite_pair()
+    a, b = _COMPOSITE
     tight = QuadratureSpec(rel_tol=1e-13)
     grid = (0.5, 1.0, 2.2)
     split = pair_curve(a, b, grid, UnitSystem.NATURAL).total
     worst = 0.0
     for l, total in zip(grid, split):
-        direct = vdw_pair_total_direct(a, b, l, consts, tight)
+        direct = vdw_pair_total_direct(a, b, l, _NATURAL, tight)
         worst = max(worst, _max_rel_dev(total, direct))
     return CheckResult(
         name="channel-additivity",

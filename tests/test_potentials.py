@@ -282,6 +282,70 @@ def test_asymptote_rejects_unsupported_combinations():
         vdw_asymptote(Channel.DD, DIA, DIA, -1.0, Regime.RETARDED, NAT)
 
 
+def _dia(beta_d):
+    return AtomModel(label="d", diamagnetic=DiamagneticSpec(direct_beta_d=beta_d))
+
+
+# alpha(0) = 2/(3 hbar) 1e300 is inf in SI
+HUGE_ALPHA = AtomModel(label="huge", electric_transitions=(Transition(omega=1.0, dipole_sq=1e300, kind=ELECTRIC),))
+C, SI = PlateKind.CONDUCTING, constants_for(UnitSystem.SI)
+RANGE = "{} {!r} is out of range: 1/{}^{} is not a finite non-zero float"
+LENZ = "diamagnetisability must be finite and <= 0 (Lenz rule), got {!r}"
+# (closed form, the curve on the same input, the message of both)
+CLOSED_FORM_REJECTS = {
+    "mirror-beta_d-nan": (
+        lambda: cp_mirror_diamagnetic_closed(math.nan, 1.0, C, NAT),
+        lambda: mirror_curve(_dia(math.nan), [1.0], C, UnitSystem.NATURAL),
+        LENZ.format(math.nan),
+    ),
+    "mirror-beta_d-minus-inf": (
+        lambda: cp_mirror_diamagnetic_closed(-math.inf, 1.0, C, NAT),
+        lambda: mirror_curve(_dia(-math.inf), [1.0], C, UnitSystem.NATURAL),
+        LENZ.format(-math.inf),
+    ),
+    **{
+        f"mirror-z-{z}": (
+            lambda z=z: cp_mirror_diamagnetic_closed(-1.0, z, C, NAT),
+            lambda z=z: mirror_curve(DIA, [z], C, UnitSystem.NATURAL),
+            RANGE.format("mirror distance z", z, "z", 4),
+        )
+        for z in (1e-100, math.inf)
+    },
+    **{
+        f"asymptote-l-{l}": (
+            lambda l=l: vdw_asymptote(Channel.DD, DIA, DIA, l, Regime.RETARDED, NAT),
+            lambda l=l: pair_curve(DIA, DIA, [l], UnitSystem.NATURAL),
+            RANGE.format("separation l", l, "l", 7),
+        )
+        for l in (1e-50, 1e300, math.inf)
+    },
+    **{
+        f"direct-l-{l}": (
+            lambda l=l: vdw_pair_total_direct(DIA, DIA, l, NAT),
+            lambda l=l: pair_curve(DIA, DIA, [l], UnitSystem.NATURAL),
+            RANGE.format("separation l", l, "l", 7),
+        )
+        for l in (1e-50, 1e60, math.inf)
+    },
+    "asymptote-alpha-inf": (
+        lambda: vdw_asymptote(Channel.EE, HUGE_ALPHA, HUGE_ALPHA, 1e-8, Regime.RETARDED, SI),
+        lambda: pair_curve(HUGE_ALPHA, HUGE_ALPHA, [1e-8], UnitSystem.SI),
+        "atom 'huge': the static polarisability alpha(0) is inf; it must be a finite float",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORM_REJECTS))
+def test_closed_forms_reject_what_the_curves_reject(case):
+    # each raised ZeroDivisionError or OverflowError, or returned nan, +-inf or -0.0, before the closed
+    # forms took the curves' range check of the distance, the Lenz rule and the finite statics
+    closed, curve, message = CLOSED_FORM_REJECTS[case]
+    for call in (closed, curve):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 # -- curves and forces ----------------------------------------------------------
 
 
@@ -729,6 +793,17 @@ def test_shared_lines_take_no_more_moment_calls_than_each_side_apart(monkeypatch
     calls.clear()
     pair_curve(_ladder_atom(lines), _ladder_atom(lines, 1.37), grid, UnitSystem.NATURAL)
     assert len(calls) == pair
+
+
+def test_block_search_takes_fewer_moment_calls_than_the_widest_side_rule(monkeypatch):
+    # 10 electric and 5 magnetic lines, 15 a distance, on 9 distances: blocks of 2 distances take 4 calls of
+    # 30 elements and 1 of 15; min(_BLOCK // 10, 9) = 3 distances a block would take 3 x 2 calls of 32 and 13
+    calls = []
+    real = vdwcp.potentials._moments
+    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
+    atom = _atom(np.geomspace(0.5, 5.0, 10).tolist(), np.geomspace(0.7, 3.0, 5).tolist())
+    mirror_curve(atom, np.geomspace(0.01, 100.0, 9), PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    assert calls == [30, 30, 30, 30, 15]
 
 
 @pytest.mark.parametrize("magnetic", [[0.6, 0.6012, 1.3, 2.9], [0.5, 0.5, 1.0001, 4.99]])

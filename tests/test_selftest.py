@@ -25,3 +25,16 @@ def test_battery_integrates_each_kernel_moment_once(monkeypatch):
     # pair-dd: one 20-point curve and its spot point; additivity: one 3-point curve;
     # asymptotes 4 and swap 6 one-point curves; Lenz 6 seven-point curves
     assert len(pair_curves) == 19
+
+
+def test_verify_builds_no_atom_and_no_natural_constants(monkeypatch):
+    # the fixtures, the table atom, the composite pair and the selftest's constants are built once, at import
+    import vdwcp.asymptotics
+    from vdwcp.response import AtomModel
+
+    built = _counting(monkeypatch, "constants_for")
+    original = AtomModel.__post_init__
+    monkeypatch.setattr(AtomModel, "__post_init__", lambda self: built.append(self.label) or original(self))
+    assert vdwcp.asymptotics.verify_tables().all_passed
+    assert run_selftest().all_passed
+    assert built == []
