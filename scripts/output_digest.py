@@ -24,7 +24,13 @@ part of the stdout digest. Nor are the closed forms' parts, one per unit
 system, channel and regime of vdw_asymptote over every corpus atom with
 itself and with its partner at every grid distance (a channel without a
 closed form hashes a marker), and one per unit system and plate of
-cp_mirror_diamagnetic_closed with each atom's beta_d there.
+cp_mirror_diamagnetic_closed with each atom's beta_d there. Nor are the
+oracle quadratures' parts, one per rel_tol in ORACLE_TOLS: the value, error
+estimate and evaluation count of every integrate_semiinf call in the
+selftest's four kernel moments, its 26 q-integral points and
+vdw_pair_total_direct on its composite pair at l = 0.5, 1 and 2.2 (natural
+units, and SI with the corpus scales), and the value each of those returns;
+a ConvergenceError hashes a marker and its best estimate.
 """
 import contextlib
 import dataclasses
@@ -36,6 +42,7 @@ import struct
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -43,6 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from vdwcp import AtomModel, DiamagneticSpec, PlateKind, Transition, UnitSystem  # noqa: E402
+from vdwcp import green, potentials, quad, selftest  # noqa: E402
 from vdwcp.cli import main as cli_main  # noqa: E402
 from vdwcp.potentials import (  # noqa: E402
     PAIR_CHANNELS,
@@ -68,6 +76,7 @@ GRIDS = (
 
 # The SI corpus: (electric dipole_sq, magnetic dipole_sq, beta_d, frequency, distance) scales.
 SI_SCALES = (1e-58, 1e-46, 1e-29, 1e16, 1e-8)
+ORACLE_TOLS = (1e-13, 1e-10, 1e-6)
 
 
 def _commands() -> list[list[str]]:
@@ -187,6 +196,42 @@ def _closed_forms(atoms, partners, units, scale):
                         yield f"asymptote {channel.value} {regime.value}", value
 
 
+def _quadrature(result) -> bytes:
+    return struct.pack("<ddq", result.value, result.error_estimate, result.evaluations)
+
+
+def _oracles(rel_tol: float) -> list[bytes]:
+    """The bytes of every oracle quadrature at rel_tol and of the values they give, in call order."""
+    spec, out = quad.QuadratureSpec(rel_tol=rel_tol), []
+
+    def recording(f, *args, **kwargs):
+        result = quad.integrate_semiinf(f, *args, **kwargs)
+        out.append(_quadrature(result))
+        return result
+
+    def value(compute):
+        try:
+            out.append(struct.pack("<d", compute()))
+        except quad.ConvergenceError as error:
+            out.append(b"ConvergenceError" + _quadrature(error.best))
+
+    a, b = selftest._composite_pair()
+    with contextlib.ExitStack() as patches:
+        for module in (selftest, green, potentials):
+            patches.enter_context(mock.patch.object(module, "integrate_semiinf", recording))
+        out += [struct.pack("<d", moment) for moment in selftest._kernel_moments(spec)]
+        for xi in np.geomspace(0.01, 10.0, 13).tolist():
+            for plate in PlateKind:
+                value(lambda: green.mirror_gmm_trace_via_q_integral(1.0, xi, plate, 1.0, spec))
+        for units, scale, pair in (
+            (UnitSystem.NATURAL, 1.0, (a, b)),
+            (UnitSystem.SI, SI_SCALES[-1], (_si_atom(a), _si_atom(b))),
+        ):
+            for l in (0.5, 1.0, 2.2):
+                value(lambda: potentials.vdw_pair_total_direct(*pair, l * scale, constants_for(units), spec))
+    return out
+
+
 def _label(argv: list[str]) -> str:
     """The command line with atom paths relative to the checkout, and its unit system."""
     words = [str(Path(word).relative_to(ROOT)) if word.startswith(str(ROOT)) else word for word in argv]
@@ -231,11 +276,17 @@ def main() -> int:
         for name, value in _closed_forms(atoms, others, units, scale):
             part(f"{units.value} {name}").update(value)
             closed += 1
+    oracles = 0
+    for rel_tol in ORACLE_TOLS:
+        for value in _oracles(rel_tol):
+            part(f"oracle quadratures rel_tol {rel_tol:g}").update(value)
+            oracles += 1
     print(digest.hexdigest())
     for name, sink in parts.items():
         print(f"{sink.hexdigest()}  {name}", file=sys.stderr)
     print(f"{len(commands)} command outputs, {count} curves in natural units and as many in SI", file=sys.stderr)
     print(f"{closed} closed-form values in natural units and SI", file=sys.stderr)
+    print(f"{oracles} oracle quadratures and values", file=sys.stderr)
     return 0
 
 

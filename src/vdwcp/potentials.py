@@ -432,15 +432,19 @@ def _channel_integrals(channels, scales: np.ndarray):
     return iter(integrals)
 
 
+def _finite_channel(value: float, channel: Channel, name: str, d: float) -> float:
+    """value, or a ValueError naming the channel and the distance d if it is not a finite float."""
+    if not math.isfinite(value):
+        raise ValueError(f"channel {channel.value!r} at {name} {d!r} is {value!r}; it must be a finite float")
+    return value
+
+
 def _check_channel(row: np.ndarray, channel: Channel, distances: np.ndarray, name: str) -> None:
     """A ValueError naming the channel and the first distance at which its value is not finite."""
     finite = np.isfinite(row)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(
-            f"channel {channel.value!r} at {name} {float(distances[i])!r} is {float(row[i])!r}; "
-            "it must be a finite float"
-        )
+        _finite_channel(float(row[i]), channel, name, float(distances[i]))
 
 
 def _live(channels, responses: list, self_pair: bool):
@@ -513,16 +517,16 @@ def cp_mirror_diamagnetic_closed(
 
     A single quartic law at every distance; attractive in front of a
     conductor (beta_d <= 0), repulsive at a permeable mirror. z must be a
-    distance that mirror_curve accepts, and beta_d obey the Lenz rule.
+    distance that mirror_curve accepts, and beta_d obey the Lenz rule. A value
+    outside the float range is mirror_curve's ValueError naming channel d and z.
     """
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
     # mirror_curve's check of z only
     _prefactors(consts.hbar * consts.c, 32.0 * np.pi**2, np.array([z], dtype=float), 4, "mirror distance z")
     DiamagneticSpec(direct_beta_d=beta_d)  # finite and <= 0
-    return plate.sign * 3.0 * consts.hbar * consts.mu0 * consts.c * beta_d / (
-        32.0 * np.pi**2 * z**4
-    )
+    value = plate.sign * 3.0 * consts.hbar * consts.mu0 * consts.c * beta_d / (32.0 * np.pi**2 * z**4)
+    return _finite_channel(value, Channel.D, "mirror distance z", float(z))
 
 
 def _pair_base(l: float, consts: Constants) -> float:
@@ -593,7 +597,8 @@ def vdw_asymptote(
     at every separation. Nonretarded, ed/de go as l^-5 and dp/pd as l^-6;
     ee, ep, pe and pp have no closed nonretarded coefficient and raise
     UnsupportedAsymptoteError. l must be a separation that pair_curve accepts
-    and the channel's statics finite, as there.
+    and the channel's statics finite, as there; a value outside the float
+    range is pair_curve's ValueError naming the channel and l.
     """
     if not channel.is_pair:
         raise ValueError(f"asymptotes are defined for pair channels, got {channel}")
@@ -613,14 +618,17 @@ def vdw_asymptote(
     electric = letters.count(ELECTRIC_LETTER)
     if not nonretarded:
         k = 7.0 if electric == 1 else -23.0
-        return k * hbar * mu0**2 * c ** (1 + 2 * electric) * (statics[0] * statics[1]) / (64.0 * pi**3 * l**7)
-    # one side diamagnetic, the other electric (l^-5) or paramagnetic (l^-6)
-    beta_d, sides = statics[letters.index(DIA_LETTER)], dict(zip(letters, (atom_a, atom_b)))
-    if electric:
-        weighted = sum(t.omega * t.dipole_sq for t in sides[ELECTRIC_LETTER].electric_transitions)
-        return 5.0 * mu0**2 * c * (beta_d * weighted) / (96.0 * pi**3 * l**5)
-    m_sq = sum(t.dipole_sq for t in sides[PARA_LETTER].magnetic_transitions)
-    return -(mu0**2) * (beta_d * m_sq) / (16.0 * pi**2 * l**6)
+        value = k * hbar * mu0**2 * c ** (1 + 2 * electric) * (statics[0] * statics[1]) / (64.0 * pi**3 * l**7)
+    else:
+        # one side diamagnetic, the other electric (l^-5) or paramagnetic (l^-6)
+        beta_d, sides = statics[letters.index(DIA_LETTER)], dict(zip(letters, (atom_a, atom_b)))
+        if electric:
+            weighted = sum(t.omega * t.dipole_sq for t in sides[ELECTRIC_LETTER].electric_transitions)
+            value = 5.0 * mu0**2 * c * (beta_d * weighted) / (96.0 * pi**3 * l**5)
+        else:
+            m_sq = sum(t.dipole_sq for t in sides[PARA_LETTER].magnetic_transitions)
+            value = -(mu0**2) * (beta_d * m_sq) / (16.0 * pi**2 * l**6)
+    return _finite_channel(value, channel, "separation l", float(l))
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

@@ -288,8 +288,11 @@ def _dia(beta_d):
 
 # alpha(0) = 2/(3 hbar) 1e300 is inf in SI
 HUGE_ALPHA = AtomModel(label="huge", electric_transitions=(Transition(omega=1.0, dipole_sq=1e300, kind=ELECTRIC),))
+# a beta_d at which the closed forms overflow at a small distance that passes the range checks
+HUGE_DIA = AtomModel(label="huge-d", diamagnetic=DiamagneticSpec(direct_beta_d=-1e300))
 C, SI = PlateKind.CONDUCTING, constants_for(UnitSystem.SI)
 RANGE = "{} {!r} is out of range: 1/{}^{} is not a finite non-zero float"
+CHANNEL = "channel {!r} at {} {!r} is {!r}; it must be a finite float"
 LENZ = "diamagnetisability must be finite and <= 0 (Lenz rule), got {!r}"
 # (closed form, the curve on the same input, the message of both)
 CLOSED_FORM_REJECTS = {
@@ -327,6 +330,26 @@ CLOSED_FORM_REJECTS = {
         )
         for l in (1e-50, 1e60, math.inf)
     },
+    "mirror-overflow": (
+        lambda: cp_mirror_diamagnetic_closed(-1e300, 1e-70, C, NAT),
+        lambda: mirror_curve(HUGE_DIA, [1e-70], C, UnitSystem.NATURAL),
+        CHANNEL.format("d", "mirror distance z", 1e-70, -math.inf),
+    ),
+    "asymptote-dd-retarded-overflow": (
+        lambda: vdw_asymptote(Channel.DD, HUGE_DIA, HUGE_DIA, 1e-20, Regime.RETARDED, NAT),
+        lambda: pair_curve(HUGE_DIA, HUGE_DIA, [1e-20], UnitSystem.NATURAL),
+        CHANNEL.format("dd", "separation l", 1e-20, -math.inf),
+    ),
+    "asymptote-ed-nonretarded-overflow": (
+        lambda: vdw_asymptote(Channel.ED, ELEC, HUGE_DIA, 1e-20, Regime.NONRETARDED, NAT),
+        lambda: pair_curve(ELEC, HUGE_DIA, [1e-20], UnitSystem.NATURAL),
+        CHANNEL.format("ed", "separation l", 1e-20, -math.inf),
+    ),
+    "asymptote-dp-nonretarded-overflow": (
+        lambda: vdw_asymptote(Channel.DP, HUGE_DIA, PARA, 1e-20, Regime.NONRETARDED, NAT),
+        lambda: pair_curve(HUGE_DIA, PARA, [1e-20], UnitSystem.NATURAL),
+        CHANNEL.format("dp", "separation l", 1e-20, math.inf),
+    ),
     "asymptote-alpha-inf": (
         lambda: vdw_asymptote(Channel.EE, HUGE_ALPHA, HUGE_ALPHA, 1e-8, Regime.RETARDED, SI),
         lambda: pair_curve(HUGE_ALPHA, HUGE_ALPHA, [1e-8], UnitSystem.SI),
@@ -338,7 +361,8 @@ CLOSED_FORM_REJECTS = {
 @pytest.mark.parametrize("case", list(CLOSED_FORM_REJECTS))
 def test_closed_forms_reject_what_the_curves_reject(case):
     # each raised ZeroDivisionError or OverflowError, or returned nan, +-inf or -0.0, before the closed
-    # forms took the curves' range check of the distance, the Lenz rule and the finite statics
+    # forms took the curves' range check of the distance, the Lenz rule, the finite statics and
+    # the finite channel value
     closed, curve, message = CLOSED_FORM_REJECTS[case]
     for call in (closed, curve):
         with pytest.raises(ValueError) as raised:
@@ -764,8 +788,8 @@ def test_lines_of_all_sides_share_their_moment_calls(monkeypatch):
     assert calls == [4]
     calls.clear()
     verify_tables()  # one mirror and one self-pair curve serve all 23 cells
-    run_selftest()
-    assert len(calls) == 18
+    run_selftest()  # one call for each of its 9 curves with lines
+    assert len(calls) == 11
 
 
 def _ladder_atom(lines, shift=1.0):

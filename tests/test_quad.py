@@ -6,15 +6,28 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vdwcp.green import mirror_kernel
+import vdwcp.green
+import vdwcp.potentials
+import vdwcp.selftest
+from vdwcp.green import (
+    PlateKind,
+    mirror_gmm_trace_via_q_integral,
+    mirror_kernel,
+    pair_kernel_cross,
+    pair_kernel_same,
+)
+from vdwcp.potentials import vdw_pair_total_direct
 from vdwcp.quad import (
     PANEL_NODES,
+    PANELS_PER_CALL,
     TAIL_NODES,
     ConvergenceError,
     IntegrandError,
     QuadratureSpec,
     integrate_semiinf,
 )
+from vdwcp.selftest import _composite_pair, _kernel_moments
+from vdwcp.units import UnitSystem, constants_for
 
 
 def test_exponential_integral_is_one():
@@ -169,12 +182,21 @@ def test_damped_cosine_meets_its_closed_form(length, offset, w, phase, exponent)
     assert abs(result.value - exact) <= 1000.0 * rel_tol * abs(exact)
 
 
-# -- one panel per integrand call ----------------------------------------------------
+# -- whole panels per integrand call ------------------------------------------------
 
 
-@pytest.mark.parametrize("n, opening", [(1, [PANEL_NODES] * 7)])
-def test_opening_window_fills_panel_calls_then_takes_one_tail_call(n, opening):
-    # the seven opening panels take one call each, then one tail call
+def _one_slice_per_call(f):
+    """f evaluated on each panel's 15 abscissas and a tail bound's 3 in calls of their own."""
+
+    def sliced(x):
+        return np.concatenate([f(part) for part in np.split(x, range(PANEL_NODES, x.size, PANEL_NODES))])
+
+    return sliced
+
+
+@pytest.mark.parametrize("tail_calls, opening", [(1, [PANELS_PER_CALL * PANEL_NODES, 3 * PANEL_NODES + TAIL_NODES])])
+def test_opening_window_fills_panel_calls_then_takes_one_tail_call(tail_calls, opening):
+    # the seven opening panels take a call of four and one of three, the tail bound rides in the last
     calls = []
 
     def recording(x):
@@ -182,15 +204,13 @@ def test_opening_window_fills_panel_calls_then_takes_one_tail_call(n, opening):
         return np.exp(-x)
 
     integrate_semiinf(recording)
-    assert calls.count(TAIL_NODES) == n
-    tail = calls.index(TAIL_NODES)
-    assert calls[:tail] == opening
-    assert max(calls) == PANEL_NODES
+    assert calls == opening == [60, 48]
+    assert sum(size % PANEL_NODES == TAIL_NODES for size in calls) == tail_calls
 
 
-def test_mirror_kernel_takes_ten_integrand_calls():
-    # f gets one 1d array per call: the 7 opening panels, the tail bound, then
-    # the two halves of one bisection
+def test_mirror_kernel_takes_three_integrand_calls():
+    # f gets one 1d array per call: four opening panels, the other three with the tail
+    # bound, then the two halves of one bisection
     sizes = []
 
     def recording(x):
@@ -199,14 +219,14 @@ def test_mirror_kernel_takes_ten_integrand_calls():
         return mirror_kernel(x)
 
     result = integrate_semiinf(recording)
-    assert sizes == [PANEL_NODES] * 7 + [TAIL_NODES, PANEL_NODES, PANEL_NODES]
+    assert sizes == [4 * PANEL_NODES, 3 * PANEL_NODES + TAIL_NODES, 2 * PANEL_NODES] == [60, 48, 30]
     assert result.evaluations == sum(sizes) == 138
     assert result.value == pytest.approx(3.0, rel=1e-10)
 
 
 def test_packed_rows_report_the_first_bad_abscissa_of_the_earlier_panel():
-    # the opening panels [0, 1/2], [1/2, 1], [1, 2] and [2, 5] come one per
-    # call: [1, 2] turns non-finite first and nothing after it is evaluated
+    # the opening panels [0, 1/2], [1/2, 1], [1, 2] and [2, 5] share the first call: [1, 2]
+    # turns non-finite first, and its first abscissa above 1.2 is the one reported
     calls = []
 
     def bad(x):
@@ -215,6 +235,48 @@ def test_packed_rows_report_the_first_bad_abscissa_of_the_earlier_panel():
 
     with pytest.raises(IntegrandError) as excinfo:
         integrate_semiinf(bad)
-    assert len(calls) == 3
-    assert calls[2].min() > 1.0 and calls[2].max() < 2.0
-    assert excinfo.value.abscissa == calls[2][calls[2] > 1.2][0]
+    assert len(calls) == 1 and calls[0].size == PANELS_PER_CALL * PANEL_NODES
+    panel = calls[0][2 * PANEL_NODES : 3 * PANEL_NODES]
+    assert panel.min() > 1.0 and panel.max() < 2.0
+    assert excinfo.value.abscissa == panel[panel > 1.2][0] == calls[0][calls[0] > 1.2][0]
+
+
+def _q_integrals(spec):
+    for xi in (0.01, 0.3, 10.0):
+        for plate in PlateKind:
+            mirror_gmm_trace_via_q_integral(1.0, xi, plate, 1.0, spec)
+
+
+def _direct_totals(spec):
+    a, b = _composite_pair()
+    for l in (0.5, 1.0, 2.2):
+        vdw_pair_total_direct(a, b, l, constants_for(UnitSystem.NATURAL), spec)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-13, 1e-10, 1e-6])
+@pytest.mark.parametrize(
+    "oracle, integrals",
+    [
+        pytest.param(_kernel_moments, 4, id="kernel-moments"),
+        pytest.param(_q_integrals, 6, id="q-integral"),
+        pytest.param(_direct_totals, 6, id="direct-total"),
+    ],
+)
+def test_oracle_integrands_give_the_bits_of_one_slice_per_call(monkeypatch, oracle, integrals, rel_tol):
+    # every integrand of the oracles is elementwise: whole panels in one call change no bit
+    runs = []
+
+    def both(f, *args, **kwargs):
+        runs.append((integrate_semiinf(f, *args, **kwargs), integrate_semiinf(_one_slice_per_call(f), *args, **kwargs)))
+        return runs[-1][0]
+
+    for module in (vdwcp.green, vdwcp.potentials, vdwcp.selftest):
+        monkeypatch.setattr(module, "integrate_semiinf", both)
+    oracle(QuadratureSpec(rel_tol=rel_tol))
+    assert len(runs) == integrals
+    for packed, sliced in runs:
+        assert (packed.value.hex(), packed.error_estimate.hex(), packed.evaluations) == (
+            sliced.value.hex(),
+            sliced.error_estimate.hex(),
+            sliced.evaluations,
+        )

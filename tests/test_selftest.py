@@ -1,5 +1,9 @@
-"""The oracle battery's own work per run."""
+"""The oracle battery's own work per run, and the messages of its failing checks."""
+import numpy as np
+
 import vdwcp.selftest
+from vdwcp.asymptotics import _FIXTURES
+from vdwcp.potentials import Channel
 from vdwcp.selftest import run_selftest
 
 
@@ -22,9 +26,9 @@ def test_battery_integrates_each_kernel_moment_once(monkeypatch):
     assert report.all_passed
     # four kernel moments; the q-integral and the unfactored total integrate in their own modules
     assert len(quadratures) == 4
-    # pair-dd: one 20-point curve and its spot point; additivity: one 3-point curve;
-    # asymptotes 4 and swap 6 one-point curves; Lenz 6 seven-point curves
-    assert len(pair_curves) == 19
+    # pair-dd: one 20-point curve and its spot point; asymptotes: one 10-point curve per channel;
+    # swap: two 3-point curves; Lenz: 5 seven-point curves; additivity: one 3-point curve
+    assert len(pair_curves) == 12
 
 
 def test_verify_builds_no_atom_and_no_natural_constants(monkeypatch):
@@ -38,3 +42,33 @@ def test_verify_builds_no_atom_and_no_natural_constants(monkeypatch):
     assert vdwcp.asymptotics.verify_tables().all_passed
     assert run_selftest().all_passed
     assert built == []
+
+
+def _perturbing(monkeypatch, atom_a, channel, distance, change):
+    """The selftest's pair_curve, with change applied to the channel at distance on curves whose first atom is atom_a."""
+    original = vdwcp.selftest.pair_curve
+
+    def perturbed(a, b, *args, **kwargs):
+        curve = original(a, b, *args, **kwargs)
+        if a is atom_a:
+            at = curve.distances == distance
+            curve.values[channel][at] = change(curve.values[channel][at])
+        return curve
+
+    monkeypatch.setattr(vdwcp.selftest, "pair_curve", perturbed)
+
+
+def test_swap_check_names_each_value_that_differs(monkeypatch):
+    # one ulp in pe of the swapped pair at l = 1; the totals keep their bits
+    _perturbing(monkeypatch, vdwcp.selftest._COMPOSITE[1], Channel.PE, 1.0, lambda u: np.nextafter(u, np.inf))
+    check = vdwcp.selftest._check_swap_symmetry()
+    assert not check.passed
+    assert check.detail == "not byte-identical: ep at l=1"
+
+
+def test_lenz_check_names_each_separation_without_a_flip(monkeypatch):
+    # dd of the diamagnetic self-pair with its sign turned at the fourth of seven separations
+    _perturbing(monkeypatch, _FIXTURES["d"], Channel.DD, np.geomspace(0.05, 50.0, 7)[3], lambda u: -u)
+    check = vdwcp.selftest._check_lenz_flip()
+    assert not check.passed
+    assert check.detail == "no sign flip: pd vs dd at l=1.58"
