@@ -548,36 +548,28 @@ def vdw_pair_total_direct(
     """Total two-atom potential evaluated without the channel split.
 
     Independent path used to check channel additivity: the full responses
-    (alpha and total beta = beta_p + beta_d) enter the integrand directly,
-    unfactored, so agreement with the summed pair_curve channels is a real
-    cross-check rather than an identity.
+    (alpha and total beta = beta_p + beta_d) enter one unfactored integrand,
+    c^2 x^2 (alpha_A beta_B + beta_A alpha_B) K_cross - (c^4 alpha_A alpha_B
+    + beta_A beta_B) K_same with x = l xi / c, taken by one integrate_semiinf
+    call and times hbar mu0^2 c / (16 pi^3 l^7). So agreement with the summed
+    pair_curve channels is a real cross-check rather than an identity, and
+    spec.rel_tol binds the total returned; where the like and crossed parts
+    cancel it to near zero, that tolerance may be out of reach and the call
+    raises ConvergenceError.
     """
     base = _pair_base(l, consts)
     hbar, c = consts.hbar, consts.c
     scale = c / l
 
-    def like_integrand(x):
-        xi = scale * np.asarray(x, dtype=float)
-        return (
-            c**4 * alpha_iso(atom_a, xi, hbar) * alpha_iso(atom_b, xi, hbar)
-            + beta_total(atom_a, xi, hbar) * beta_total(atom_b, xi, hbar)
-        ) * pair_kernel_same(x)
-
-    def cross_integrand(x):
+    def integrand(x):
         x = np.asarray(x, dtype=float)
         xi = scale * x
-        return (
-            x**2
-            * (
-                alpha_iso(atom_a, xi, hbar) * beta_total(atom_b, xi, hbar)
-                + beta_total(atom_a, xi, hbar) * alpha_iso(atom_b, xi, hbar)
-            )
-            * pair_kernel_cross(x)
-        )
+        alpha_a, alpha_b = alpha_iso(atom_a, xi, hbar), alpha_iso(atom_b, xi, hbar)
+        beta_a, beta_b = beta_total(atom_a, xi, hbar), beta_total(atom_b, xi, hbar)
+        cross = c**2 * x**2 * (alpha_a * beta_b + beta_a * alpha_b) * pair_kernel_cross(x)
+        return cross - (c**4 * alpha_a * alpha_b + beta_a * beta_b) * pair_kernel_same(x)
 
-    like = integrate_semiinf(like_integrand, spec, decay_scale=0.5).value
-    cross = integrate_semiinf(cross_integrand, spec, decay_scale=0.5).value
-    return -base * like + base * c**2 * cross
+    return base * integrate_semiinf(integrand, spec, decay_scale=0.5).value
 
 
 def vdw_asymptote(
@@ -598,8 +590,11 @@ def vdw_asymptote(
     ee, ep, pe and pp have no closed nonretarded coefficient and raise
     UnsupportedAsymptoteError. l must be a separation that pair_curve accepts
     and the channel's statics finite, as there; a value outside the float
-    range is pair_curve's ValueError naming the channel and l.
+    range is pair_curve's ValueError naming the channel and l. regime is a
+    Regime or its value ("nonretarded", as TableEntry.regime writes it);
+    anything else is a ValueError.
     """
+    regime = Regime(regime)
     if not channel.is_pair:
         raise ValueError(f"asymptotes are defined for pair channels, got {channel}")
     _pair_base(l, consts)  # pair_curve's checks of l only

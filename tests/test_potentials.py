@@ -1,7 +1,10 @@
 """Potential channels against closed forms, symmetries and curve plumbing."""
 
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -235,6 +238,21 @@ def test_channel_sum_matches_unfactored_total():
         assert split == pytest.approx(direct, rel=1e-12)
 
 
+def test_unfactored_total_meets_a_tight_tolerance_in_si_units():
+    # omega x 1e16 rad/s, dipoles x 1e-58 C^2 m^2 and 1e-46 J^2/T^2, beta_d x 1e-29 J/T^2, l = 1e-8 m:
+    # 2 omega l / c as at l = 1 in natural units. The crossed part alone is too small for 1e-13; the total is not.
+    def si(atom):
+        electric, magnetic = (
+            tuple(Transition(t.omega * 1e16, t.dipole_sq * scale, t.kind) for t in lines)
+            for lines, scale in ((atom.electric_transitions, 1e-58), (atom.magnetic_transitions, 1e-46))
+        )
+        return AtomModel(atom.label, electric, magnetic, DiamagneticSpec(atom.diamagnetic.direct_beta_d * 1e-29))
+
+    a, b = si(COMPOSITE_A), si(COMPOSITE_B)
+    direct = vdw_pair_total_direct(a, b, 1e-8, constants_for(UnitSystem.SI), QuadratureSpec(rel_tol=1e-13))
+    assert direct == pytest.approx(pair_curve(a, b, [1e-8], UnitSystem.SI).total[0], rel=1e-12)
+
+
 @given(st.floats(min_value=0.2, max_value=20.0), st.floats(min_value=1.05, max_value=3.0))
 def test_dd_attraction_strengthens_at_shorter_separation(l, factor):
     near = pair_curve(DIA, DIA, [l], UnitSystem.NATURAL).values[Channel.DD][0]
@@ -280,6 +298,21 @@ def test_asymptote_rejects_unsupported_combinations():
         vdw_asymptote(Channel.E, ELEC, ELEC, 1.0, Regime.RETARDED, NAT)
     with pytest.raises(ValueError):
         vdw_asymptote(Channel.DD, DIA, DIA, -1.0, Regime.RETARDED, NAT)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("channel", PAIR_CHANNELS)
+def test_asymptote_takes_a_regime_or_its_value(channel, regime):
+    # TableEntry.regime and REGIME_DEPTH name regimes by value; a value is its member
+    def outcome(regime, l):
+        try:
+            return vdw_asymptote(channel, COMPOSITE_A, COMPOSITE_B, l, regime, NAT).hex()
+        except ValueError as error:
+            return type(error), str(error)
+
+    assert all(outcome(regime.value, l) == outcome(regime, l) for l in (1e-3, 1.0, 1e3))
+    for other in ("all", None):
+        assert outcome(other, 1.0) == (ValueError, f"{other!r} is not a valid Regime")
 
 
 def _dia(beta_d):
@@ -479,16 +512,27 @@ def test_force_needs_at_least_three_points():
 
 # -- curves against an independent route ------------------------------------------
 #
-# The reference restates each channel as its imaginary-frequency integral in
-# natural units, the response ratios as plain Lorentzian sums, and integrates
-# it with mpmath's tanh-sinh rule at 40 digits: it shares no code with the
-# closed forms of the engine. At 30 digits the rule's error estimate has an
-# absolute floor near 1e-32, so a crossed integral as small as 2e-13 cannot
-# meet _mp_integral's relative bound.
+# The reference is the benchmark's, bench/reference.py: each channel restated as
+# its imaginary-frequency integral in natural units, the response ratios as
+# plain Lorentzian sums, integrated by mpmath's tanh-sinh rule; it shares no
+# code with the closed forms of the engine. The tests run a private instance
+# of it at 40 digits, not the benchmark's 30: at 30 digits the rule's error
+# estimate has an absolute floor near 1e-32, so a crossed integral as small as
+# 2e-13 cannot meet the reference's 1e-20 relative bound.
 
 # Relative deviation allowed from the 40-digit reference; exact zeros must stay exact.
 MPMATH_REL = 1e-13
 MPMATH_DIGITS = 40
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+_spec = importlib.util.spec_from_file_location("_tier1_reference", REFERENCE_PATH)
+REFERENCE = importlib.util.module_from_spec(_spec)  # not put in sys.modules
+_spec.loader.exec_module(REFERENCE)
+REFERENCE.DIGITS = MPMATH_DIGITS  # read at call time
+
+
+def test_reference_is_the_benchmarks_module_at_forty_digits():
+    assert Path(REFERENCE.__file__) == REFERENCE_PATH and REFERENCE.DIGITS == 40
+    assert "reference" not in sys.modules and REFERENCE.__name__ not in sys.modules
 
 
 def _seeded_atom(seed=11, electric=14, magnetic=10):
@@ -510,57 +554,6 @@ def _seeded_atom(seed=11, electric=14, magnetic=10):
     )
 
 
-def _mp_response(atom, letter):
-    """(static value, ratio of xi, pole frequencies) of one response at the working precision."""
-    if letter == "d":
-        return mp.mpf(atom.diamagnetic.direct_beta_d), (lambda xi: 1), []
-    transitions = atom.electric_transitions if letter == "e" else atom.magnetic_transitions
-    terms = [(mp.mpf(t.omega) ** 2, mp.mpf(t.omega) * mp.mpf(t.dipole_sq)) for t in transitions]
-    total = mp.fsum(n / w for w, n in terms)
-
-    def ratio(xi):
-        return mp.fsum(n / (w + xi * xi) for w, n in terms) / total
-
-    return 2 * total / 3, ratio, [mp.sqrt(w) for w, _ in terms]
-
-
-def _mp_integral(f, poles):
-    points = sorted({mp.mpf(0), mp.mpf(1), *poles}) + [mp.inf]
-    value, error = mp.quad(f, points, error=True)
-    assert abs(error) <= 1e-20 * abs(value)
-    return value
-
-
-def _mp_mirror(atom, letter, z, plate):
-    with mp.workdps(MPMATH_DIGITS):
-        static, ratio, poles = _mp_response(atom, letter)
-        if static == 0:
-            return 0.0
-        z = mp.mpf(z)
-        poles = [2 * z * p for p in poles]
-        integral = _mp_integral(lambda x: ratio(x / (2 * z)) * mp.exp(-x) * (1 + x + x * x / 2), poles)
-        sign = -plate.sign if letter == "e" else plate.sign
-        return float(sign * static * integral / (32 * mp.pi**2 * z**4))
-
-
-def _mp_pair(channel, atom_a, atom_b, l):
-    with mp.workdps(MPMATH_DIGITS):
-        static_a, ratio_a, poles_a = _mp_response(atom_a, channel.value[0])
-        static_b, ratio_b, poles_b = _mp_response(atom_b, channel.value[1])
-        if static_a == 0 or static_b == 0:
-            return 0.0
-        l = mp.mpf(l)
-        poles = [l * p for p in poles_a + poles_b]
-        if channel.value.count("e") == 1:
-            kernel = lambda x: x * x * (1 + x) ** 2 * mp.exp(-2 * x)  # noqa: E731
-            sign = 1
-        else:
-            kernel = lambda x: (3 + x * (6 + x * (5 + x * (2 + x)))) * mp.exp(-2 * x)  # noqa: E731
-            sign = -1
-        integral = _mp_integral(lambda x: ratio_a(x / l) * ratio_b(x / l) * kernel(x), poles)
-        return float(sign * static_a * static_b * integral / (16 * mp.pi**3 * l**7))
-
-
 def _assert_matches_reference(value, reference):
     assert value == pytest.approx(reference, rel=MPMATH_REL, abs=0.0)
 
@@ -577,7 +570,7 @@ def test_mirror_curve_is_bitwise_the_per_point_reference(atom, plate):
         point = mirror_curve(atom, [z], plate, UnitSystem.NATURAL)
         for ch in MIRROR_CHANNELS:
             assert curve.values[ch][i] == point.values[ch][0]
-            _assert_matches_reference(point.values[ch][0], _mp_mirror(atom, ch.value, z, plate))
+            _assert_matches_reference(point.values[ch][0], REFERENCE.mirror_channel(atom, ch.value, z, plate.sign))
 
 
 @pytest.mark.parametrize(
@@ -592,7 +585,7 @@ def test_pair_curve_is_bitwise_the_per_point_reference(atom_a, atom_b):
         for ch in PAIR_CHANNELS:
             assert curve.values[ch][i] == point.values[ch][0]
             if atom_a is not atom_b or ch.value <= ch.value[::-1]:  # the rest are checked below
-                _assert_matches_reference(point.values[ch][0], _mp_pair(ch, atom_a, atom_b, l))
+                _assert_matches_reference(point.values[ch][0], REFERENCE.pair_channel(atom_a, atom_b, ch.value, l))
     if atom_a is atom_b:
         for a, b in ((Channel.EP, Channel.PE), (Channel.ED, Channel.DE), (Channel.PD, Channel.DP)):
             assert np.array_equal(curve.values[a], curve.values[b])
@@ -987,11 +980,11 @@ def test_every_channel_matches_mpmath_on_random_atoms(pair, exponent):
     d = 10.0**exponent
     curve = pair_curve(atom_a, atom_b, [d], UnitSystem.NATURAL)
     for ch in PAIR_CHANNELS:
-        _assert_matches_reference(curve.values[ch][0], _mp_pair(ch, atom_a, atom_b, d))
+        _assert_matches_reference(curve.values[ch][0], REFERENCE.pair_channel(atom_a, atom_b, ch.value, d))
     curve = mirror_curve(atom_a, [d], PlateKind.CONDUCTING, UnitSystem.NATURAL)
     for ch in MIRROR_CHANNELS:
         _assert_matches_reference(
-            curve.values[ch][0], _mp_mirror(atom_a, ch.value, d, PlateKind.CONDUCTING)
+            curve.values[ch][0], REFERENCE.mirror_channel(atom_a, ch.value, d, PlateKind.CONDUCTING.sign)
         )
 
 

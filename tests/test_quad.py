@@ -259,7 +259,7 @@ def _direct_totals(spec):
     [
         pytest.param(_kernel_moments, 4, id="kernel-moments"),
         pytest.param(_q_integrals, 6, id="q-integral"),
-        pytest.param(_direct_totals, 6, id="direct-total"),
+        pytest.param(_direct_totals, 3, id="direct-total"),
     ],
 )
 def test_oracle_integrands_give_the_bits_of_one_slice_per_call(monkeypatch, oracle, integrals, rel_tol):
