@@ -31,6 +31,11 @@ selftest's four kernel moments, its 26 q-integral points and
 vdw_pair_total_direct on its composite pair at l = 0.5, 1 and 2.2 (natural
 units, and SI with the corpus scales), and the value each of those returns;
 a ConvergenceError hashes a marker and its best estimate.
+
+Last, it prints one line per unit system and curve family with the number
+of _moments calls its curves made and the elements they took, so that a
+change to the engine's call pattern shows next to the bits it kept. These
+counters are not part of any digest.
 """
 import contextlib
 import dataclasses
@@ -176,6 +181,25 @@ def _curves(atoms, partners, units=UnitSystem.NATURAL, scale=1.0):
                 yield "mixed-pair", pair_curve(atom, partner, grid, units)
 
 
+def _counted(curves, units: str, counters: dict):
+    """curves, adding each curve's _moments calls and elements to counters[f"{units} {family}"]."""
+    tally = [0, 0]
+    real = potentials._moments
+
+    def counting(a):
+        tally[0] += 1
+        tally[1] += a.size
+        return real(a)
+
+    with mock.patch.object(potentials, "_moments", counting):
+        for family, curve in curves:
+            counter = counters.setdefault(f"{units} {family}", [0, 0])
+            counter[0] += tally[0]
+            counter[1] += tally[1]
+            tally[:] = [0, 0]
+            yield family, curve
+
+
 def _closed_forms(atoms, partners, units, scale):
     """(part, bytes) of every closed-form value over the corpus, in the grids' distances."""
     consts, distances = constants_for(units), (np.concatenate(GRIDS) * scale).tolist()
@@ -257,15 +281,16 @@ def main() -> int:
     random_atoms = [_random_atom(seed) for seed in range(30)]
     manyline = [_manyline_atom(seed) for seed in (1, 2, 3)]
     partners = random_atoms[1:] + random_atoms[:1] + [None] * 3
-    count = 0
-    for family, curve in _curves(random_atoms + manyline, partners):
+    count, counters = 0, {}
+    for family, curve in _counted(_curves(random_atoms + manyline, partners), "natural", counters):
         digest.update(np.stack([curve.distances, *curve.values.values(), curve.total]).tobytes())
         count += 1
         for name, values in [*((ch.value, v) for ch, v in curve.values.items()), ("total", curve.total)]:
             part(f"natural {family} {name}").update(values.tobytes())
     si_atoms = [_si_atom(atom) for atom in random_atoms + manyline]
     si_partners = si_atoms[1:30] + si_atoms[:1] + [None] * 3
-    for family, curve in _curves(si_atoms, si_partners, UnitSystem.SI, SI_SCALES[-1]):
+    si_curves = _curves(si_atoms, si_partners, UnitSystem.SI, SI_SCALES[-1])
+    for family, curve in _counted(si_curves, "si", counters):
         for name, values in [*((ch.value, v) for ch, v in curve.values.items()), ("total", curve.total)]:
             part(f"si {family} {name}").update(values.tobytes())
     closed = 0
@@ -287,6 +312,8 @@ def main() -> int:
     print(f"{len(commands)} command outputs, {count} curves in natural units and as many in SI", file=sys.stderr)
     print(f"{closed} closed-form values in natural units and SI", file=sys.stderr)
     print(f"{oracles} oracle quadratures and values", file=sys.stderr)
+    for name, (calls, elements) in counters.items():
+        print(f"{calls} _moments calls, {elements} elements  {name}", file=sys.stderr)
     return 0
 
 

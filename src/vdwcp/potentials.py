@@ -72,7 +72,7 @@ _CLOSE = 1e-2
 # 4-point Gauss-Legendre nodes on [-1, 1] and half their weights, which sum to 1.
 _GAUSS_NODES = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
 _GAUSS_WEIGHTS = (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269)
-# Elements per _moments call, and of a block of distances where several fit.
+# Elements per _moments call, unless one distance's row of an array is longer, and of a block of distances.
 _BLOCK = 32
 # q_n of the sums sum_n q_n M_n of _term_values per unit of x (for a pair dx = dt/2, x^2 = t^2/4):
 # e^-t (1 + t + t^2/2), (3 + 3t + 5t^2/4 + t^3/4 + t^4/16) e^-t / 2, t^2 (1 + t/2)^2 e^-t / 8 and
@@ -211,7 +211,9 @@ def _moments(a: np.ndarray) -> np.ndarray:
     Taylor polynomial of moment_table about the centre of a's band (degree 17,
     |a - centre| <= 0.118 centre), or from _ASYMPTOTIC_FROM on
     M_n = sum_k (-1)^k (n + 2k)! / a^(2k + 2). Each element's route depends on its
-    own a only. In place on 1d arrays, where numpy takes no hidden buffers.
+    own a only. In place on 1d arrays, where numpy takes no hidden buffers; the
+    series route, the largest working set, keeps its temporaries in one scratch
+    row, with each operation and its order as written out above.
     """
     moments = np.empty((6, a.size))
     near = np.flatnonzero(a < _SERIES_BELOW)
@@ -224,18 +226,28 @@ def _moments(a: np.ndarray) -> np.ndarray:
             ci += ci_term
             si *= y
             si += si_term
+        # one scratch row serves ln x, y x, pi/2 - x, sin x and cos x: the series route sets a call's peak
         ci *= y
-        ci += np.log(x) + _EULER_GAMMA  # Ci(x)
-        si *= -y * x
-        si += 0.5 * math.pi - x  # pi/2 - Si(x)
-        sin, cos = np.sin(x), np.cos(x)
-        f, g = ci * sin + si * cos, si * sin - ci * cos
-        del ci, si, sin, cos
+        scratch = np.log(x)
+        scratch += _EULER_GAMMA
+        ci += scratch  # Ci(x)
+        np.multiply(y, x, out=scratch)
+        si *= scratch
+        np.subtract(0.5 * math.pi, x, out=scratch)
+        np.subtract(scratch, si, out=si)  # pi/2 - Si(x)
+        np.sin(x, out=scratch)
+        f, g = ci * scratch, si * scratch
+        np.cos(x, out=scratch)
+        si *= scratch
+        f += si  # ci sin + si cos
+        ci *= scratch
+        g -= ci  # si sin - ci cos
+        del ci, si, scratch
         moments[0][near] = f / x
         moments[1][near] = g
         for n, row, factor in ((2, f, x), (3, g, y), (4, f, y), (5, g, y)):
-            row *= -factor
-            row += math.factorial(n - 2)
+            row *= factor
+            np.subtract(math.factorial(n - 2), row, out=row)
             moments[n][near] = row
     asymptotic = np.flatnonzero(a >= _ASYMPTOTIC_FROM)
     if asymptotic.size:
@@ -302,7 +314,11 @@ def _partial_fractions(sides) -> list:
     they give v u W N times the Gauss-Legendre mean of 1/(rho + xi^2)^2 over rho
     between W and N: double poles c A^4 / (A^2 + t^2)^2, A = 2 sqrt(rho) d / c,
     one at the first side's frequency of index if W = N. Each depends on W + N,
-    |N - W| and products, so swapping the sides changes no bit.
+    |N - W| and products, so swapping the sides changes no bit. The close
+    pairs' results are Python floats (a float's ** is C pow, numpy's x ** 2 is
+    x * x, and the two differ in the last bit now and then), gathered in flat
+    lists: tuples to unzip would stay in CPython's free lists, within the
+    curve's memory peak.
     """
     (omegas, shares), *other = sides
     if not other:
@@ -326,22 +342,23 @@ def _partial_fractions(sides) -> list:
     else:
         other_sums = residues(others**2, omegas**2, shares)[0]
         groups = [("", omegas, None, shares * sums), ("", others, None, other_shares * other_sums)]
-    coincident, nodes = [], []
+    # flat lists of Python floats: tuples to unzip stay in CPython's free lists, within the memory peak
+    index, coincident, frequencies, coefficients = [], [], [], []
     for j, k in close:
         w, n = omegas[j].item() ** 2, others[k].item() ** 2
         product = shares[j].item() * other_shares[k].item() * (2.0 if others is omegas and k > j else 1.0)
         middle, half = 0.5 * (w + n), 0.5 * abs(n - w)
         if not half:
-            coincident.append((j, product))
+            index.append(j)
+            coincident.append(product)
         for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS) if half else ():
             rho = middle + half * node
-            nodes.append((math.sqrt(rho), product * (w * n / rho**2) * weight))
-    if coincident:
-        index, coefficients = zip(*coincident)
-        groups.append(("2", omegas, np.array(index), np.array(coefficients)))
-    if nodes:
-        frequencies, coefficients = map(np.array, zip(*nodes))
-        groups.append(("2", frequencies, None, coefficients))
+            frequencies.append(math.sqrt(rho))
+            coefficients.append(product * (w * n / rho**2) * weight)
+    if index:
+        groups.append(("2", omegas, np.array(index), np.array(coincident)))
+    if frequencies:
+        groups.append(("2", np.array(frequencies), None, np.array(coefficients)))
     return groups
 
 
@@ -354,10 +371,12 @@ def _channel_integrals(channels, scales: np.ndarray):
     which a block of distances lays out as one row per distance: a distance
     gets the same bits in a curve as alone, and a swap changes no bit. The
     lines (every side's frequencies once) and the Gauss-Legendre nodes
-    of all channels' close pairs form two arrays, which take their moments in
-    calls of at most _BLOCK elements over blocks of the fewest distances that
-    cost the curve the fewest calls, no more than _BLOCK of the longest side
-    or of the nodes fill. A two-sided crossed channel takes t^2 out (cross_out)
+    of all channels' close pairs form two arrays, which take their moments
+    over blocks of the fewest distances that cost the curve the fewest calls,
+    no more than _BLOCK of the longest side or of the nodes fill. An array's
+    row, its elements at one distance, is never split: its calls take at most
+    max(_BLOCK, row) elements, so a call's working set grows with the curve's
+    lines or nodes, never with its grid. A two-sided crossed channel takes t^2 out (cross_out)
     where all its simple poles have A < _SERIES_BELOW: keeping it in cancels to
     the order of A there, taking it out to A^-2 elsewhere.
     """
@@ -395,9 +414,11 @@ def _channel_integrals(channels, scales: np.ndarray):
     arrays = [np.concatenate(group) if len(group) > 1 else group[0] for group in (lines, nodes) if group]
     del lines, starts, nodes
 
+    caps = [max(_BLOCK, f.size) for f in arrays]  # a distance's row of an array is never split
+
     def calls(step):
         full, rest = divmod(scales.size, step)
-        return sum(full * -(-step * f.size // _BLOCK) + -(-rest * f.size // _BLOCK) for f in arrays)
+        return sum(full * -(-step * f.size // cap) + -(-rest * f.size // cap) for f, cap in zip(arrays, caps))
 
     step = min(range(1, min(max(1, _BLOCK // widest), scales.size) + 1), key=calls)
     tables = [np.empty((len(names), step, f.size)) for f, names in zip(arrays, kinds)]
@@ -406,11 +427,11 @@ def _channel_integrals(channels, scales: np.ndarray):
     integrals = np.empty((len(plans), scales.size))
     for first in range(0, scales.size, step):
         block = scales[first : first + step]
-        for frequencies, names, table in zip(arrays, kinds, tables):
+        for frequencies, names, table, cap in zip(arrays, kinds, tables, caps):
             a = np.minimum(np.multiply.outer(block, frequencies), _A_LIMIT).ravel()
             rows = table.reshape(len(names), -1)
-            for start in range(0, a.size, _BLOCK):
-                part = a[start : start + _BLOCK]
+            for start in range(0, a.size, cap):
+                part = a[start : start + cap]
                 moments = _moments(part)
                 for kind, row in zip(names, rows):
                     row[start : start + part.size] = _term_values(kind, part, moments)

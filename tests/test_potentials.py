@@ -723,9 +723,10 @@ def test_curves_are_bitwise_one_point_runs(
         assert pair.total[i] == point.total[0]
 
 
-@pytest.mark.parametrize("electric", [1, 3, 30])
+@pytest.mark.parametrize("electric", [1, 3, 30, 40])
 def test_moment_calls_stay_within_the_block(monkeypatch, electric):
-    # the engine's working set: every _moments call takes at most _BLOCK elements
+    # the engine's working set: a row is one distance's elements of an array, the lines or the nodes;
+    # a _moments call takes at most max(_BLOCK, row) elements, and a row longer than _BLOCK is one call
     sizes = []
     real = vdwcp.potentials._moments
 
@@ -734,10 +735,17 @@ def test_moment_calls_stay_within_the_block(monkeypatch, electric):
         return real(a)
 
     monkeypatch.setattr(vdwcp.potentials, "_moments", recording)
-    atom = _seeded_atom(5, electric, 2)
-    pair_curve(atom, atom, np.geomspace(0.05, 20.0, 11), UnitSystem.NATURAL)
-    mirror_curve(atom, np.geomspace(0.05, 20.0, 11), PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    assert sizes and max(sizes) <= vdwcp.potentials._BLOCK
+    atom, grid, block = _seeded_atom(5, electric, 2), np.geomspace(0.05, 20.0, 11), vdwcp.potentials._BLOCK
+    for curve in (
+        lambda: pair_curve(atom, atom, grid, UnitSystem.NATURAL),
+        lambda: mirror_curve(atom, grid, PlateKind.CONDUCTING, UnitSystem.NATURAL),
+    ):
+        sizes.clear()
+        curve()
+        nodes, rest = divmod(sum(sizes) - grid.size * (electric + 2), grid.size)  # each element once a distance
+        rows = [row for row in (electric + 2, nodes) if row]
+        assert rest == 0 and max(sizes) <= max([block] + rows)
+        assert sorted(size for size in sizes if size > block) == sorted(grid.size * [row for row in rows if row > block])
 
 
 def _lines_atom(magnetic):
@@ -796,11 +804,12 @@ def _ladder_atom(lines, shift=1.0):
     )
 
 
-@pytest.mark.parametrize("lines, mirror, pair", [(10, 6, 12), (6, 4, 7), (5, 3, 6), (3, 2, 4)])
+@pytest.mark.parametrize("lines, mirror, pair", [(10, 6, 9), (6, 4, 7), (5, 3, 6), (3, 2, 4)])
 def test_shared_lines_take_no_more_moment_calls_than_each_side_apart(monkeypatch, lines, mirror, pair):
     # 9 distances, no close pairs. Each side in an array of its own took, mirror and pair:
     # 10 lines 6 and 12 (3 distances of 10 lines per call), 6 lines 4 and 8, 5 lines 4 and 8,
-    # 3 lines 2 and 4; one array of all 20 lines in blocks of 32 // 20 = 1 distance took 9 and 18
+    # 3 lines 2 and 4; one array of all 20 lines in blocks of 32 // 20 = 1 distance took 9 and 18.
+    # The 10-line pair's 40 lines a distance are one call each, 9 in all
     calls = []
     real = vdwcp.potentials._moments
     monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
@@ -849,6 +858,40 @@ def _atom(electric, magnetic):
     )
 
 
+def _fifty_lines_atom(seed):
+    """30 electric lines stratified over [0.5, 5] and 20 magnetic ones, every other one within 0.4% of an electric one."""
+    rng = np.random.default_rng(seed)
+    electric = np.exp(np.log(0.5) + np.log(10.0) * (np.arange(30) + rng.random(30)) / 30)
+    close = electric[::3] * (1.0 + rng.uniform(-0.004, 0.004, 10))
+    magnetic = np.concatenate([close, np.exp(rng.uniform(np.log(0.5), np.log(5.0), 10))])
+
+    def transitions(omegas, kind):
+        return tuple(Transition(omega=float(w), dipole_sq=float(rng.uniform(0.2, 1.0)), kind=kind) for w in omegas)
+
+    return AtomModel(
+        label=f"fifty-{seed}",
+        electric_transitions=transitions(electric, ELECTRIC),
+        magnetic_transitions=transitions(magnetic, MAGNETIC),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-float(rng.uniform(0.2, 1.0))),
+    )
+
+
+FIFTY = _fifty_lines_atom(13)
+
+
+def test_rows_longer_than_the_block_take_one_moment_call_a_distance(monkeypatch):
+    # 50 lines a distance, and the self-pair's 10 close pairs give it more than _BLOCK nodes a distance too
+    calls = []
+    real = vdwcp.potentials._moments
+    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
+    mirror_curve(FIFTY, np.geomspace(1e-2, 1e2, 40), PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    assert calls == [50] * 40
+    calls.clear()
+    pair_curve(FIFTY, FIFTY, np.geomspace(1e-2, 1e2, 21), UnitSystem.NATURAL)
+    assert len(calls) == 2 * 21 and calls[::2] == [50] * 21
+    assert len(set(calls[1::2])) == 1 and calls[1] > vdwcp.potentials._BLOCK
+
+
 # B's first electric line is A's second (a coincident pole), its first magnetic line 0.3% above
 # A's first electric line (Gauss-Legendre nodes); the self-pair meets its own lines (index positions)
 CLOSE_A, CLOSE_B = _atom([0.6, 1.3, 2.9], [1.0]), _atom([1.3, 3.3], [0.6018, 2.0])
@@ -860,6 +903,8 @@ BLOCK_CASES = {
     "coincident-self": (CLOSE_B, CLOSE_B, np.geomspace(0.01, 100.0, 21)),
     # one block of 8 distances; ep (top line 1.0) and pe (1.4) take t^2 out below l = 1 and 1/1.4
     "switch-in-block": (COMPOSITE_A, COMPOSITE_B, np.geomspace(0.5, 2.0, 8)),
+    # whole-row calls: 50 lines and more than _BLOCK nodes a distance, coincident and close poles
+    "lines-50-self": (FIFTY, FIFTY, np.geomspace(1e-2, 1e2, 21)),
 }
 
 
