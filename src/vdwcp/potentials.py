@@ -72,7 +72,7 @@ _CLOSE = 1e-2
 # 4-point Gauss-Legendre nodes on [-1, 1] and half their weights, which sum to 1.
 _GAUSS_NODES = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
 _GAUSS_WEIGHTS = (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269)
-# Elements per _moments call, unless one distance's row of an array is longer, and of a block of distances.
+# Elements per _moments call, or one distance's row of an array where that is longer; and of a block of distances.
 _BLOCK = 32
 # q_n of the sums sum_n q_n M_n of _term_values per unit of x (for a pair dx = dt/2, x^2 = t^2/4):
 # e^-t (1 + t + t^2/2), (3 + 3t + 5t^2/4 + t^3/4 + t^4/16) e^-t / 2, t^2 (1 + t/2)^2 e^-t / 8 and
@@ -212,8 +212,8 @@ def _moments(a: np.ndarray) -> np.ndarray:
     |a - centre| <= 0.118 centre), or from _ASYMPTOTIC_FROM on
     M_n = sum_k (-1)^k (n + 2k)! / a^(2k + 2). Each element's route depends on its
     own a only. In place on 1d arrays, where numpy takes no hidden buffers; the
-    series route, the largest working set, keeps its temporaries in one scratch
-    row, with each operation and its order as written out above.
+    series route, whose working set is the largest, keeps its temporaries in one
+    scratch row.
     """
     moments = np.empty((6, a.size))
     near = np.flatnonzero(a < _SERIES_BELOW)
@@ -342,7 +342,6 @@ def _partial_fractions(sides) -> list:
     else:
         other_sums = residues(others**2, omegas**2, shares)[0]
         groups = [("", omegas, None, shares * sums), ("", others, None, other_shares * other_sums)]
-    # flat lists of Python floats: tuples to unzip stay in CPython's free lists, within the memory peak
     index, coincident, frequencies, coefficients = [], [], [], []
     for j, k in close:
         w, n = omegas[j].item() ** 2, others[k].item() ** 2
@@ -376,9 +375,10 @@ def _channel_integrals(channels, scales: np.ndarray):
     no more than _BLOCK of the longest side or of the nodes fill. An array's
     row, its elements at one distance, is never split: its calls take at most
     max(_BLOCK, row) elements, so a call's working set grows with the curve's
-    lines or nodes, never with its grid. A two-sided crossed channel takes t^2 out (cross_out)
-    where all its simple poles have A < _SERIES_BELOW: keeping it in cancels to
-    the order of A there, taking it out to A^-2 elsewhere.
+    lines or nodes, never with its grid. A two-sided crossed channel takes
+    t^2 out (cross_out) where all its simple poles have A < _SERIES_BELOW:
+    keeping it in cancels to the order of A there, taking it out to A^-2
+    elsewhere.
     """
     lines, starts = [], {}
     for _, sides in channels:

@@ -745,7 +745,8 @@ def test_moment_calls_stay_within_the_block(monkeypatch, electric):
         nodes, rest = divmod(sum(sizes) - grid.size * (electric + 2), grid.size)  # each element once a distance
         rows = [row for row in (electric + 2, nodes) if row]
         assert rest == 0 and max(sizes) <= max([block] + rows)
-        assert sorted(size for size in sizes if size > block) == sorted(grid.size * [row for row in rows if row > block])
+        long_rows = [row for row in rows if row > block]
+        assert sorted(size for size in sizes if size > block) == sorted(grid.size * long_rows)
 
 
 def _lines_atom(magnetic):
@@ -859,7 +860,7 @@ def _atom(electric, magnetic):
 
 
 def _fifty_lines_atom(seed):
-    """30 electric lines stratified over [0.5, 5] and 20 magnetic ones, every other one within 0.4% of an electric one."""
+    """30 electric lines stratified over [0.5, 5] and 20 magnetic ones, half of them within 0.4% of an electric one."""
     rng = np.random.default_rng(seed)
     electric = np.exp(np.log(0.5) + np.log(10.0) * (np.arange(30) + rng.random(30)) / 30)
     close = electric[::3] * (1.0 + rng.uniform(-0.004, 0.004, 10))
