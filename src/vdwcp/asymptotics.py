@@ -18,6 +18,7 @@ import numpy as np
 from .potentials import (
     Channel,
     PotentialCurve,
+    Regime,
     mirror_curve,
     pair_curve,
 )
@@ -29,8 +30,9 @@ from .units import UnitSystem
 SLOPE_TOL = 0.05
 # Regime depth: l * omega / c at which a limit is considered deep. The
 # subleading corrections are suppressed by at least one power of this, so
-# measured slopes sit well inside SLOPE_TOL.
-REGIME_DEPTH = {"nonretarded": 1e-3, "retarded": 1e3, "all": 1.0}
+# measured slopes sit well inside SLOPE_TOL. None is the depth of a law that
+# holds at every separation.
+REGIME_DEPTH = {Regime.NONRETARDED: 1e-3, Regime.RETARDED: 1e3, None: 1.0}
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,40 +73,40 @@ class TableEntry:
 
     channel: Channel
     geometry: str  # "mirror" or "pair"
-    regime: str  # "nonretarded", "retarded", or "all"
+    regime: Regime | None  # None: the law holds at every separation
     expected_sign: int
     expected_power: int
 
 
 # Signs for the conducting mirror; a permeable plate flips all of them.
 MIRROR_TABLE = (
-    TableEntry(Channel.E, "mirror", "nonretarded", -1, -3),
-    TableEntry(Channel.E, "mirror", "retarded", -1, -4),
-    TableEntry(Channel.P, "mirror", "nonretarded", +1, -3),
-    TableEntry(Channel.P, "mirror", "retarded", +1, -4),
-    TableEntry(Channel.D, "mirror", "nonretarded", -1, -4),
-    TableEntry(Channel.D, "mirror", "retarded", -1, -4),
+    TableEntry(Channel.E, "mirror", Regime.NONRETARDED, -1, -3),
+    TableEntry(Channel.E, "mirror", Regime.RETARDED, -1, -4),
+    TableEntry(Channel.P, "mirror", Regime.NONRETARDED, +1, -3),
+    TableEntry(Channel.P, "mirror", Regime.RETARDED, +1, -4),
+    TableEntry(Channel.D, "mirror", Regime.NONRETARDED, -1, -4),
+    TableEntry(Channel.D, "mirror", Regime.RETARDED, -1, -4),
 )
 
 PAIR_TABLE = (
-    TableEntry(Channel.EE, "pair", "nonretarded", -1, -6),
-    TableEntry(Channel.EE, "pair", "retarded", -1, -7),
-    TableEntry(Channel.EP, "pair", "nonretarded", +1, -4),
-    TableEntry(Channel.EP, "pair", "retarded", +1, -7),
-    TableEntry(Channel.ED, "pair", "nonretarded", -1, -5),
-    TableEntry(Channel.ED, "pair", "retarded", -1, -7),
-    TableEntry(Channel.PE, "pair", "nonretarded", +1, -4),
-    TableEntry(Channel.PE, "pair", "retarded", +1, -7),
-    TableEntry(Channel.PP, "pair", "nonretarded", -1, -6),
-    TableEntry(Channel.PP, "pair", "retarded", -1, -7),
-    TableEntry(Channel.PD, "pair", "nonretarded", +1, -6),
-    TableEntry(Channel.PD, "pair", "retarded", +1, -7),
-    TableEntry(Channel.DE, "pair", "nonretarded", -1, -5),
-    TableEntry(Channel.DE, "pair", "retarded", -1, -7),
-    TableEntry(Channel.DP, "pair", "nonretarded", +1, -6),
-    TableEntry(Channel.DP, "pair", "retarded", +1, -7),
+    TableEntry(Channel.EE, "pair", Regime.NONRETARDED, -1, -6),
+    TableEntry(Channel.EE, "pair", Regime.RETARDED, -1, -7),
+    TableEntry(Channel.EP, "pair", Regime.NONRETARDED, +1, -4),
+    TableEntry(Channel.EP, "pair", Regime.RETARDED, +1, -7),
+    TableEntry(Channel.ED, "pair", Regime.NONRETARDED, -1, -5),
+    TableEntry(Channel.ED, "pair", Regime.RETARDED, -1, -7),
+    TableEntry(Channel.PE, "pair", Regime.NONRETARDED, +1, -4),
+    TableEntry(Channel.PE, "pair", Regime.RETARDED, +1, -7),
+    TableEntry(Channel.PP, "pair", Regime.NONRETARDED, -1, -6),
+    TableEntry(Channel.PP, "pair", Regime.RETARDED, -1, -7),
+    TableEntry(Channel.PD, "pair", Regime.NONRETARDED, +1, -6),
+    TableEntry(Channel.PD, "pair", Regime.RETARDED, +1, -7),
+    TableEntry(Channel.DE, "pair", Regime.NONRETARDED, -1, -5),
+    TableEntry(Channel.DE, "pair", Regime.RETARDED, -1, -7),
+    TableEntry(Channel.DP, "pair", Regime.NONRETARDED, +1, -6),
+    TableEntry(Channel.DP, "pair", Regime.RETARDED, +1, -7),
     # the dd power law is the same at every separation, one merged cell
-    TableEntry(Channel.DD, "pair", "all", -1, -7),
+    TableEntry(Channel.DD, "pair", None, -1, -7),
 )
 
 ALL_TABLE_ENTRIES = MIRROR_TABLE + PAIR_TABLE
@@ -150,7 +152,7 @@ class TableCellResult:
         return {
             "channel": self.entry.channel.value,
             "geometry": self.entry.geometry,
-            "regime": self.entry.regime,
+            "regime": "all" if self.entry.regime is None else self.entry.regime.value,
             "expected_sign": self.entry.expected_sign,
             "expected_power": self.entry.expected_power,
             "measured_slope": self.measured_slope,
@@ -174,8 +176,10 @@ def _grid_around(center: float) -> np.ndarray:
     return center * 1.02 ** np.arange(-2, 3)
 
 
-# The regimes of each geometry's curve, in grid order: five points around each depth.
-_CURVE_REGIMES = {"mirror": ("nonretarded", "retarded"), "pair": ("nonretarded", "all", "retarded")}
+def _middle_slope(distances: np.ndarray, values: np.ndarray) -> float:
+    """local_log_slope's central difference at the middle of five points, with the same operations."""
+    log_d = np.log(distances)
+    return float((np.log(abs(values[3])) - np.log(abs(values[1]))) / (log_d[3] - log_d[1]))
 
 
 def _check_entry(entry: TableEntry, distances: np.ndarray, values: np.ndarray) -> TableCellResult:
@@ -184,9 +188,7 @@ def _check_entry(entry: TableEntry, distances: np.ndarray, values: np.ndarray) -
     if not (signs == signs[0]).all() or signs[0] == 0.0:
         return TableCellResult(entry, float("nan"), 0, False, "sign not uniform on the grid")
     measured_sign = int(signs[0])
-    # local_log_slope's central difference at the middle point, with the same operations
-    log_d = np.log(distances)
-    measured_slope = float((np.log(abs(values[3])) - np.log(abs(values[1]))) / (log_d[3] - log_d[1]))
+    measured_slope = _middle_slope(distances, values)
 
     problems = []
     if measured_sign != entry.expected_sign:
@@ -202,23 +204,24 @@ def verify_tables(rel_tol: float = 1e-10) -> TableReport:
     """Check every sign/power cell against curves computed in the deep regimes.
 
     A conducting-mirror and a self-pair curve of one fixture atom with the e,
-    p and d responses serve all 23 cells, on the five-point grids of their
-    _CURVE_REGIMES in turn. A channel reads only its own two responses, and a
-    value depends on no other point of its curve, so a cell's five values are
-    those of the single-response fixtures' curve on its grid alone, bit for bit.
-    Deterministic: the fixture and grids are fixed and the curves exact (rel_tol
-    bounds no quadrature here); runs in natural units with O(1) fixture magnitudes.
+    p and d responses serve all 23 cells, each geometry on five points around
+    each distinct REGIME_DEPTH of its cells, shallowest first. A channel reads
+    only its own two responses, and a value depends on no other point of its
+    curve, so a cell's five values are those of the single-response fixtures'
+    curve on its grid alone, bit for bit. Deterministic: the fixture and grids
+    are fixed and the curves exact (rel_tol bounds no quadrature here); runs in
+    natural units with O(1) fixture magnitudes.
     """
     QuadratureSpec(rel_tol=rel_tol)  # checked only: bench/workloads.py passes it (ROADMAP item 1)
-    grid = {
-        geometry: np.concatenate([_grid_around(REGIME_DEPTH[regime]) for regime in regimes])
-        for geometry, regimes in _CURVE_REGIMES.items()
-    }
+    depths, grid = {}, {}
+    for geometry, table in (("mirror", MIRROR_TABLE), ("pair", PAIR_TABLE)):
+        depths[geometry] = sorted({REGIME_DEPTH[entry.regime] for entry in table})
+        grid[geometry] = np.concatenate([_grid_around(depth) for depth in depths[geometry]])
     mirror = mirror_curve(_TABLE_ATOM, grid["mirror"], PlateKind.CONDUCTING, UnitSystem.NATURAL)
     curves = {"mirror": mirror, "pair": pair_curve(_TABLE_ATOM, _TABLE_ATOM, grid["pair"], UnitSystem.NATURAL)}
     cells = []
     for entry in ALL_TABLE_ENTRIES:
-        curve, start = curves[entry.geometry], 5 * _CURVE_REGIMES[entry.geometry].index(entry.regime)
+        curve, start = curves[entry.geometry], 5 * depths[entry.geometry].index(REGIME_DEPTH[entry.regime])
         cell = slice(start, start + 5)
         cells.append(_check_entry(entry, curve.distances[cell], curve.values[entry.channel][cell]))
     return TableReport(cells=tuple(cells))

@@ -175,16 +175,16 @@ def cmd_tables(args) -> int:
     ]
     rows = (
         [
-            cell.entry.channel.value,
-            cell.entry.geometry,
-            cell.entry.regime,
-            f"{cell.entry.expected_sign:+d}",
-            str(cell.entry.expected_power),
-            format(cell.measured_slope, ".6g"),
-            f"{cell.measured_sign:+d}",
-            "PASS" if cell.passed else "FAIL",
+            cell["channel"],
+            cell["geometry"],
+            cell["regime"],
+            f"{cell['expected_sign']:+d}",
+            str(cell["expected_power"]),
+            format(cell["measured_slope"], ".6g"),
+            f"{cell['measured_sign']:+d}",
+            "PASS" if cell["passed"] else "FAIL",
         ]
-        for cell in report.cells
+        for cell in body["cells"]
     )
     _write(args, meta, body, header, rows)
     return 0 if report.all_passed else 1

@@ -37,10 +37,12 @@ from enum import Enum
 import numpy as np
 
 from . import moment_table
-# mirror_kernel is not used here; bench/tracer.py wraps the kernels where this module binds them
+# mirror_kernel and beta_para_iso are not used here; bench/tracer.py wraps the kernels and the
+# responses where this module binds them
 from .green import PlateKind, mirror_kernel, pair_kernel_cross, pair_kernel_same  # noqa: F401
 from .quad import QuadratureSpec, integrate_semiinf
-from .response import AtomModel, DiamagneticSpec, alpha_iso, beta_para_iso, beta_total, diamagnetisability
+from .response import AtomModel, DiamagneticSpec, alpha_iso, beta_total, diamagnetisability
+from .response import beta_para_iso  # noqa: F401
 from .units import Constants, UnitSystem, constants_for
 
 ELECTRIC_LETTER = "e"
@@ -612,8 +614,7 @@ def vdw_asymptote(
     UnsupportedAsymptoteError. l must be a separation that pair_curve accepts
     and the channel's statics finite, as there; a value outside the float
     range is pair_curve's ValueError naming the channel and l. regime is a
-    Regime or its value ("nonretarded", as TableEntry.regime writes it);
-    anything else is a ValueError.
+    Regime or its value ("nonretarded"); anything else is a ValueError.
     """
     regime = Regime(regime)
     if not channel.is_pair:
@@ -624,13 +625,7 @@ def vdw_asymptote(
     nonretarded = regime is Regime.NONRETARDED and channel is not Channel.DD
     if nonretarded and DIA_LETTER not in letters:
         raise UnsupportedAsymptoteError(f"no closed nonretarded coefficient for channel {letters!r}")
-    statics = []
-    for letter, atom in zip(letters, (atom_a, atom_b)):
-        if letter == DIA_LETTER:
-            static = diamagnetisability(atom.diamagnetic)
-        else:
-            static = (alpha_iso if letter == ELECTRIC_LETTER else beta_para_iso)(atom, 0.0, hbar)
-        statics.append(_finite_static(atom, letter, static))
+    statics = [_response(atom, letter, hbar)[0] for letter, atom in zip(letters, (atom_a, atom_b))]
     electric = letters.count(ELECTRIC_LETTER)
     if not nonretarded:
         k = 7.0 if electric == 1 else -23.0

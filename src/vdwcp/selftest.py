@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _FIXTURES, _grid_around
+from .asymptotics import PAIR_TABLE, REGIME_DEPTH, _FIXTURES, _grid_around, _middle_slope
 from .green import (
     PlateKind,
     _free_tensor_em,
@@ -258,29 +258,31 @@ def _check_pair_dd(ratio: float, tol: float, rel_tol: float) -> CheckResult:
     )
 
 
-def _asymptote_check(
-    channel: Channel,
-    cases: tuple[tuple[float, Regime, float], ...],
-) -> CheckResult:
-    """Slope and value of one channel around each case's centre, from one curve
-    on the five-point grids of all cases in turn."""
+def _asymptote_check(channel: Channel) -> CheckResult:
+    """Slope and value of a pair channel against vdw_asymptote, per regime of its PAIR_TABLE cells.
+
+    The cases are the channel's cells with a regime (not None), in table
+    order. One curve of the channel's fixtures takes five points around each
+    case's REGIME_DEPTH in turn; a case expects its cell's expected_power as
+    the slope there.
+    """
+    cases = [entry for entry in PAIR_TABLE if entry.channel is channel and entry.regime is not None]
+    centers = [REGIME_DEPTH[entry.regime] for entry in cases]
     atom_a, atom_b = [_FIXTURES[letter] for letter in channel.value]
-    grid = np.concatenate([_grid_around(center) for center, _, _ in cases])
+    grid = np.concatenate([_grid_around(center) for center in centers])
     curve = pair_curve(atom_a, atom_b, grid, UnitSystem.NATURAL)
-    log_d, values = np.log(curve.distances), curve.values[channel]
+    values = curve.values[channel]
     problems = []
     summaries = []
-    for i, (center, regime, expected_slope) in enumerate(cases):
-        u, logs = values[5 * i : 5 * i + 5], log_d[5 * i : 5 * i + 5]
-        # local_log_slope's central difference at the middle point, with the same operations
-        slope = float((np.log(abs(u[3])) - np.log(abs(u[1]))) / (logs[3] - logs[1]))
-        value = float(u[2])
-        reference = vdw_asymptote(channel, atom_a, atom_b, center, regime, _NATURAL)
+    for i, (entry, center) in enumerate(zip(cases, centers)):
+        slope = _middle_slope(curve.distances[5 * i : 5 * i + 5], values[5 * i : 5 * i + 5])
+        value = float(values[5 * i + 2])
+        reference = vdw_asymptote(channel, atom_a, atom_b, center, entry.regime, _NATURAL)
         value_dev = _max_rel_dev(value, reference)
         summaries.append(
-            f"l={center:g}: slope {slope:.4f} (expect {expected_slope:g}), value dev {value_dev:.2e}"
+            f"l={center:g}: slope {slope:.4f} (expect {entry.expected_power:g}), value dev {value_dev:.2e}"
         )
-        if abs(slope - expected_slope) > 0.02:
+        if abs(slope - entry.expected_power) > 0.02:
             problems.append(f"slope at l={center:g} off by more than 0.02")
         if value_dev > 0.01:
             problems.append(f"value at l={center:g} off closed form by more than 1%")
@@ -406,12 +408,8 @@ def run_selftest(rel_tol: float = 1e-10) -> SelftestReport:
         _check_mirror_diamagnetic(mirror_ratio, closed_tol),
         _check_prefactor_adjudication(mirror_ratio, closed_tol),
         _check_pair_dd(moments[1] / PAIR_DD_MOMENT, closed_tol, rel_tol),
-        _asymptote_check(
-            Channel.ED, ((1e-3, Regime.NONRETARDED, -5.0), (1e3, Regime.RETARDED, -7.0))
-        ),
-        _asymptote_check(
-            Channel.DP, ((1e-3, Regime.NONRETARDED, -6.0), (1e3, Regime.RETARDED, -7.0))
-        ),
+        _asymptote_check(Channel.ED),
+        _asymptote_check(Channel.DP),
         _check_swap_symmetry(),
         _check_lenz_flip(),
         _check_additivity(),

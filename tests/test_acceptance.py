@@ -178,7 +178,7 @@ def test_sign_and_power_table_fully_verified(acceptance_log):
     )
     if failed:
         detail += "; failing: " + ", ".join(
-            f"{c.entry.channel.value}/{c.entry.regime}" for c in failed
+            f"{c.entry.channel.value}/{c.as_dict()['regime']}" for c in failed
         )
     acceptance_log("sign and power table (mirror + pair)", ok, detail)
     assert ok, detail

@@ -176,6 +176,9 @@ def test_tables_pass_in_both_formats(capsys):
     assert header[0] == "channel" and header[-1] == "status"
     assert len(rows) == 23
     assert all(row[-1] == "PASS" for row in rows)
+    # table order: each channel's nonretarded cell, then its retarded one; dd last, at every separation
+    regimes = ["nonretarded", "retarded"] * 11 + ["all"]
+    assert [row[header.index("regime")] for row in rows] == regimes
 
     code, out, _ = _run(capsys, "tables", "--format", "json")
     assert code == 0
@@ -183,6 +186,7 @@ def test_tables_pass_in_both_formats(capsys):
     assert doc["all_passed"] is True
     assert len(doc["cells"]) == 23
     assert all(cell["passed"] is True for cell in doc["cells"])
+    assert [cell["regime"] for cell in doc["cells"]] == regimes
 
 
 def test_tables_reject_si_units(capsys):

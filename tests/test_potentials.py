@@ -303,7 +303,7 @@ def test_asymptote_rejects_unsupported_combinations():
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("channel", PAIR_CHANNELS)
 def test_asymptote_takes_a_regime_or_its_value(channel, regime):
-    # TableEntry.regime and REGIME_DEPTH name regimes by value; a value is its member
+    # vdw_asymptote is public: a Regime's value stands for its member, anything else is refused
     def outcome(regime, l):
         try:
             return vdw_asymptote(channel, COMPOSITE_A, COMPOSITE_B, l, regime, NAT).hex()
