@@ -47,11 +47,16 @@ class SlopeProfile:
 def local_log_slope(curve: PotentialCurve, channel) -> SlopeProfile:
     """Central-difference d ln|U| / d ln r on a geometric grid.
 
-    channel is a Channel of the curve or the string "total". The grid must be
-    geometric (constant ratio) with at least 5 points; the two endpoints have
-    no central stencil and are dropped, as is any interior point whose
-    stencil contains a zero or a sign change.
+    channel is a Channel of the curve or the string "total"; any other is a
+    ValueError naming the curve's geometry. The grid must be geometric
+    (constant ratio) with at least 5 points; the two endpoints have no central
+    stencil and are dropped, as is any interior point whose stencil contains a
+    zero or a sign change.
     """
+    if channel != "total" and channel not in curve.values:
+        geometry = "pair" if curve.plate is None else "mirror"
+        carried = ", ".join(str(ch) for ch in curve.values)
+        raise ValueError(f"a {geometry} curve has no channel {channel!r}; give one of {carried} or 'total'")
     d = curve.distances
     if d.size < 5:
         raise ValueError("slope extraction needs at least 5 grid points")

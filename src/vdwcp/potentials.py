@@ -542,7 +542,9 @@ def cp_mirror_diamagnetic_closed(
     conductor (beta_d <= 0), repulsive at a permeable mirror. z must be a
     distance that mirror_curve accepts, and beta_d obey the Lenz rule. A value
     outside the float range is mirror_curve's ValueError naming channel d and z.
+    plate is a PlateKind or its value ("conducting"); anything else is a ValueError.
     """
+    plate = PlateKind(plate)
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
     # mirror_curve's check of z only
@@ -692,10 +694,12 @@ def mirror_curve(
     In front of a conductor the electric channel is attractive and both
     magnetic ones repulsive for paramagnetic / attractive for diamagnetic
     response; a permeable mirror flips every sign. The total is
-    electric + (paramagnetic + diamagnetic). spec bounds no part of the
-    closed forms; only bench/workloads.py still passes one, and ROADMAP
+    electric + (paramagnetic + diamagnetic). plate is a PlateKind or its
+    value ("conducting"); anything else is a ValueError. spec bounds no part
+    of the closed forms; only bench/workloads.py still passes one, and ROADMAP
     item 1 unblocks its deletion.
     """
+    plate = PlateKind(plate)
     d = _grid(distances)
     values = _channel_values((atom,), d, plate, constants_for(units))
     return PotentialCurve(distances=d, values=dict(zip(MIRROR_CHANNELS, values)), plate=plate)

@@ -88,6 +88,18 @@ def test_short_grid_rejected():
         local_log_slope(short, Channel.DD)
 
 
+@pytest.mark.parametrize("channel", ["e", "Total", Channel.EE])
+def test_channel_the_curve_lacks_is_a_value_error(channel):
+    mirror = mirror_curve(default_fixtures()["d"], np.geomspace(1.0, 2.0, 5), PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    with pytest.raises(ValueError) as mirror_error:
+        local_log_slope(mirror, channel)
+    assert str(mirror_error.value) == (
+        f"a mirror curve has no channel {channel!r}; give one of Channel.E, Channel.P, Channel.D or 'total'"
+    )
+    with pytest.raises(ValueError, match="^a pair curve has no channel <Channel.E: 'e'>; give one of Channel.EE, "):
+        local_log_slope(_pair_power_curve(-7.0), Channel.E)
+
+
 def test_mirror_diamagnetic_slope_is_quartic():
     curve = mirror_curve(
         default_fixtures()["d"],

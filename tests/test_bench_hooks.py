@@ -1,4 +1,4 @@
-"""The benchmark's tracer wraps names where vdwcp binds them; they must stay bound."""
+"""The benchmark's calls into vdwcp: names its tracer wraps and the requests of its workloads must stay bound."""
 import importlib
 import sys
 from pathlib import Path
@@ -13,26 +13,28 @@ import vdwcp.selftest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = (vdwcp.asymptotics, vdwcp.cli, vdwcp.green, vdwcp.potentials, vdwcp.selftest)
+# bench/ modules a test imports, directly or through another
+BENCH_MODULES = ("tracer", "program", "workloads", "inputs", "reference")
 
 
 @pytest.fixture
-def tracer(monkeypatch):
-    """bench/tracer.py, imported for one test and dropped again with the bench/program.py it imports."""
+def bench(monkeypatch):
+    """Imports from bench/ for one test; the modules it loads are dropped again afterwards."""
     if Path(vdwcp.__file__).resolve().parent != (ROOT / "src" / "vdwcp").resolve():
         pytest.skip("bench/ imports vdwcp from this checkout's src/ only")
     monkeypatch.syspath_prepend(str(ROOT / "bench"))  # the undo also drops the src/ that program.py adds
-    fresh = [name for name in ("tracer", "program") if name not in sys.modules]
+    fresh = [name for name in BENCH_MODULES if name not in sys.modules]
     try:
-        yield importlib.import_module("tracer")
+        yield importlib.import_module
     finally:
         for name in fresh:
             sys.modules.pop(name, None)
 
 
-def test_bench_tracer_installs_and_restores(tracer):
+def test_bench_tracer_installs_and_restores(bench):
     # install looks up every name it wraps, so a name that a refactor unbinds fails here
     before = [dict(vars(module)) for module in TRACED]
-    trace = tracer.Tracer()
+    trace = bench("tracer").Tracer()
     try:
         trace.install()
         for module, attr in (
@@ -46,3 +48,11 @@ def test_bench_tracer_installs_and_restores(tracer):
     finally:
         trace.remove()
     assert [dict(vars(module)) for module in TRACED] == before
+
+
+@pytest.mark.parametrize("name", ["pair_composite", "manyline", "verify"])
+def test_bench_workload_request_runs(bench, tmp_path, name):
+    # one timed call as the benchmark makes it: a name, option or keyword a refactor drops fails here
+    output = bench("workloads").WORKLOADS[name](1, tmp_path).request()
+    if name == "pair_composite":
+        assert output == 0, "vdwcp pair exited with an error"

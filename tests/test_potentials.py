@@ -136,6 +136,20 @@ def test_mirror_validation():
         cp_mirror_diamagnetic_closed(0.5, 1.0, PlateKind.CONDUCTING, NAT)
 
 
+@pytest.mark.parametrize("plate", list(PlateKind))
+def test_mirror_takes_a_plate_or_its_value(plate):
+    # mirror_curve and the closed form are public: a PlateKind's value stands for its member
+    by_value = mirror_curve(DIA, [1.0, 2.0], plate.value, UnitSystem.NATURAL)
+    assert by_value.plate is plate
+    assert by_value.total.tobytes() == mirror_curve(DIA, [1.0, 2.0], plate, UnitSystem.NATURAL).total.tobytes()
+    assert cp_mirror_diamagnetic_closed(-1.0, 1.0, plate.value, NAT) == cp_mirror_diamagnetic_closed(-1.0, 1.0, plate, NAT)
+    for other in ("Conducting", None):
+        with pytest.raises(ValueError, match=f"^{other!r} is not a valid PlateKind$"):
+            mirror_curve(DIA, [1.0], other, UnitSystem.NATURAL)
+        with pytest.raises(ValueError, match=f"^{other!r} is not a valid PlateKind$"):
+            cp_mirror_diamagnetic_closed(-1.0, 1.0, other, NAT)
+
+
 # -- pair ---------------------------------------------------------------------
 
 
