@@ -72,12 +72,14 @@ def _metadata(args, **extra) -> dict[str, str]:
     return meta
 
 
-def _write(args, meta: dict[str, str], body: dict, header: list[str], rows, text=()) -> None:
+def _write(args, meta: dict[str, str], body: dict, header: list[str], rows, text=(), template=None) -> None:
     """Write one document to --out or to stdout, as the same UTF-8 bytes either way.
 
     JSON is `body` under "metadata", dumped in one piece. CSV and selftest's text
-    format (no --format) open with `# key: value` lines; CSV then streams the
-    header and `rows` through one csv.writer, and text writes `text` one per line.
+    format (no --format) open with `# key: value` lines; CSV then writes the
+    header through csv.writer and streams `rows`, each as `template % row` when a
+    template is given (fields that never need quoting) and through the writer
+    otherwise, and text writes `text` one per line.
     """
     with contextlib.ExitStack() as stack:
         if args.out:
@@ -95,16 +97,23 @@ def _write(args, meta: dict[str, str], body: dict, header: list[str], rows, text
         if args.format == "csv":
             writer = csv.writer(sink, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            if template:
+                sink.writelines(template % row for row in rows)
+            else:
+                writer.writerows(rows)
         else:
             sink.writelines(f"{line}\n" for line in text)
 
 
 def _write_columns(args, meta: dict[str, str], columns: dict[str, np.ndarray]) -> None:
-    """mirror, pair and slopes: named columns of one length, `.17g` in CSV and lists in JSON."""
+    """mirror, pair and slopes: named columns of one length, `.17g` in CSV and lists in JSON.
+
+    Every field is a number, so a CSV row is one `%.17g` template: '%.17g' % v is
+    format(v, '.17g') for every float, nan and inf among them, and for ints.
+    """
     columns = {name: column.tolist() for name, column in columns.items()}
-    rows = ([format(v, ".17g") for v in row] for row in zip(*columns.values()))
-    _write(args, meta, {"columns": columns}, list(columns), rows)
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    _write(args, meta, {"columns": columns}, list(columns), zip(*columns.values()), template=template)
 
 
 def _curve(args) -> tuple[PotentialCurve, dict[str, str]]:

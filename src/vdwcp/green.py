@@ -103,8 +103,10 @@ def mirror_gmm_trace(z: float, xi: float, plate: PlateKind, c: float) -> float:
 
     +-(1/(8 pi z^3)) e^(-2 z xi/c) (1 + 2 z xi/c + 2 (z xi/c)^2), upper sign
     for a perfectly conducting plate, lower for an infinitely permeable one:
-    the production mirror_kernel at x = 2 z xi / c over 8 pi z^3.
+    the production mirror_kernel at x = 2 z xi / c over 8 pi z^3. plate is a
+    PlateKind or its value ("conducting"); anything else is a ValueError.
     """
+    plate = PlateKind(plate)
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
     if xi < 0.0:
@@ -132,16 +134,15 @@ def mirror_gmm_trace_via_q_integral(
 
     where (xi/c)^2 (e_p+ . e_p-) = -(q^2 + b^2) after the normalization
     cancels, and (r_s, r_p) = (-1, +1) for a conductor, (+1, -1) permeable.
-    Requires xi > 0 (the p-vector normalization carries c/xi).
+    Requires xi > 0 (the p-vector normalization carries c/xi). plate is a
+    PlateKind or its value ("conducting"); anything else is a ValueError.
     """
+    plate = PlateKind(plate)
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
     if not xi > 0.0:
         raise ValueError("the transverse-momentum oracle needs xi > 0")
-    if plate is PlateKind.CONDUCTING:
-        r_s, r_p = -1.0, 1.0
-    else:
-        r_s, r_p = 1.0, -1.0
+    r_s, r_p = -plate.sign, plate.sign
     k = xi / c
 
     def integrand(u):

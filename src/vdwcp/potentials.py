@@ -363,6 +363,22 @@ def _partial_fractions(sides) -> list:
     return groups
 
 
+def _row_sums(points: np.ndarray, width: int, out: np.ndarray) -> None:
+    """out[i] = math.fsum(points[i, :width]) for every row i, width >= 1.
+
+    Rows of one or two terms go by column: one IEEE addition rounds once, as
+    fsum does, and adding 0.0 turns a -0.0 into the 0.0 that fsum returns.
+    Where fsum raises instead (inf - inf, or a sum past the float range), such
+    a row reads nan or inf, which _channel_values names as not finite.
+    """
+    if width > 2:
+        for i in range(out.size):  # .data: the row's floats one at a time, without a list of them
+            out[i] = math.fsum(points[i, :width].data)
+    else:
+        np.add(points[:, 0], points[:, 1] if width == 2 else 0.0, out=out)
+        out += 0.0
+
+
 def _channel_integrals(channels, scales: np.ndarray):
     """The integral over x of each channel at every scale 2 d / c, an iterator of rows.
 
@@ -370,17 +386,18 @@ def _channel_integrals(channels, scales: np.ndarray):
     _response of the sides whose ratio is not 1. Its row integrates their
     product times the kernel (times x^2 for cross) as math.fsum of its terms,
     which a block of distances lays out as one row per distance: a distance
-    gets the same bits in a curve as alone, and a swap changes no bit. The
-    lines (every side's frequencies once) and the Gauss-Legendre nodes
-    of all channels' close pairs form two arrays, which take their moments
-    over blocks of the fewest distances that cost the curve the fewest calls,
-    no more than _BLOCK of the longest side or of the nodes fill. An array's
-    row, its elements at one distance, is never split: its calls take at most
-    max(_BLOCK, row) elements, so a call's working set grows with the curve's
-    lines or nodes, never with its grid. A two-sided crossed channel takes
-    t^2 out (cross_out) where all its simple poles have A < _SERIES_BELOW:
-    keeping it in cancels to the order of A there, taking it out to A^-2
-    elsewhere.
+    gets the same bits in a curve as alone, and a swap changes no bit. A row
+    of one or two terms is one rounding, so _row_sums takes it by column with
+    fsum's bits. The lines (every side's frequencies once) and the
+    Gauss-Legendre nodes of all channels' close pairs form two arrays, which
+    take their moments over blocks of the fewest distances that cost the curve
+    the fewest calls, no more than _BLOCK of the longest side or of the nodes
+    fill. An array's row, its elements at one distance, is never split: its
+    calls take at most max(_BLOCK, row) elements, so a call's working set
+    grows with the curve's lines or nodes, never with its grid. A two-sided
+    crossed channel takes t^2 out (cross_out) where all its simple poles have
+    A < _SERIES_BELOW: keeping it in cancels to the order of A there, taking
+    it out to A^-2 elsewhere.
     """
     lines, starts = [], {}
     for _, sides in channels:
@@ -449,8 +466,7 @@ def _channel_integrals(channels, scales: np.ndarray):
                     np.multiply(table[row_out][:switch, positions], c, out=points[:switch, columns])
                 if switch < block.size:
                     np.multiply(table[row][switch : block.size, positions], c, out=points[switch:, columns])
-            for i in range(block.size):  # .data: the row's floats one at a time, without a list of them
-                out[first + i] = math.fsum(points[i, :width].data)
+            _row_sums(points, width, out[first : first + block.size])
         del points
     return iter(integrals)
 
@@ -460,14 +476,6 @@ def _finite_channel(value: float, channel: Channel, name: str, d: float) -> floa
     if not math.isfinite(value):
         raise ValueError(f"channel {channel.value!r} at {name} {d!r} is {value!r}; it must be a finite float")
     return value
-
-
-def _check_channel(row: np.ndarray, channel: Channel, distances: np.ndarray, name: str) -> None:
-    """A ValueError naming the channel and the first distance at which its value is not finite."""
-    finite = np.isfinite(row)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        _finite_channel(float(row[i]), channel, name, float(distances[i]))
 
 
 def _live(channels, responses: list, self_pair: bool):
@@ -494,7 +502,10 @@ def _channel_values(
     The one evaluation path: one atom at a plate (MIRROR_CHANNELS) or two atoms
     in free space (plate None, PAIR_CHANNELS), by the channel rule of the module
     docstring; the all-diamagnetic channel integrates MIRROR_D_MOMENT or
-    PAIR_DD_MOMENT. A zero static response leaves its channel zero.
+    PAIR_DD_MOMENT. A zero static response leaves its channel zero. The
+    channels are built under one np.errstate, and one scan of all their values
+    names the first channel, in channel order, and its first distance where a
+    value is not a finite float.
     """
     hbar, c = consts.hbar, consts.c
     if plate is None:
@@ -519,14 +530,16 @@ def _channel_values(
         2.0 * distances / c,
     )
     values = np.zeros((len(channels), distances.size))
-    for row, ch, electric, statics, sides in _live(channels, responses, self_pair):
-        integral = next(integrals) if sides else moment
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the scan below names what left the float range
+        for row, ch, electric, statics, sides in _live(channels, responses, self_pair):
+            integral = next(integrals) if sides else moment
             value = bases * (sign * (-1) ** electric * unit * c ** (2 * electric))
             for static in statics:  # the smaller first: no product of statics leaves the float range
                 value *= static
             values[row] = value * integral
-        _check_channel(values[row], ch, distances, name)
+    if not np.isfinite(values).all():  # the first channel, in channel order, at its first distance
+        row, i = divmod(int(np.argmin(np.isfinite(values))), distances.size)
+        _finite_channel(float(values[row, i]), channels[row], name, float(distances[i]))
     for row, ch in enumerate(channels if self_pair else ()):
         if ch.value[0] > ch.value[1]:
             values[row] = values[channels.index(Channel(ch.value[::-1]))]

@@ -132,7 +132,9 @@ def _values(f: Callable, x: np.ndarray) -> np.ndarray:
 
     Raises IntegrandError at the first non-finite value.
     """
-    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:  # such as a constant integrand's scalar; the broadcast costs a third of a call
+        y = np.broadcast_to(y, x.shape)
     finite = np.isfinite(y)
     if not finite.all():
         raise IntegrandError(float(x[np.argmin(finite)]))

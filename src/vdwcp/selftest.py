@@ -165,7 +165,8 @@ def _kernel_moments(spec: QuadratureSpec) -> tuple[float, float, float, float]:
 
 
 def _check_kernel_integrals(moments, tol: float) -> CheckResult:
-    references = (3.0, 23.0 / 4.0, 5.0 / 4.0, 7.0 / 4.0)
+    # the engine's own constants, so that a wrong one shows here and does not cancel from the ratios
+    references = (MIRROR_D_MOMENT, PAIR_DD_MOMENT, 5.0 / 4.0, 7.0 / 4.0)
     dev = max(_max_rel_dev(moment, ref) for moment, ref in zip(moments, references))
     return CheckResult(
         name="kernel-moment-integrals",

@@ -1,4 +1,5 @@
 """Command-line behaviour: formats, determinism, exit codes."""
+import argparse
 import contextlib
 import csv
 import io
@@ -518,6 +519,25 @@ def test_output_file_is_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().startswith(b"# engine: vdwcp")
+
+
+def test_column_rows_are_the_bytes_of_csv_writer_and_format(tmp_path):
+    # every special float, 1,000 random bit patterns (nan payloads among them) and an int column
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
+    bits = np.random.default_rng(2718).integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)
+    values = np.concatenate([specials, bits.view(np.float64)])
+    columns = {"distance": values, "channel:e": values[::-1].copy(), "sign": np.sign(np.arange(values.size) - 5)}
+    meta = {"engine": "vdwcp test", "subcommand": "slopes"}
+    out = tmp_path / "columns.csv"
+    vdwcp.cli._write_columns(argparse.Namespace(format="csv", out=str(out)), meta, columns)
+    expected = io.StringIO()
+    expected.writelines(f"# {key}: {value}\n" for key, value in meta.items())
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(list(columns))
+    lists = [column.tolist() for column in columns.values()]
+    writer.writerows([format(v, ".17g") for v in row] for row in zip(*lists))
+    assert isinstance(lists[-1][0], int)
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 _DOCUMENTS = {

@@ -128,6 +128,14 @@ def test_q_integral_oracle_away_from_unit_distance():
     assert via_q == pytest.approx(closed, rel=1e-8)
 
 
+@pytest.mark.parametrize("trace", [mirror_gmm_trace, mirror_gmm_trace_via_q_integral])
+def test_mirror_traces_take_a_plate_value_and_reject_any_other(trace):
+    for plate in PlateKind:
+        assert trace(1.5, 0.7, plate.value, 1.0) == trace(1.5, 0.7, plate, 1.0)
+    with pytest.raises(ValueError):
+        trace(1.5, 0.7, "bogus", 1.0)
+
+
 def test_q_integral_requires_positive_frequency():
     with pytest.raises(ValueError):
         mirror_gmm_trace_via_q_integral(1.0, 0.0, PlateKind.CONDUCTING, 1.0)

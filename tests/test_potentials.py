@@ -943,6 +943,37 @@ def test_block_sums_are_bitwise_one_point_runs(monkeypatch, case):
             assert curve.total[i] == point.total[0]
 
 
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# signed zeros, cancelling pairs, subnormals, one rounding and, past two terms, a sum fsum keeps
+SUM_ROWS = {
+    1: [[-0.0], [0.0], [5e-324], [-1.5]],
+    2: [[-0.0, -0.0], [-0.0, 0.0], [1.25, -1.25], [-5e-324, 5e-324], [1e308, -1e308], [1.0, 2.0**-53], [0.1, 0.2]],
+    3: [[1e16, 1.0, -1e16], [-0.0, -0.0, -0.0], [0.1, 0.2, 0.3]],
+}
+
+
+@pytest.mark.parametrize("width", list(SUM_ROWS))
+def test_row_sums_are_the_fsum_of_each_row_bit_for_bit(width):
+    rows = SUM_ROWS[width]
+    points = np.array([row + [np.nan] for row in rows])  # a block is wider than the channel's terms
+    sums = np.empty(len(rows))
+    vdwcp.potentials._row_sums(points, width, sums)
+    assert [_bits(value) for value in sums.tolist()] == [_bits(math.fsum(row)) for row in rows]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0, -0.0)
+@example(0.5, -0.5)
+def test_two_term_row_sums_are_their_fsum(a, b):
+    assume(math.isfinite(a + b))  # fsum raises OverflowError where the two finite terms overflow
+    sums = np.empty(2)
+    vdwcp.potentials._row_sums(np.array([[a, b], [a, 0.0]]), 2, sums)
+    assert [_bits(value) for value in sums.tolist()] == [_bits(math.fsum([a, b])), _bits(math.fsum([a, 0.0]))]
+
+
 def test_batch_failure_is_the_lowest_distance_error():
     # In SI, alpha(0) ~ 6e249 makes the electric mirror channel overflow below
     # z ~ 2e-19; the curve names its first failing distance, as a one-point

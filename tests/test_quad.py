@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import vdwcp.green
 import vdwcp.potentials
+import vdwcp.quad
 import vdwcp.selftest
 from vdwcp.green import (
     PlateKind,
@@ -120,6 +121,16 @@ def test_nonfinite_integrand_reports_abscissa():
     with pytest.raises(IntegrandError) as excinfo:
         integrate_semiinf(bad)
     assert 1.0 < excinfo.value.abscissa < 3.0
+
+
+def test_scalar_integrand_is_broadcast_and_integrates():
+    # f(x) of x's shape is taken as it is; a scalar is broadcast over the abscissas
+    result = integrate_semiinf(lambda x: 0.0, QuadratureSpec())
+    assert result.value == 0.0 and result.error_estimate == 0.0 and result.evaluations > 0
+    x = np.linspace(0.0, 2.0, 5)
+    assert np.array_equal(vdwcp.quad._values(lambda _: 2.0, x), np.full(5, 2.0))
+    y = np.exp(-x)
+    assert vdwcp.quad._values(lambda _: y, x) is y
 
 
 @pytest.mark.parametrize(

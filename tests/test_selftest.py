@@ -1,6 +1,8 @@
 """The oracle battery's own work per run, and the messages of its failing checks."""
 import numpy as np
+import pytest
 
+import vdwcp.potentials
 import vdwcp.selftest
 from vdwcp.asymptotics import _FIXTURES
 from vdwcp.potentials import Channel
@@ -72,3 +74,13 @@ def test_lenz_check_names_each_separation_without_a_flip(monkeypatch):
     check = vdwcp.selftest._check_lenz_flip()
     assert not check.passed
     assert check.detail == "no sign flip: pd vs dd at l=1.58"
+
+
+@pytest.mark.parametrize("name", ["MIRROR_D_MOMENT", "PAIR_DD_MOMENT"])
+def test_a_wrong_moment_constant_fails_the_kernel_moment_check(monkeypatch, name):
+    # the curves and the ratios both take the wrong constant, so only the quadrature against it shows
+    wrong = getattr(vdwcp.potentials, name) * (1.0 + 1e-8)
+    for module in (vdwcp.potentials, vdwcp.selftest):
+        monkeypatch.setattr(module, name, wrong)
+    checks = {check.name: check for check in run_selftest().checks}
+    assert not checks["kernel-moment-integrals"].passed
