@@ -479,11 +479,12 @@ def _finite_channel(value: float, channel: Channel, name: str, d: float) -> floa
 
 
 def _live(channels, responses: list, self_pair: bool):
-    """Each channel without a zero static: row, channel, electric letters, statics and poles.
+    """Each channel without a zero static: rows it fills, electric letters, statics and poles.
 
     The statics come smaller first; the poles are those of the sides whose ratio is not 1.
-    A self-pair's ep, ed and pd stand for pe, de and dp too. A generator, which
-    _channel_values takes twice: a list of every channel raised the verify memory peak.
+    A self-pair's rows are a channel's and its swap's: ep, de and dp fill pe, ed and pd
+    too. A generator, which _channel_values takes twice: a list of every channel raised
+    the verify memory peak.
     """
     for row, ch in enumerate(channels):
         if not (self_pair and ch.value[0] > ch.value[1]):
@@ -491,7 +492,8 @@ def _live(channels, responses: list, self_pair: bool):
             statics = sorted(static for static, _ in picked)
             if 0.0 not in statics:
                 sides = [poles for _, poles in picked if poles is not None]
-                yield row, ch, ch.value.count(ELECTRIC_LETTER), statics, sides
+                rows = [row, channels.index(Channel(ch.value[::-1]))] if self_pair else row
+                yield rows, ch.value.count(ELECTRIC_LETTER), statics, sides
 
 
 def _channel_values(
@@ -524,25 +526,22 @@ def _channel_values(
     integrals = _channel_integrals(
         [
             (kernel or ("cross" if electric == 1 else "same"), sides)
-            for _, _, electric, _, sides in _live(channels, responses, self_pair)
+            for _, electric, _, sides in _live(channels, responses, self_pair)
             if sides
         ],
         2.0 * distances / c,
     )
     values = np.zeros((len(channels), distances.size))
     with np.errstate(over="ignore", invalid="ignore"):  # the scan below names what left the float range
-        for row, ch, electric, statics, sides in _live(channels, responses, self_pair):
+        for rows, electric, statics, sides in _live(channels, responses, self_pair):
             integral = next(integrals) if sides else moment
             value = bases * (sign * (-1) ** electric * unit * c ** (2 * electric))
             for static in statics:  # the smaller first: no product of statics leaves the float range
                 value *= static
-            values[row] = value * integral
+            values[rows] = value * integral
     if not np.isfinite(values).all():  # the first channel, in channel order, at its first distance
         row, i = divmod(int(np.argmin(np.isfinite(values))), distances.size)
         _finite_channel(float(values[row, i]), channels[row], name, float(distances[i]))
-    for row, ch in enumerate(channels if self_pair else ()):
-        if ch.value[0] > ch.value[1]:
-            values[row] = values[channels.index(Channel(ch.value[::-1]))]
     return values
 
 
@@ -662,7 +661,8 @@ class PotentialCurve:
     """Per-channel potential values over a distance grid.
 
     A mirror curve has a plate and carries MIRROR_CHANNELS, a two-atom curve
-    has plate None and carries PAIR_CHANNELS. total is derived from the
+    has plate None and carries PAIR_CHANNELS; a plate is a PlateKind or its
+    value ("conducting"), anything else a ValueError. total is derived from the
     channels: electric + (paramagnetic + diamagnetic) at a mirror, the
     math.fsum of the nine channels per separation for a pair.
     """
@@ -673,6 +673,8 @@ class PotentialCurve:
     total: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.plate is not None:
+            object.__setattr__(self, "plate", PlateKind(self.plate))
         expected = PAIR_CHANNELS if self.plate is None else MIRROR_CHANNELS
         if set(self.values.keys()) != set(expected):
             raise ValueError(f"curve must carry channels {[c.value for c in expected]}")

@@ -8,7 +8,9 @@ passes only if they agree. The battery also adjudicates between the two
 candidate prefactors of the diamagnetic mirror closed form, 1/(32 pi^2 z^4)
 versus 1/(32 pi z^4), by letting the quadrature decide.
 
-Each kernel moment is integrated once per run and shared by the checks that use it.
+Each kernel moment is integrated once per run and shared by the checks that
+use it; the two mirror diamagnetic checks share one curve per plate, and the
+Lenz check reads its signs from the sign/power table.
 
 Everything runs in natural units (hbar = c = eps0 = mu0 = 1) on fixture
 atoms with O(1) responses, so relative tolerances are meaningful.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import PAIR_TABLE, REGIME_DEPTH, _FIXTURES, _grid_around, _middle_slope
+from .asymptotics import PAIR_TABLE, REGIME_DEPTH, _FIXTURES, _TABLE_ATOM, _grid_around, _middle_slope
 from .green import (
     PlateKind,
     _free_tensor_em,
@@ -192,8 +194,9 @@ def _check_q_integral(spec: QuadratureSpec, tol: float) -> CheckResult:
     )
 
 
-def _check_mirror_diamagnetic(ratio: float, tol: float) -> CheckResult:
-    # the quadrature route: a curve value times ratio, the quadrature's moment over the exact one
+def _check_mirror_diamagnetic(ratio: float, tol: float) -> tuple[CheckResult, CheckResult]:
+    # the quadrature route: a curve value times ratio, the quadrature's moment over the exact one, on
+    # one curve per plate; the conducting value at z = 1 also adjudicates between the two prefactors
     atom = _FIXTURES["d"]
     worst = 0.0
     grid = (0.5, 1.0, 2.0, 5.0)
@@ -201,27 +204,14 @@ def _check_mirror_diamagnetic(ratio: float, tol: float) -> CheckResult:
         values = mirror_curve(atom, grid, plate, UnitSystem.NATURAL).values[Channel.D] * ratio
         for z, quad in zip(grid, values):
             closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, _NATURAL)
-            worst = max(worst, _max_rel_dev(quad, closed))
-    return CheckResult(
-        name="mirror-diamagnetic-closed-form",
-        passed=worst <= tol,
-        detail=f"max rel dev {worst:.2e} at z in (0.5, 1, 2, 5), both plates (tol {tol:.0e})",
-    )
-
-
-def _check_prefactor_adjudication(ratio: float, tol: float) -> CheckResult:
-    atom = _FIXTURES["d"]
-    curve = mirror_curve(atom, [1.0], PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    quad = curve.values[Channel.D][0] * ratio
-    candidate_sq = cp_mirror_diamagnetic_closed(-1.0, 1.0, PlateKind.CONDUCTING, _NATURAL)
-    candidate_single = candidate_sq * np.pi  # the 1/(32 pi) variant
-    dev_sq = _max_rel_dev(quad, candidate_sq)
-    dev_single = _max_rel_dev(quad, candidate_single)
+            dev = _max_rel_dev(quad, closed)
+            worst = max(worst, dev)
+            if plate is PlateKind.CONDUCTING and z == 1.0:
+                dev_sq, dev_single = dev, _max_rel_dev(quad, closed * np.pi)  # times pi: the 1/(32 pi) variant
     supported = dev_sq <= tol
     rejected = dev_single > 0.5
-    pi_char = "π"
     single_verdict = (
-        f"NOT SUPPORTED (deviates by factor {pi_char}, rel dev {dev_single:.2e})"
+        f"NOT SUPPORTED (deviates by factor π, rel dev {dev_single:.2e})"
         if rejected
         else "not excluded"
     )
@@ -230,10 +220,13 @@ def _check_prefactor_adjudication(ratio: float, tol: float) -> CheckResult:
         f"{'SUPPORTED' if supported else 'NOT SUPPORTED'} (rel dev {dev_sq:.2e}); "
         f"prefactor {REJECTED_PREFACTOR}: {single_verdict}"
     )
-    return CheckResult(
-        name="mirror-prefactor-adjudication",
-        passed=supported and rejected,
-        detail=detail,
+    return (
+        CheckResult(
+            name="mirror-diamagnetic-closed-form",
+            passed=worst <= tol,
+            detail=f"max rel dev {worst:.2e} at z in (0.5, 1, 2, 5), both plates (tol {tol:.0e})",
+        ),
+        CheckResult(name="mirror-prefactor-adjudication", passed=supported and rejected, detail=detail),
     )
 
 
@@ -346,25 +339,23 @@ def _check_swap_symmetry() -> CheckResult:
 
 
 def _check_lenz_flip() -> CheckResult:
+    # ep, ed, pp, pd and dd against the sign of their PAIR_TABLE cells, on one self-pair curve of the
+    # table fixture, whose channels are those of the single-response fixtures bit for bit (verify_tables)
     grid = np.geomspace(0.05, 50.0, 7)
-    comparisons = ((Channel.EP, Channel.ED), (Channel.PP, Channel.PD), (Channel.PD, Channel.DD))
-    # each channel on the pair of its letters' fixtures, pd once for both comparisons
-    values = {}
-    for channel in (Channel.EP, Channel.ED, Channel.PP, Channel.PD, Channel.DD):
-        atom_a, atom_b = [_FIXTURES[letter] for letter in channel.value]
-        values[channel] = pair_curve(atom_a, atom_b, grid, UnitSystem.NATURAL).values[channel]
+    values = pair_curve(_TABLE_ATOM, _TABLE_ATOM, grid, UnitSystem.NATURAL).values
+    signs = {entry.channel: entry.expected_sign for entry in PAIR_TABLE}  # a channel's cells share one sign
     problems = []
-    for ch1, ch2 in comparisons:
-        for l, u1, u2 in zip(grid, values[ch1], values[ch2]):
-            if not (u1 != 0.0 and u2 != 0.0 and np.sign(u1) == -np.sign(u2)):
-                problems.append(f"{ch1.value} vs {ch2.value} at l={l:.3g}")
+    for channel in (Channel.EP, Channel.ED, Channel.PP, Channel.PD, Channel.DD):
+        for l, u in zip(grid, values[channel]):
+            if np.sign(u) != signs[channel]:
+                problems.append(f"{channel.value} at l={l:.3g} (expected sign {signs[channel]:+d})")
     return CheckResult(
         name="lenz-sign-flips",
         passed=not problems,
         detail=(
             "replacing a paramagnetic partner by a diamagnetic one flips every mixed-channel sign"
             if not problems
-            else "no sign flip: " + ", ".join(problems)
+            else "sign not as tabled: " + ", ".join(problems)
         ),
     )
 
@@ -406,8 +397,7 @@ def run_selftest(rel_tol: float = 1e-10) -> SelftestReport:
         _check_tensor_traces(rng),
         _check_kernel_integrals(moments, integral_tol),
         _check_q_integral(spec, q_tol),
-        _check_mirror_diamagnetic(mirror_ratio, closed_tol),
-        _check_prefactor_adjudication(mirror_ratio, closed_tol),
+        *_check_mirror_diamagnetic(mirror_ratio, closed_tol),
         _check_pair_dd(moments[1] / PAIR_DD_MOMENT, closed_tol, rel_tol),
         _asymptote_check(Channel.ED),
         _asymptote_check(Channel.DP),

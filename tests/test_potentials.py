@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vdwcp.potentials
 from vdwcp import moment_table
-from vdwcp.asymptotics import default_fixtures, verify_tables
+from vdwcp.asymptotics import default_fixtures
 from vdwcp.green import PlateKind
 from vdwcp.potentials import (
     MIRROR_CHANNELS,
@@ -40,7 +40,6 @@ from vdwcp.response import (
     alpha_iso,
     beta_para_iso,
 )
-from vdwcp.selftest import run_selftest
 from vdwcp.units import UnitSystem, constants_for
 
 NAT = constants_for(UnitSystem.NATURAL)
@@ -417,6 +416,20 @@ def test_closed_forms_reject_what_the_curves_reject(case):
         assert str(raised.value) == message
 
 
+def test_self_pair_names_the_channel_its_equal_copy_names():
+    # de overflows with ed; a self-pair writes both rows before the scan, so both name ed, the first in channel order
+    atom = AtomModel(
+        label="tiny-e-huge-d",
+        electric_transitions=(Transition(omega=1.0, dipole_sq=1e-300, kind=ELECTRIC),),
+        diamagnetic=DiamagneticSpec(direct_beta_d=-1e300),
+    )
+    copy = AtomModel(label="copy", electric_transitions=atom.electric_transitions, diamagnetic=atom.diamagnetic)
+    for partner in (atom, copy):
+        with pytest.raises(ValueError) as raised:
+            pair_curve(atom, partner, [1e-30, 1.0], UnitSystem.NATURAL)
+        assert str(raised.value) == CHANNEL.format("ed", "separation l", 1e-30, -math.inf)
+
+
 # -- curves and forces ----------------------------------------------------------
 
 
@@ -476,6 +489,15 @@ def test_curve_validation():
     )
     fsums = [math.fsum(pair.values[ch][i] for ch in PAIR_CHANNELS) for i in range(3)]
     assert rebuilt.total.tolist() == pair.total.tolist() == fsums
+
+
+def test_curve_plate_is_a_plate_kind():
+    # a plate's value reads as its PlateKind, as in mirror_curve; any other plate is no mirror curve
+    values = {ch: np.zeros(3) for ch in MIRROR_CHANNELS}
+    curve = PotentialCurve(distances=[1.0, 2.0, 3.0], values=values, plate="conducting")
+    assert curve.plate is PlateKind.CONDUCTING
+    with pytest.raises(ValueError, match="'bogus' is not a valid PlateKind"):
+        PotentialCurve(distances=[1.0, 2.0, 3.0], values=values, plate="bogus")
 
 
 def test_cancelling_mirror_channels_build_a_curve():
@@ -802,10 +824,6 @@ def test_lines_of_all_sides_share_their_moment_calls(monkeypatch):
     calls.clear()
     pair_curve(COMPOSITE_A, COMPOSITE_B, [1.0], UnitSystem.NATURAL)
     assert calls == [4]
-    calls.clear()
-    verify_tables()  # one mirror and one self-pair curve serve all 23 cells
-    run_selftest()  # one call for each of its 9 curves with lines
-    assert len(calls) == 11
 
 
 def _ladder_atom(lines, shift=1.0):

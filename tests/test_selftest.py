@@ -4,7 +4,7 @@ import pytest
 
 import vdwcp.potentials
 import vdwcp.selftest
-from vdwcp.asymptotics import _FIXTURES
+from vdwcp.asymptotics import _TABLE_ATOM
 from vdwcp.potentials import Channel
 from vdwcp.selftest import run_selftest
 
@@ -24,13 +24,16 @@ def _counting(monkeypatch, name: str) -> list:
 def test_battery_integrates_each_kernel_moment_once(monkeypatch):
     quadratures = _counting(monkeypatch, "integrate_semiinf")
     pair_curves = _counting(monkeypatch, "pair_curve")
+    mirror_curves = _counting(monkeypatch, "mirror_curve")
     report = run_selftest()
     assert report.all_passed
     # four kernel moments; the q-integral and the unfactored total integrate in their own modules
     assert len(quadratures) == 4
     # pair-dd: one 20-point curve and its spot point; asymptotes: one 10-point curve per channel;
-    # swap: two 3-point curves; Lenz: 5 seven-point curves; additivity: one 3-point curve
-    assert len(pair_curves) == 12
+    # swap: two 3-point curves; Lenz: one 7-point curve of the table fixture; additivity: one 3-point curve
+    assert len(pair_curves) == 8
+    # the mirror d law and the prefactor adjudication: one 4-point curve per plate
+    assert len(mirror_curves) == 2
 
 
 def test_verify_builds_no_atom_and_no_natural_constants(monkeypatch):
@@ -69,11 +72,29 @@ def test_swap_check_names_each_value_that_differs(monkeypatch):
 
 
 def test_lenz_check_names_each_separation_without_a_flip(monkeypatch):
-    # dd of the diamagnetic self-pair with its sign turned at the fourth of seven separations
-    _perturbing(monkeypatch, _FIXTURES["d"], Channel.DD, np.geomspace(0.05, 50.0, 7)[3], lambda u: -u)
+    # dd of the table fixture's self-pair with its sign turned at the fourth of seven separations
+    _perturbing(monkeypatch, _TABLE_ATOM, Channel.DD, np.geomspace(0.05, 50.0, 7)[3], lambda u: -u)
     check = vdwcp.selftest._check_lenz_flip()
     assert not check.passed
-    assert check.detail == "no sign flip: pd vs dd at l=1.58"
+    assert check.detail == "sign not as tabled: dd at l=1.58 (expected sign -1)"
+
+
+def test_lenz_check_fails_when_every_crossed_channel_flips(monkeypatch):
+    # ep and ed flip together, so their signs stay opposite; only the table's signs tell
+    original = vdwcp.selftest.pair_curve
+
+    def flipped(*args, **kwargs):
+        curve = original(*args, **kwargs)
+        for channel in (Channel.EP, Channel.ED, Channel.PE, Channel.DE):
+            curve.values[channel] *= -1.0
+        return curve
+
+    monkeypatch.setattr(vdwcp.selftest, "pair_curve", flipped)
+    check = vdwcp.selftest._check_lenz_flip()
+    assert not check.passed
+    problems = check.detail.removeprefix("sign not as tabled: ").split(", ")
+    assert problems[0] == "ep at l=0.05 (expected sign +1)" and problems[-1] == "ed at l=50 (expected sign -1)"
+    assert len(problems) == 14
 
 
 @pytest.mark.parametrize("name", ["MIRROR_D_MOMENT", "PAIR_DD_MOMENT"])
