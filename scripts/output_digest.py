@@ -8,9 +8,9 @@ The corpus is the bytes and exit codes of the `pair`, `mirror`, `slopes`,
 atom files in atoms/ and bench/data/, and the raw float64 bits of mirror
 (both plates), self-pair and mixed-pair curves on four grids for 30 seeded
 random atoms (every third with magnetic lines within 0.4% of electric ones)
-and for the 50-line atoms of seeds 1-3. It imports vdwcp from the src/ next
-to this script, so a copy of the script in another checkout digests that
-checkout. Run it before and after a change: equal digests, equal outputs.
+and for the benchmark's 50-line atoms of seeds 1-3. It imports vdwcp from
+the src/ next to this script and those atoms from bench/inputs.py, so a copy
+of the script in another checkout digests that checkout. Run it before and after a change: equal digests, equal outputs.
 
 On stderr it prints one sha256 per part, so that `diff` of two runs' stderr
 names the outputs a change moved: one per command output (labelled by its
@@ -41,8 +41,6 @@ import contextlib
 import dataclasses
 import hashlib
 import io
-import math
-import random
 import struct
 import sys
 import tempfile
@@ -53,6 +51,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "bench"))
 
 from vdwcp import AtomModel, DiamagneticSpec, PlateKind, Transition, UnitSystem  # noqa: E402
 from vdwcp import green, potentials, quad, selftest  # noqa: E402
@@ -68,9 +67,9 @@ from vdwcp.potentials import (  # noqa: E402
 )
 from vdwcp.response import diamagnetisability  # noqa: E402
 from vdwcp.units import constants_for  # noqa: E402
+from inputs import DATA, manyline_atom  # noqa: E402  (bench/inputs.py)
 
 ATOMS = ROOT / "atoms"
-DATA = ROOT / "bench" / "data"
 GRIDS = (
     np.array([0.7]),
     np.geomspace(1e-2, 1e2, 5),
@@ -129,26 +128,6 @@ def _random_atom(seed: int) -> AtomModel:
         electric_transitions=transitions(electric, "electric"),
         magnetic_transitions=transitions(magnetic, "magnetic"),
         diamagnetic=DiamagneticSpec(direct_beta_d=-float(rng.uniform(0.1, 1.0))),
-    )
-
-
-def _manyline_atom(seed: int) -> AtomModel:
-    """30 electric and 20 magnetic lines stratified over [0.5, 5] plus a beta_d, drawn from the seed."""
-    rng = random.Random(seed)
-
-    def transitions(count: int, kind: str):
-        lo, hi = math.log(0.5), math.log(5.0)
-        return tuple(
-            Transition(omega=math.exp(lo + (hi - lo) * (k + rng.random()) / count),
-                       dipole_sq=rng.uniform(0.2, 1.0), kind=kind)
-            for k in range(count)
-        )
-
-    return AtomModel(
-        label=f"manyline-{seed}",
-        electric_transitions=transitions(30, "electric"),
-        magnetic_transitions=transitions(20, "magnetic"),
-        diamagnetic=DiamagneticSpec(direct_beta_d=-rng.uniform(0.2, 1.0)),
     )
 
 
@@ -279,7 +258,7 @@ def main() -> int:
                 sink.update(f"{argv[0]} {status}\n".encode())
                 sink.update(out.read_bytes())
     random_atoms = [_random_atom(seed) for seed in range(30)]
-    manyline = [_manyline_atom(seed) for seed in (1, 2, 3)]
+    manyline = [manyline_atom(seed) for seed in (1, 2, 3)]
     partners = random_atoms[1:] + random_atoms[:1] + [None] * 3
     count, counters = 0, {}
     for family, curve in _counted(_curves(random_atoms + manyline, partners), "natural", counters):

@@ -172,30 +172,13 @@ def cmd_tables(args) -> int:
         "all_passed": report.all_passed,
         "cells": [cell.as_dict() for cell in report.cells],
     }
-    header = [
-        "channel",
-        "geometry",
-        "regime",
-        "expected_sign",
-        "expected_power",
-        "measured_slope",
-        "measured_sign",
-        "status",
-    ]
+    header = ["channel", "geometry", "regime", "expected_sign", "expected_power", "measured_slope",
+              "measured_sign", "status"]
+    # each row a tuple, as `%` takes it, of the cell's raw fields; no field needs quoting
     rows = (
-        [
-            cell["channel"],
-            cell["geometry"],
-            cell["regime"],
-            f"{cell['expected_sign']:+d}",
-            str(cell["expected_power"]),
-            format(cell["measured_slope"], ".6g"),
-            f"{cell['measured_sign']:+d}",
-            "PASS" if cell["passed"] else "FAIL",
-        ]
-        for cell in body["cells"]
+        (*(cell[name] for name in header[:-1]), "PASS" if cell["passed"] else "FAIL") for cell in body["cells"]
     )
-    _write(args, meta, body, header, rows)
+    _write(args, meta, body, header, rows, template="%s,%s,%s,%+d,%d,%.6g,%+d,%s\n")
     return 0 if report.all_passed else 1
 
 

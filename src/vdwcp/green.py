@@ -35,7 +35,7 @@ class PlateKind(Enum):
 def fg(x):
     """Polynomial factors of the free-space Green tensor: f = 1+x+x^2, g = 3+3x+x^2."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ValueError("dimensionless distance-frequency product x must be >= 0")
     f = 1.0 + x * (1.0 + x)
     g = 3.0 + x * (3.0 + x)
@@ -60,11 +60,12 @@ def pair_kernel_cross(x):
 
 
 def _free_arguments(l, xi):
-    """l and xi as float arrays, checked: every l > 0 (naming the first that is not) and xi >= 0."""
+    """l and xi as float arrays, checked: every l finite and > 0 (naming the first that is not), xi >= 0."""
     l, xi = np.asarray(l, dtype=float), np.asarray(xi, dtype=float)
-    if not np.all(l > 0.0):
-        raise ValueError(f"separation l must be positive, got {float(l[~(l > 0.0)][0])!r}")
-    if np.any(xi < 0.0):
+    bad = ~((l > 0.0) & (l < np.inf))
+    if bad.any():
+        raise ValueError(f"separation l must be positive and finite, got {float(l[bad][0])!r}")
+    if not np.all(xi >= 0.0):
         raise ValueError("xi must be >= 0")
     return l, xi
 
@@ -109,7 +110,7 @@ def mirror_gmm_trace(z: float, xi: float, plate: PlateKind, c: float) -> float:
     plate = PlateKind(plate)
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
-    if xi < 0.0:
+    if not xi >= 0.0:
         raise ValueError("xi must be >= 0")
     return plate.sign * float(mirror_kernel(2.0 * z * xi / c)) / (8.0 * np.pi * z**3)
 

@@ -627,10 +627,11 @@ def vdw_asymptote(
     ee, ep, pe and pp have no closed nonretarded coefficient and raise
     UnsupportedAsymptoteError. l must be a separation that pair_curve accepts
     and the channel's statics finite, as there; a value outside the float
-    range is pair_curve's ValueError naming the channel and l. regime is a
-    Regime or its value ("nonretarded"); anything else is a ValueError.
+    range is pair_curve's ValueError naming the channel and l. channel and
+    regime are a Channel and a Regime or their values ("ed", "nonretarded");
+    anything else is a ValueError.
     """
-    regime = Regime(regime)
+    channel, regime = Channel(channel), Regime(regime)
     if not channel.is_pair:
         raise ValueError(f"asymptotes are defined for pair channels, got {channel}")
     _pair_base(l, consts)  # pair_curve's checks of l only
@@ -709,10 +710,11 @@ def mirror_curve(
     In front of a conductor the electric channel is attractive and both
     magnetic ones repulsive for paramagnetic / attractive for diamagnetic
     response; a permeable mirror flips every sign. The total is
-    electric + (paramagnetic + diamagnetic). plate is a PlateKind or its
-    value ("conducting"); anything else is a ValueError. spec bounds no part
-    of the closed forms; only bench/workloads.py still passes one, and ROADMAP
-    item 1 unblocks its deletion.
+    electric + (paramagnetic + diamagnetic). plate and units are a PlateKind
+    and a UnitSystem or their values ("conducting", "natural"); anything else
+    is a ValueError. spec bounds no part of the closed forms; only
+    bench/workloads.py still passes one, and ROADMAP item 1 unblocks its
+    deletion.
     """
     plate = PlateKind(plate)
     d = _grid(distances)
@@ -741,7 +743,8 @@ def pair_curve(
     R denoting the response evaluated at xi = c x / l (the static magnitudes
     are inside the prefactor). Like channels inherit their sign from the
     product of static responses, crossed ones the opposite. The total is the
-    math.fsum of the nine channels. spec bounds no part of the closed forms;
+    math.fsum of the nine channels. units is a UnitSystem or its value
+    ("natural"). spec bounds no part of the closed forms;
     only bench/workloads.py still passes one, and ROADMAP item 1 unblocks its
     deletion.
     """

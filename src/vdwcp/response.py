@@ -173,7 +173,7 @@ def _lorentz_sum(transitions: tuple[Transition, ...], xi, hbar: float):
     callers that need a finite response check for it.
     """
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr < 0.0):
+    if not np.all(xi_arr >= 0.0):
         raise ValueError("imaginary-axis frequency xi must be >= 0")
     total = np.zeros_like(xi_arr)
     with np.errstate(over="ignore"):

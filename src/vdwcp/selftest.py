@@ -127,10 +127,10 @@ def _check_kernel_identities(rng) -> CheckResult:
 def _check_tensor_traces(rng) -> CheckResult:
     """Brute 3x3 tensor products against the scalar traces at 100 random samples.
 
-    The samples are drawn one at a time, in the order of a per-sample loop,
-    and evaluated in stacked blocks of 20. A block's tensors set the check's
-    tracemalloc peak: 5.8 KB for blocks of one sample, 11.8 KB for 20, 24 KB
-    for 50, 44 KB for 100; the rest of a verify request peaks at about 17 KB.
+    The samples are drawn and evaluated in stacked blocks of 20. A block's
+    tensors set the check's tracemalloc peak: 5.8 KB for blocks of one
+    sample, 11.8 KB for 20, 24 KB for 50, 44 KB for 100; the rest of a verify
+    request peaks at about 17 KB.
     """
     worst, block = 0.0, 20
     products = (
@@ -138,14 +138,11 @@ def _check_tensor_traces(rng) -> CheckResult:
         (_free_tensor_me, _free_tensor_em, trace_gme_gem_free),
     )
     for _ in range(100 // block):
-        c, l, xi, l_vec = np.empty(block), np.empty(block), np.empty(block), np.empty((block, 3))
-        for i in range(block):
-            c[i] = rng.choice([1.0, 2.0])
-            l[i] = rng.uniform(0.2, 3.0)
-            xi[i] = rng.uniform(0.05, 5.0)
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            l_vec[i] = l[i] * direction
+        c = rng.choice([1.0, 2.0], block)
+        l = rng.uniform(0.2, 3.0, block)
+        xi = rng.uniform(0.05, 5.0, block)
+        l_vec = rng.normal(size=(block, 3))
+        l_vec *= (l / np.linalg.norm(l_vec, axis=1))[:, None]
         for forward, backward, trace in products:
             brute = np.einsum("nij,nji->n", forward(l_vec, xi, c), backward(-l_vec, xi, c))
             worst = max(worst, _max_rel_dev(brute, trace(l, xi, c)))
@@ -169,7 +166,7 @@ def _kernel_moments(spec: QuadratureSpec) -> tuple[float, float, float, float]:
 def _check_kernel_integrals(moments, tol: float) -> CheckResult:
     # the engine's own constants, so that a wrong one shows here and does not cancel from the ratios
     references = (MIRROR_D_MOMENT, PAIR_DD_MOMENT, 5.0 / 4.0, 7.0 / 4.0)
-    dev = max(_max_rel_dev(moment, ref) for moment, ref in zip(moments, references))
+    dev = _max_rel_dev(moments, references)
     return CheckResult(
         name="kernel-moment-integrals",
         passed=dev <= tol,
@@ -180,34 +177,31 @@ def _check_kernel_integrals(moments, tol: float) -> CheckResult:
 
 
 def _check_q_integral(spec: QuadratureSpec, tol: float) -> CheckResult:
-    worst = 0.0
-    z, c = 1.0, 1.0
-    for xi in np.geomspace(0.01, 10.0, 13):
-        for plate in PlateKind:
-            via_q = mirror_gmm_trace_via_q_integral(z, float(xi), plate, c, spec)
-            closed = mirror_gmm_trace(z, float(xi), plate, c)
-            worst = max(worst, _max_rel_dev(via_q, closed))
+    cases = [(1.0, xi, plate, 1.0) for xi in np.geomspace(0.01, 10.0, 13).tolist() for plate in PlateKind]
+    dev = _max_rel_dev(
+        [mirror_gmm_trace_via_q_integral(*case, spec) for case in cases],
+        [mirror_gmm_trace(*case) for case in cases],
+    )
     return CheckResult(
         name="mirror-reflection-q-integral",
-        passed=worst <= tol,
-        detail=f"max rel dev {worst:.2e} for z xi/c in [0.01, 10] (tol {tol:.0e})",
+        passed=dev <= tol,
+        detail=f"max rel dev {dev:.2e} for z xi/c in [0.01, 10] (tol {tol:.0e})",
     )
 
 
 def _check_mirror_diamagnetic(ratio: float, tol: float) -> tuple[CheckResult, CheckResult]:
     # the quadrature route: a curve value times ratio, the quadrature's moment over the exact one, on
     # one curve per plate; the conducting value at z = 1 also adjudicates between the two prefactors
-    atom = _FIXTURES["d"]
-    worst = 0.0
-    grid = (0.5, 1.0, 2.0, 5.0)
-    for plate in PlateKind:
-        values = mirror_curve(atom, grid, plate, UnitSystem.NATURAL).values[Channel.D] * ratio
-        for z, quad in zip(grid, values):
-            closed = cp_mirror_diamagnetic_closed(-1.0, z, plate, _NATURAL)
-            dev = _max_rel_dev(quad, closed)
-            worst = max(worst, dev)
-            if plate is PlateKind.CONDUCTING and z == 1.0:
-                dev_sq, dev_single = dev, _max_rel_dev(quad, closed * np.pi)  # times pi: the 1/(32 pi) variant
+    atom, grid = _FIXTURES["d"], (0.5, 1.0, 2.0, 5.0)
+    curves = (mirror_curve(atom, grid, plate, UnitSystem.NATURAL) for plate in PlateKind)
+    quad = np.array([curve.values[Channel.D] for curve in curves]) * ratio
+    closed = np.array(
+        [[cp_mirror_diamagnetic_closed(-1.0, z, plate, _NATURAL) for z in grid] for plate in PlateKind]
+    )
+    worst = _max_rel_dev(quad, closed)
+    # [0, 1] is the conducting plate at z = 1; times pi is the 1/(32 pi) variant
+    dev_sq = _max_rel_dev(quad[0, 1], closed[0, 1])
+    dev_single = _max_rel_dev(quad[0, 1], closed[0, 1] * np.pi)
     supported = dev_sq <= tol
     rejected = dev_single > 0.5
     single_verdict = (
@@ -233,11 +227,9 @@ def _check_mirror_diamagnetic(ratio: float, tol: float) -> tuple[CheckResult, Ch
 def _check_pair_dd(ratio: float, tol: float, rel_tol: float) -> CheckResult:
     atom = _FIXTURES["d"]
     grid = np.geomspace(0.1, 100.0, 20)
-    curve = pair_curve(atom, atom, grid, UnitSystem.NATURAL)
-    worst = 0.0
-    for l, value in zip(grid, curve.values[Channel.DD]):
-        closed = vdw_asymptote(Channel.DD, atom, atom, float(l), Regime.RETARDED, _NATURAL)
-        worst = max(worst, _max_rel_dev(value * ratio, closed))
+    values = pair_curve(atom, atom, grid, UnitSystem.NATURAL).values[Channel.DD] * ratio
+    closed = [vdw_asymptote(Channel.DD, atom, atom, l, Regime.RETARDED, _NATURAL) for l in grid.tolist()]
+    worst = _max_rel_dev(values, closed)
     spot = float(pair_curve(atom, atom, [1.0], UnitSystem.NATURAL).values[Channel.DD][0]) * ratio
     spot_tol = max(5e-7, 10.0 * rel_tol * abs(DD_SPOT_REFERENCE))
     spot_ok = abs(spot - DD_SPOT_REFERENCE) <= spot_tol
@@ -306,26 +298,17 @@ def _composite_pair() -> tuple[AtomModel, AtomModel]:
 _COMPOSITE = _composite_pair()
 
 
-def _pair_floats(atom_a: AtomModel, atom_b: AtomModel, grid):
-    """Channel values and totals of a pair curve as lists of floats, without the curve.
-
-    Holding two curves at once instead raised the battery's memory peak by 8%.
-    """
-    curve = pair_curve(atom_a, atom_b, grid, UnitSystem.NATURAL)
-    return {ch: values.tolist() for ch, values in curve.values.items()}, curve.total.tolist()
-
-
 def _check_swap_symmetry() -> CheckResult:
     a, b = _COMPOSITE
     grid = (0.5, 1.0, 2.0)
-    forward, forward_total = _pair_floats(a, b, grid)
-    backward, backward_total = _pair_floats(b, a, grid)
+    forward = pair_curve(a, b, grid, UnitSystem.NATURAL)
+    backward = pair_curve(b, a, grid, UnitSystem.NATURAL)
     mismatches = []
     for i, l in enumerate(grid):
-        for channel, values in forward.items():
-            if values[i] != backward[Channel(channel.value[::-1])][i]:
+        for channel, values in forward.values.items():
+            if values[i] != backward.values[Channel(channel.value[::-1])][i]:
                 mismatches.append(f"{channel.value} at l={l:g}")
-        if forward_total[i] != backward_total[i]:
+        if forward.total[i] != backward.total[i]:
             mismatches.append(f"total at l={l:g}")
     return CheckResult(
         name="pair-swap-symmetry",
@@ -365,10 +348,7 @@ def _check_additivity() -> CheckResult:
     tight = QuadratureSpec(rel_tol=1e-13)
     grid = (0.5, 1.0, 2.2)
     split = pair_curve(a, b, grid, UnitSystem.NATURAL).total
-    worst = 0.0
-    for l, total in zip(grid, split):
-        direct = vdw_pair_total_direct(a, b, l, _NATURAL, tight)
-        worst = max(worst, _max_rel_dev(total, direct))
+    worst = _max_rel_dev(split, [vdw_pair_total_direct(a, b, l, _NATURAL, tight) for l in grid])
     return CheckResult(
         name="channel-additivity",
         passed=worst <= 1e-12,

@@ -45,14 +45,17 @@ class Constants:
             )
 
 
-def constants_for(system: UnitSystem) -> Constants:
-    """Return the constants bundle for a unit system.
+# SI uses CODATA 2018 / exact-definition values; natural units set
+# hbar = c = eps0 = mu0 = 1 (the Maxwell identity then holds exactly).
+_CONSTANTS = {
+    UnitSystem.SI: Constants(hbar=HBAR_SI, c=C_SI, eps0=EPS0_SI, mu0=MU0_SI),
+    UnitSystem.NATURAL: Constants(hbar=1.0, c=1.0, eps0=1.0, mu0=1.0),
+}
 
-    SI uses CODATA 2018 / exact-definition values; natural units set
-    hbar = c = eps0 = mu0 = 1 (the Maxwell identity then holds exactly).
+
+def constants_for(system: UnitSystem) -> Constants:
+    """Return the constants bundle for a unit system, a UnitSystem or its value ("natural").
+
+    Anything else is a ValueError.
     """
-    if system is UnitSystem.SI:
-        return Constants(hbar=HBAR_SI, c=C_SI, eps0=EPS0_SI, mu0=MU0_SI)
-    if system is UnitSystem.NATURAL:
-        return Constants(hbar=1.0, c=1.0, eps0=1.0, mu0=1.0)
-    raise ValueError(f"unknown unit system: {system!r}")
+    return _CONSTANTS[UnitSystem(system)]

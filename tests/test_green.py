@@ -141,6 +141,20 @@ def test_q_integral_requires_positive_frequency():
         mirror_gmm_trace_via_q_integral(1.0, 0.0, PlateKind.CONDUCTING, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: fg(x),
+        lambda x: fg(np.array([1.0, x])),
+        lambda xi: mirror_gmm_trace(1.0, xi, PlateKind.CONDUCTING, 1.0),
+    ],
+    ids=["fg", "fg-stacked", "mirror_gmm_trace"],
+)
+def test_nan_is_no_distance_frequency_product_or_frequency(call):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call(float("nan"))
+
+
 def test_free_traces_validate_arguments():
     with pytest.raises(ValueError):
         trace_gmm_gmm_free(0.0, 1.0, 1.0)
@@ -173,8 +187,9 @@ def test_stacked_tensors_and_traces_are_their_one_sample_results():
         assert stacked.tolist() == alone
 
 
-def test_trace_battery_draws_the_per_sample_loop_samples(monkeypatch):
-    # the samples and the generator state after them are those of one draw per sample, in order
+def test_trace_battery_draws_its_samples_by_block(monkeypatch):
+    # five blocks of 20 from the battery's generator after the identities draw: c, l and xi as arrays,
+    # then one (20, 3) normal draw scaled to length l; the generator ends where those draws leave it
     drawn = {"l_vec": [], "lxc": []}
 
     def record(name, original, key, pick):
@@ -186,25 +201,26 @@ def test_trace_battery_draws_the_per_sample_loop_samples(monkeypatch):
 
     record("_free_tensor_me", _free_tensor_me, "l_vec", lambda l_vec, xi, c: l_vec.copy())
     record("trace_gmm_gmm_free", trace_gmm_gmm_free, "lxc", lambda l, xi, c: np.stack([l, xi, c], axis=1))
-    batched = np.random.default_rng(vdwcp.selftest._RNG_SEED)
-    assert vdwcp.selftest._check_tensor_traces(batched).passed
+    battery = np.random.default_rng(vdwcp.selftest._RNG_SEED)
+    assert vdwcp.selftest._check_kernel_identities(battery).passed
+    assert vdwcp.selftest._check_tensor_traces(battery).passed
     rng = np.random.default_rng(vdwcp.selftest._RNG_SEED)
-    samples, vectors = [], []
-    for _ in range(100):
-        c = float(rng.choice([1.0, 2.0]))
-        l = float(rng.uniform(0.2, 3.0))
-        xi = float(rng.uniform(0.05, 5.0))
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        samples.append((l, xi, c))
-        vectors.append(l * direction)
-    assert np.concatenate(drawn["lxc"]).tobytes() == np.array(samples).tobytes()
-    assert np.concatenate(drawn["l_vec"]).tobytes() == np.array(vectors).tobytes()
-    assert batched.bit_generator.state == rng.bit_generator.state
+    rng.uniform(0.0, 8.0, size=100)
+    assert [block.shape for block in drawn["lxc"]] == [(20, 3)] * 5
+    assert [block.shape for block in drawn["l_vec"]] == [(20, 3)] * 5
+    for lxc, l_vec in zip(drawn["lxc"], drawn["l_vec"]):
+        c, l, xi = rng.choice([1.0, 2.0], 20), rng.uniform(0.2, 3.0, 20), rng.uniform(0.05, 5.0, 20)
+        directions = rng.normal(size=(20, 3))
+        assert lxc.tobytes() == np.stack([l, xi, c], axis=1).tobytes()
+        scaled = l[:, None] * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        assert np.allclose(l_vec, scaled, rtol=1e-15, atol=0.0)
+    assert battery.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("trace", [trace_gmm_gmm_free, trace_gme_gem_free])
-@pytest.mark.parametrize("l, xi", [(0.0, 1.0), (-0.5, 1.0), (float("nan"), 1.0), (1.0, -0.1)])
+@pytest.mark.parametrize(
+    "l, xi", [(0.0, 1.0), (-0.5, 1.0), (float("nan"), 1.0), (float("inf"), 1.0), (1.0, -0.1), (1.0, float("nan"))]
+)
 def test_free_traces_reject_one_bad_sample_as_its_scalar(trace, l, xi):
     with pytest.raises(ValueError) as scalar:
         trace(l, xi, 1.0)

@@ -328,6 +328,26 @@ def test_asymptote_takes_a_regime_or_its_value(channel, regime):
         assert outcome(other, 1.0) == (ValueError, f"{other!r} is not a valid Regime")
 
 
+@pytest.mark.parametrize("channel", PAIR_CHANNELS)
+def test_asymptote_takes_a_channel_or_its_value(channel):
+    by_value = vdw_asymptote(channel.value, COMPOSITE_A, COMPOSITE_B, 1e3, Regime.RETARDED, NAT)
+    assert by_value.hex() == vdw_asymptote(channel, COMPOSITE_A, COMPOSITE_B, 1e3, Regime.RETARDED, NAT).hex()
+    for other in ("bogus", "ED", None):
+        with pytest.raises(ValueError, match=f"^{other!r} is not a valid Channel$"):
+            vdw_asymptote(other, COMPOSITE_A, COMPOSITE_B, 1e3, Regime.RETARDED, NAT)
+
+
+@pytest.mark.parametrize("units", list(UnitSystem))
+def test_curves_take_a_unit_system_or_its_value(units):
+    grid = [1e-8 if units is UnitSystem.SI else 1.0]
+    mirror = mirror_curve(DIA, grid, "conducting", units.value)
+    assert mirror.total.tobytes() == mirror_curve(DIA, grid, PlateKind.CONDUCTING, units).total.tobytes()
+    pair = pair_curve(COMPOSITE_A, COMPOSITE_B, grid, units.value)
+    assert pair.total.tobytes() == pair_curve(COMPOSITE_A, COMPOSITE_B, grid, units).total.tobytes()
+    with pytest.raises(ValueError, match="^'Natural' is not a valid UnitSystem$"):
+        mirror_curve(DIA, grid, "conducting", "Natural")
+
+
 def _dia(beta_d):
     return AtomModel(label="d", diamagnetic=DiamagneticSpec(direct_beta_d=beta_d))
 

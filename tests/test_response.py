@@ -63,6 +63,15 @@ def test_negative_frequency_rejected():
         alpha_iso(_electric(), -0.1, HBAR)
 
 
+@pytest.mark.parametrize("response", [alpha_iso, beta_para_iso, beta_total])
+@pytest.mark.parametrize("xi", [float("nan"), np.array([0.5, float("nan")])], ids=["scalar", "array"])
+def test_nan_frequency_rejected(response, xi):
+    # the diamagnetic fixture has no lines, so a sum over them would read beta_d whatever xi is
+    for atom in (_electric(), AtomModel(label="d", diamagnetic=DiamagneticSpec(direct_beta_d=-1.0))):
+        with pytest.raises(ValueError, match="xi must be >= 0"):
+            response(atom, xi, HBAR)
+
+
 def test_absent_responses_are_zero():
     atom = AtomModel(label="d", diamagnetic=DiamagneticSpec(direct_beta_d=-1.0))
     assert alpha_iso(atom, 0.7, HBAR) == 0.0

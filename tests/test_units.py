@@ -36,6 +36,14 @@ def test_natural_constants_are_all_one():
     assert (consts.hbar, consts.c, consts.eps0, consts.mu0) == (1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("system", list(UnitSystem))
+def test_constants_for_takes_a_unit_system_or_its_value(system):
+    assert constants_for(system.value) == constants_for(system)
+    for other in ("bogus", "SI", None):
+        with pytest.raises(ValueError, match=f"^{other!r} is not a valid UnitSystem$"):
+            constants_for(other)
+
+
 def test_constants_reject_nonpositive_values():
     with pytest.raises(ValueError):
         Constants(hbar=-1.0, c=1.0, eps0=1.0, mu0=1.0)
