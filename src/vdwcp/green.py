@@ -60,13 +60,13 @@ def pair_kernel_cross(x):
 
 
 def _free_arguments(l, xi):
-    """l and xi as float arrays, checked: every l finite and > 0 (naming the first that is not), xi >= 0."""
+    """l and xi as float arrays, checked: every l finite and > 0 (naming the first that is not), xi >= 0 and finite."""
     l, xi = np.asarray(l, dtype=float), np.asarray(xi, dtype=float)
     bad = ~((l > 0.0) & (l < np.inf))
     if bad.any():
         raise ValueError(f"separation l must be positive and finite, got {float(l[bad][0])!r}")
-    if not np.all(xi >= 0.0):
-        raise ValueError("xi must be >= 0")
+    if not np.all((xi >= 0.0) & (xi < np.inf)):
+        raise ValueError("xi must be >= 0 and finite")
     return l, xi
 
 
@@ -110,8 +110,8 @@ def mirror_gmm_trace(z: float, xi: float, plate: PlateKind, c: float) -> float:
     plate = PlateKind(plate)
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
-    if not xi >= 0.0:
-        raise ValueError("xi must be >= 0")
+    if not 0.0 <= xi < np.inf:
+        raise ValueError("xi must be >= 0 and finite")
     return plate.sign * float(mirror_kernel(2.0 * z * xi / c)) / (8.0 * np.pi * z**3)
 
 
@@ -135,14 +135,14 @@ def mirror_gmm_trace_via_q_integral(
 
     where (xi/c)^2 (e_p+ . e_p-) = -(q^2 + b^2) after the normalization
     cancels, and (r_s, r_p) = (-1, +1) for a conductor, (+1, -1) permeable.
-    Requires xi > 0 (the p-vector normalization carries c/xi). plate is a
+    Requires a finite xi > 0 (the p-vector normalization carries c/xi). plate is a
     PlateKind or its value ("conducting"); anything else is a ValueError.
     """
     plate = PlateKind(plate)
     if not z > 0.0:
         raise ValueError(f"mirror distance z must be positive, got {z!r}")
-    if not xi > 0.0:
-        raise ValueError("the transverse-momentum oracle needs xi > 0")
+    if not 0.0 < xi < np.inf:
+        raise ValueError("the transverse-momentum oracle needs a finite xi > 0")
     r_s, r_p = -plate.sign, plate.sign
     k = xi / c
 

@@ -2,7 +2,7 @@
 independent route.
 
 Each check recomputes a quantity two ways (scalar kernel vs brute tensor
-algebra, adaptive quadrature vs closed form, channel split vs unfactored
+algebra, double-exponential quadrature vs closed form, channel split vs unfactored
 integrand, reflection-coefficient q-integral vs closed mirror trace) and
 passes only if they agree. The battery also adjudicates between the two
 candidate prefactors of the diamagnetic mirror closed form, 1/(32 pi^2 z^4)

@@ -155,6 +155,23 @@ def test_nan_is_no_distance_frequency_product_or_frequency(call):
         call(float("nan"))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda xi: trace_gmm_gmm_free(1.0, xi, 1.0),
+        lambda xi: trace_gme_gem_free(np.array([1.0, 2.0]), np.array([0.5, xi]), 1.0),
+        lambda xi: mirror_gmm_trace(1.0, xi, PlateKind.CONDUCTING, 1.0),
+        lambda xi: mirror_gmm_trace_via_q_integral(1.0, xi, PlateKind.CONDUCTING, 1.0),
+    ],
+    ids=["trace_gmm_gmm_free", "trace_gme_gem_free-stacked", "mirror_gmm_trace", "mirror_gmm_trace_via_q_integral"],
+)
+@pytest.mark.filterwarnings("error")
+def test_an_infinite_frequency_is_rejected_before_any_kernel(call):
+    # the kernels' inf * 0 gave nan with a RuntimeWarning, and the q-integral an IntegrandError
+    with pytest.raises(ValueError, match="finite xi|xi must be >= 0 and finite"):
+        call(np.inf)
+
+
 def test_free_traces_validate_arguments():
     with pytest.raises(ValueError):
         trace_gmm_gmm_free(0.0, 1.0, 1.0)

@@ -1,4 +1,4 @@
-"""Adaptive semi-infinite quadrature against analytically known integrals."""
+"""Double-exponential semi-infinite quadrature against analytically known integrals."""
 import math
 
 import numpy as np
@@ -19,9 +19,7 @@ from vdwcp.green import (
 )
 from vdwcp.potentials import vdw_pair_total_direct
 from vdwcp.quad import (
-    PANEL_NODES,
-    PANELS_PER_CALL,
-    TAIL_NODES,
+    CHUNK_NODES,
     ConvergenceError,
     IntegrandError,
     QuadratureSpec,
@@ -70,8 +68,8 @@ def test_oscillatory_decaying_integrand():
 
 
 def test_slow_tail_triggers_domain_extension():
-    # decay length 8 against the default unit decay_scale: the initial
-    # window ends well before the integrand does
+    # decay length 8 against the default unit decay_scale: the last nodes, at
+    # x = 800, lie 100 decay lengths out
     result = integrate_semiinf(lambda x: np.exp(-x / 8.0) / 8.0)
     assert result.value == pytest.approx(1.0, rel=1e-9)
 
@@ -101,8 +99,8 @@ def test_positive_integrand_gives_positive_value():
 
 
 def test_convergence_error_carries_best_result(monkeypatch):
-    # oscillation far faster than four subdivisions can resolve
-    monkeypatch.setattr("vdwcp.quad.MAX_SUBDIVISIONS", 4)
+    # oscillation far faster than level 1 can resolve
+    monkeypatch.setattr("vdwcp.quad.MAX_LEVEL", 1)
     rough = lambda x: np.exp(-x) * np.cos(500.0 * x)
     with pytest.raises(ConvergenceError) as excinfo:
         integrate_semiinf(rough, QuadratureSpec(rel_tol=1e-12))
@@ -139,7 +137,7 @@ def test_scalar_integrand_is_broadcast_and_integrates():
         {"rel_tol": 0.0},
         {"rel_tol": 0.5},
         {"rel_tol": -1e-10},
-        # tighter than the 1e-13 the oracle meets: 2e-14 exhausted the subdivisions
+        # tighter than the 1e-13 the oracle is held to
         {"rel_tol": 5e-14},
         {"rel_tol": 1e-16},
     ],
@@ -163,8 +161,8 @@ def test_exponential_rate_property(a, b):
 
 
 def test_window_extends_from_its_end_after_a_bisection():
-    # bisections come before the first extension here; an extension from the
-    # end of the last bisected panel overlapped the window and gave 0.0171
+    # slow decay and fast oscillation: an adaptive engine whose window extension
+    # overlapped its bisected panels gave 0.0171 here
     result = integrate_semiinf(
         lambda x: np.exp(-x / 8.0) * np.cos(5.0 * x), QuadratureSpec(rel_tol=1e-7)
     )
@@ -178,7 +176,7 @@ def test_window_extends_from_its_end_after_a_bisection():
     st.floats(min_value=0.0, max_value=2.0 * math.pi),
     st.floats(min_value=-12.0, max_value=-4.0),
 )
-# overlapping extensions put these 4e5 and 5e8 rel_tol off
+# overlapping window extensions of an adaptive engine put these 4e5 and 5e8 rel_tol off
 @example(7.0, 1.1, 6.36, 4.9, -6.84)
 @example(7.55, 1.04, 6.165, 2.218, -9.83)
 def test_damped_cosine_meets_its_closed_form(length, offset, w, phase, exponent):
@@ -193,51 +191,69 @@ def test_damped_cosine_meets_its_closed_form(length, offset, w, phase, exponent)
     assert abs(result.value - exact) <= 1000.0 * rel_tol * abs(exact)
 
 
-# -- whole panels per integrand call ------------------------------------------------
+def test_cancelling_damped_cosine_meets_a_tight_tolerance():
+    # the integral is 1/350 of the integral of |f|: an adaptive Gauss-Kronrod engine with a per-panel
+    # rounding floor of 50 eps raised ConvergenceError here after 11,964 evaluations
+    length, offset, w, phase = 4.9559, 0.041722, 4.53706, 1.15401
+    a = 1.0 / length
+    exact = offset * length + (a * math.cos(phase) - w * math.sin(phase)) / (a * a + w * w)
+    result = integrate_semiinf(
+        lambda x: np.exp(-x / length) * (offset + np.cos(w * x + phase)), QuadratureSpec(rel_tol=3.7e-12)
+    )
+    assert result.evaluations == 4_170
+    assert abs(result.value - exact) <= result.error_estimate <= 3.7e-12 * abs(result.value)
 
 
-def _one_slice_per_call(f):
-    """f evaluated on each panel's 15 abscissas and a tail bound's 3 in calls of their own."""
-
-    def sliced(x):
-        return np.concatenate([f(part) for part in np.split(x, range(PANEL_NODES, x.size, PANEL_NODES))])
-
-    return sliced
+# -- nodes, levels and integrand calls ------------------------------------------------
 
 
-@pytest.mark.parametrize("tail_calls, opening", [(1, [PANELS_PER_CALL * PANEL_NODES, 3 * PANEL_NODES + TAIL_NODES])])
-def test_opening_window_fills_panel_calls_then_takes_one_tail_call(tail_calls, opening):
-    # the seven opening panels take a call of four and one of three, the tail bound rides in the last
+def _recording(f, calls):
+    def recorded(x):
+        calls.append(x.copy())
+        return f(x)
+
+    return recorded
+
+
+def test_calls_take_at_most_chunk_nodes():
+    # the mirror kernel converges at level 0: the half rule's 66 nodes, then level 0's 65 new ones
     calls = []
-
-    def recording(x):
-        calls.append(x.size)
-        return np.exp(-x)
-
-    integrate_semiinf(recording)
-    assert calls == opening == [60, 48]
-    assert sum(size % PANEL_NODES == TAIL_NODES for size in calls) == tail_calls
-
-
-def test_mirror_kernel_takes_three_integrand_calls():
-    # f gets one 1d array per call: four opening panels, the other three with the tail
-    # bound, then the two halves of one bisection
-    sizes = []
-
-    def recording(x):
-        assert x.ndim == 1
-        sizes.append(x.size)
-        return mirror_kernel(x)
-
-    result = integrate_semiinf(recording)
-    assert sizes == [4 * PANEL_NODES, 3 * PANEL_NODES + TAIL_NODES, 2 * PANEL_NODES] == [60, 48, 30]
-    assert result.evaluations == sum(sizes) == 138
-    assert result.value == pytest.approx(3.0, rel=1e-10)
+    result = integrate_semiinf(_recording(mirror_kernel, calls))
+    assert [x.size for x in calls] == [CHUNK_NODES, 65] == [66, 65]
+    assert result.evaluations == 131
+    assert result.value == pytest.approx(3.0, rel=1e-15)
+    # deeper levels split their new nodes into calls of CHUNK_NODES and a remainder
+    calls.clear()
+    result = integrate_semiinf(_recording(lambda x: np.exp(-x) * np.cos(9.0 * x), calls), QuadratureSpec(1e-12))
+    sizes = [x.size for x in calls]
+    assert max(sizes) == CHUNK_NODES and sum(sizes) == result.evaluations > 131
+    assert sizes[:4] == [66, 65, 66, 64]
+    assert all(x.ndim == 1 for x in calls)
 
 
-def test_packed_rows_report_the_first_bad_abscissa_of_the_earlier_panel():
-    # the opening panels [0, 1/2], [1/2, 1], [1, 2] and [2, 5] share the first call: [1, 2]
-    # turns non-finite first, and its first abscissa above 1.2 is the one reported
+def test_each_level_interleaves_the_nodes_before_it():
+    # between two neighbours of the earlier levels lies exactly one new node; the window
+    # 1e-30 < x < 800 admits a few more at its ends as the step shrinks
+    levels = [np.concatenate([x for x, _ in vdwcp.quad._nodes(k)]) for k in range(6)]
+    assert [level.size for level in levels] == [66, 65, 130, 260, 521, 1043]
+    for k in range(1, 6):
+        before = np.sort(np.concatenate(levels[:k]))
+        new = levels[k]
+        assert np.all(np.diff(new) > 0.0)
+        inside = new[(new > before[0]) & (new < before[-1])]
+        assert np.array_equal(np.searchsorted(before, inside), np.arange(1, before.size))
+        assert np.all((new > 1e-30) & (new < 800.0))
+    # the calls take the levels in order, scaled by decay_scale
+    calls = []
+    result = integrate_semiinf(_recording(lambda x: np.exp(-x / 2.0) * np.cos(x), calls), decay_scale=2.0)
+    taken = np.concatenate(calls)
+    assert np.array_equal(taken, 2.0 * np.concatenate(levels)[: taken.size])
+    assert result.evaluations == taken.size
+
+
+def test_integrand_error_names_the_first_bad_node_in_call_order():
+    # the half rule's nodes come first: its first node above 1.2 is reported, although
+    # level 0 has a smaller one, and no further call is made
     calls = []
 
     def bad(x):
@@ -246,10 +262,50 @@ def test_packed_rows_report_the_first_bad_abscissa_of_the_earlier_panel():
 
     with pytest.raises(IntegrandError) as excinfo:
         integrate_semiinf(bad)
-    assert len(calls) == 1 and calls[0].size == PANELS_PER_CALL * PANEL_NODES
-    panel = calls[0][2 * PANEL_NODES : 3 * PANEL_NODES]
-    assert panel.min() > 1.0 and panel.max() < 2.0
-    assert excinfo.value.abscissa == panel[panel > 1.2][0] == calls[0][calls[0] > 1.2][0]
+    assert len(calls) == 1 and calls[0].size == CHUNK_NODES
+    assert excinfo.value.abscissa == calls[0][calls[0] > 1.2][0]
+    level_0 = np.concatenate([x for x, _ in vdwcp.quad._nodes(1)])
+    assert level_0[level_0 > 1.2][0] < excinfo.value.abscissa
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@given(
+    st.sampled_from(["gamma", "exponential", "damped cosine"]),
+    st.integers(min_value=0, max_value=6),
+    st.floats(min_value=0.1, max_value=8.0),
+    st.floats(min_value=0.0, max_value=8.0),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=-13.0, max_value=-6.0),
+    st.booleans(),
+)
+def test_error_estimate_bounds_the_true_error(family, n, length, w, phase, exponent, scaled):
+    # the closed form in floats carries its own rounding, within 4 eps of its largest term; rel_tol
+    # stays at 1e-6 or tighter, since looser the two coarsest rules can alias an oscillation alike
+    a = 1.0 / length
+    if family == "gamma":
+        f, exact = (lambda x: x**n * np.exp(-a * x)), math.factorial(n) / a ** (n + 1)
+        largest = exact
+    elif family == "exponential":
+        f, exact = (lambda x: np.exp(-a * x)), 1.0 / a
+        largest = exact
+    else:
+        offset = n / 6.0
+        cosine = (a * math.cos(phase) - w * math.sin(phase)) / (a * a + w * w)
+        f, exact = (lambda x: np.exp(-a * x) * (offset + np.cos(w * x + phase))), offset / a + cosine
+        largest = max(offset / a, abs(cosine))
+    result = integrate_semiinf(f, QuadratureSpec(rel_tol=10.0**exponent), decay_scale=length if scaled else 1.0)
+    assert abs(result.value - exact) <= result.error_estimate + 4.0 * _EPS * largest
+
+
+def _one_slice_per_call(f):
+    """f evaluated on each slice of 15 abscissas in a call of its own."""
+
+    def sliced(x):
+        return np.concatenate([f(part) for part in np.split(x, range(15, x.size, 15))])
+
+    return sliced
 
 
 def _q_integrals(spec):
@@ -274,7 +330,7 @@ def _direct_totals(spec):
     ],
 )
 def test_oracle_integrands_give_the_bits_of_one_slice_per_call(monkeypatch, oracle, integrals, rel_tol):
-    # every integrand of the oracles is elementwise: whole panels in one call change no bit
+    # every integrand of the oracles is elementwise: slices of 15 nodes in calls of their own change no bit
     runs = []
 
     def both(f, *args, **kwargs):

@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 
+import vdwcp.asymptotics
+import vdwcp.green
 import vdwcp.potentials
+import vdwcp.quad
 import vdwcp.selftest
 from vdwcp.asymptotics import _TABLE_ATOM
 from vdwcp.potentials import Channel
@@ -34,6 +37,34 @@ def test_battery_integrates_each_kernel_moment_once(monkeypatch):
     assert len(pair_curves) == 8
     # the mirror d law and the prefactor adjudication: one 4-point curve per plate
     assert len(mirror_curves) == 2
+
+
+def test_verify_takes_33_quadratures_of_two_integrand_calls_each(monkeypatch):
+    # 4 kernel moments, 26 q-integral points and 3 unfactored totals, each met at level 0: the half
+    # rule's 66 nodes and level 0's 65
+    quadratures = []
+    original = vdwcp.quad.integrate_semiinf
+
+    def counted(f, *args, **kwargs):
+        calls = []
+        result = original(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
+        quadratures.append((calls, result.evaluations))
+        return result
+
+    for module in (vdwcp.green, vdwcp.potentials, vdwcp.selftest):
+        monkeypatch.setattr(module, "integrate_semiinf", counted)
+    assert vdwcp.asymptotics.verify_tables().all_passed
+    assert run_selftest(1e-10).all_passed
+    assert len(quadratures) == 33
+    assert sum(len(calls) for calls, _ in quadratures) == 66
+    assert sum(evaluations for _, evaluations in quadratures) == 4_323
+    assert all(calls == [66, 65] for calls, _ in quadratures)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-13, 1e-10, 1e-6, 1e-2])
+def test_battery_passes_all_twelve_checks_across_the_tolerance_range(rel_tol):
+    report = run_selftest(rel_tol)
+    assert len(report.checks) == 12 and report.all_passed
 
 
 def test_verify_builds_no_atom_and_no_natural_constants(monkeypatch):
