@@ -215,15 +215,20 @@ def _recording(f, calls):
     return recorded
 
 
-def test_calls_take_at_most_chunk_nodes():
-    # the mirror kernel converges at level 0: the half rule's 66 nodes, then level 0's 65 new ones
+def test_mirror_kernel_takes_two_integrand_calls():
+    # the mirror kernel converges at level 0: the half rule's 66 nodes, then level 0's 65 new ones,
+    # each call one 1d array
     calls = []
     result = integrate_semiinf(_recording(mirror_kernel, calls))
     assert [x.size for x in calls] == [CHUNK_NODES, 65] == [66, 65]
+    assert all(x.ndim == 1 for x in calls)
     assert result.evaluations == 131
     assert result.value == pytest.approx(3.0, rel=1e-15)
+
+
+def test_calls_take_at_most_chunk_nodes():
     # deeper levels split their new nodes into calls of CHUNK_NODES and a remainder
-    calls.clear()
+    calls = []
     result = integrate_semiinf(_recording(lambda x: np.exp(-x) * np.cos(9.0 * x), calls), QuadratureSpec(1e-12))
     sizes = [x.size for x in calls]
     assert max(sizes) == CHUNK_NODES and sum(sizes) == result.evaluations > 131
