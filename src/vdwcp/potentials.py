@@ -56,19 +56,31 @@ PAIR_DD_MOMENT = 23.0 / 4.0
 # _moments: series below _SERIES_BELOW, Taylor table up to _ASYMPTOTIC_FROM, asymptotic beyond.
 _SERIES_BELOW = 2.0
 _ASYMPTOTIC_FROM = 100.0
-# (Ci(x) - gamma - ln x) / x^2 and Si(x) / x - 1 as polynomials in x^2, highest power first
-_CI_SERIES = tuple((-1) ** m / (2 * m * math.factorial(2 * m)) for m in range(14, 0, -1))
-_SI_SERIES = tuple((-1) ** m / ((2 * m + 1) * math.factorial(2 * m + 1)) for m in range(14, 0, -1))
-# (n + 2k)! of M_n = sum_k (n + 2k)! (-1/a^2)^(k + 1), n = 4 and 5, highest k first
-_ASYMPTOTIC_SERIES = tuple(tuple(float(math.factorial(n + 2 * k)) for k in range(13, -1, -1)) for n in (4, 5))
+# _moments' coefficients are float64 0-d arrays: a ufunc converts a Python float operand to an array
+# on every call, which costs a 50-element in-place add about half its time again.
+
+
+def _horner(coefficients) -> tuple:
+    """A polynomial's coefficients, highest power first, as its top one and a list of the rest."""
+    top, *rest = (np.array(float(c)) for c in coefficients)
+    return top, rest
+
+
+# (Ci(x) - gamma - ln x) / x^2 and Si(x) / x - 1 as polynomials in x^2
+_CI_SERIES = _horner((-1) ** m / (2 * m * math.factorial(2 * m)) for m in range(14, 0, -1))
+_SI_SERIES = _horner((-1) ** m / ((2 * m + 1) * math.factorial(2 * m + 1)) for m in range(14, 0, -1))
+# (n + 2k)! of M_n = sum_k (n + 2k)! (-1/a^2)^(k + 1), n = 4 and 5, as polynomials in -1/a^2
+_ASYMPTOTIC_SERIES = tuple((n, *_horner(math.factorial(n + 2 * k) for k in range(13, -1, -1))) for n in (4, 5))
+# n! of the recurrences M_(n+2) = n! - a^2 M_n, n = 0..3
+_FACTORIALS = tuple(np.array(float(math.factorial(n))) for n in range(4))
+_EULER_GAMMA, _HALF_PI = np.array(0.5772156649015329), np.array(0.5 * math.pi)
 # U_4 by bands of a: band edges, centres, and one coefficient row per power of a - centre, highest
 # first; the top row stands apart, as slicing the tuple in every call raised the memory peak
 _TAYLOR_EDGES = np.array(moment_table.EDGES)
 _TAYLOR_CENTRES = np.array(moment_table.CENTRES)
 _TAYLOR_TOP, *_TAYLOR_ROWS = (np.array(row) for row in reversed(moment_table.COEFFICIENTS))
 # From here on every term has reached its limit in double precision; a^2 stays finite.
-_A_LIMIT = 1e100
-_EULER_GAMMA = 0.5772156649015329
+_A_LIMIT = np.array(1e100)
 # Pole pairs whose squared frequencies differ by at most this share of their sum are double poles.
 _CLOSE = 1e-2
 # 4-point Gauss-Legendre nodes on [-1, 1] and half their weights, which sum to 1.
@@ -128,6 +140,18 @@ PAIR_CHANNELS = (
     Channel.DP,
     Channel.DD,
 )
+
+
+def _layout(channels) -> tuple:
+    """Each channel's row, letters, the row of its swap (its own at a mirror) and its electric letters."""
+    return tuple(
+        (row, ch.value, channels.index(Channel(ch.value[::-1])), ch.value.count(ELECTRIC_LETTER))
+        for row, ch in enumerate(channels)
+    )
+
+
+# what _live reads of each geometry's channels, so that no walk looks up an Enum member
+_MIRROR_LAYOUT, _PAIR_LAYOUT = _layout(MIRROR_CHANNELS), _layout(PAIR_CHANNELS)
 
 
 class Regime(Enum):
@@ -213,17 +237,20 @@ def _moments(a: np.ndarray) -> np.ndarray:
     Taylor polynomial of moment_table about the centre of a's band (degree 17,
     |a - centre| <= 0.118 centre), or from _ASYMPTOTIC_FROM on
     M_n = sum_k (-1)^k (n + 2k)! / a^(2k + 2). Each element's route depends on its
-    own a only. In place on 1d arrays, where numpy takes no hidden buffers; the
-    series route, whose working set is the largest, keeps its temporaries in one
-    scratch row.
+    own a only. At tens of elements a call costs its numpy calls, not its arithmetic,
+    so each Horner loop starts from its top coefficient (0 y + c = c, bit for bit)
+    and every coefficient is a float64 0-d array. In place on 1d
+    arrays, where numpy takes no hidden buffers; the series route, whose working set
+    is the largest, keeps its temporaries in one scratch row.
     """
     moments = np.empty((6, a.size))
-    near = np.flatnonzero(a < _SERIES_BELOW)
+    near = (a < _SERIES_BELOW).nonzero()[0]
     if near.size:
-        x = a[near]
+        x = a.take(near)
         y = x * x
-        ci, si = np.zeros(x.size), np.zeros(x.size)
-        for ci_term, si_term in zip(_CI_SERIES, _SI_SERIES):
+        (ci_top, ci_series), (si_top, si_series) = _CI_SERIES, _SI_SERIES
+        ci, si = np.full(x.size, ci_top), np.full(x.size, si_top)
+        for ci_term, si_term in zip(ci_series, si_series):
             ci *= y
             ci += ci_term
             si *= y
@@ -235,7 +262,7 @@ def _moments(a: np.ndarray) -> np.ndarray:
         ci += scratch  # Ci(x)
         np.multiply(y, x, out=scratch)
         si *= scratch
-        np.subtract(0.5 * math.pi, x, out=scratch)
+        np.subtract(_HALF_PI, x, out=scratch)
         np.subtract(scratch, si, out=si)  # pi/2 - Si(x)
         np.sin(x, out=scratch)
         f, g = ci * scratch, si * scratch
@@ -245,45 +272,48 @@ def _moments(a: np.ndarray) -> np.ndarray:
         ci *= scratch
         g -= ci  # si sin - ci cos
         del ci, si, scratch
-        moments[0][near] = f / x
-        moments[1][near] = g
+        moments[0].put(near, f / x)
+        moments[1].put(near, g)
         for n, row, factor in ((2, f, x), (3, g, y), (4, f, y), (5, g, y)):
             row *= factor
-            np.subtract(math.factorial(n - 2), row, out=row)
-            moments[n][near] = row
-    asymptotic = np.flatnonzero(a >= _ASYMPTOTIC_FROM)
+            np.subtract(_FACTORIALS[n - 2], row, out=row)
+            moments[n].put(near, row)
+    asymptotic = (a >= _ASYMPTOTIC_FROM).nonzero()[0]
     if asymptotic.size:
-        w = -1.0 / a[asymptotic] ** 2
-        for n, series in zip((4, 5), _ASYMPTOTIC_SERIES):
-            total = np.zeros(w.size)
+        w = a.take(asymptotic)
+        w *= w
+        np.divide(-1.0, w, out=w)
+        for n, top, series in _ASYMPTOTIC_SERIES:
+            total = np.full(w.size, top)
             for factorial in series:
                 total *= w
                 total += factorial
-            moments[n][asymptotic] = -w * total
+            moments[n].put(asymptotic, -w * total)
         del w, total
-    taylor = np.flatnonzero((a >= _SERIES_BELOW) & (a < _ASYMPTOTIC_FROM))
+    taylor = ((a >= _SERIES_BELOW) & (a < _ASYMPTOTIC_FROM)).nonzero()[0]
     if taylor.size:
-        band = _TAYLOR_EDGES.searchsorted(a[taylor], "right")
-        offset = a[taylor] - _TAYLOR_CENTRES[band]
+        x = a.take(taylor)
+        band = _TAYLOR_EDGES.searchsorted(x, "right")
+        offset = x - _TAYLOR_CENTRES.take(band)
         # one gathered row per step: gathering all rows at once raised the manyline memory peak by half
-        u4 = _TAYLOR_TOP[band]
+        u4 = _TAYLOR_TOP.take(band)
         for row in _TAYLOR_ROWS:
             u4 *= offset
-            u4 += row[band]
+            u4 += row.take(band)
         del band, offset
-        moments[4][taylor] = u4.imag / a[taylor]
-        moments[5][taylor] = u4.real.copy()  # a strided source takes a hidden buffer
-        del u4
-    far = np.flatnonzero(a >= _SERIES_BELOW)
+        moments[4].put(taylor, u4.imag / x)
+        moments[5].put(taylor, u4.real)  # put copies a strided source whole; [] = would take a hidden buffer
+        del u4, x
+    far = (a >= _SERIES_BELOW).nonzero()[0]
     if far.size:
-        x = a[far]
+        x = a.take(far)
         x *= x
         np.divide(1.0, x, out=x)
         for n in (3, 2, 1, 0):
-            row = moments[n + 2][far]
-            np.subtract(math.factorial(n), row, out=row)
+            row = moments[n + 2].take(far)
+            np.subtract(_FACTORIALS[n], row, out=row)
             row *= x
-            moments[n][far] = row
+            moments[n].put(far, row)
     return moments
 
 
@@ -294,13 +324,21 @@ def _term_values(kind: str, a: np.ndarray, moments: np.ndarray) -> np.ndarray:
     cross_out, t^2 = (a^2 + t^2) - a^2 without the constant, gives -a^4 sum q_n M_n.
     """
     def combine(kind):
-        return sum(q * row for q, row in zip(_KERNELS[kind], moments) if q)
+        terms = ((q, row) for q, row in zip(_KERNELS[kind], moments) if q)
+        q, row = next(terms)
+        # no 0 + before the first product: that only turns a -0.0 into 0.0, and every kind's last q
+        # is positive, so over moments that are not -0.0 the sum keeps its bits
+        total = q * row
+        for q, row in terms:
+            total += q * row
+        return total
 
     a2 = a * a
     values = combine(kind)
     if kind == "cross2":
-        near = np.flatnonzero(a < _SERIES_BELOW)
-        values[near] = (a2 * combine("cross2_near"))[near]
+        near = (a < _SERIES_BELOW).nonzero()[0]
+        if near.size:
+            values[near] = (a2 * combine("cross2_near"))[near]
     elif kind == "cross_out":
         values *= -a2
     values *= a2
@@ -328,13 +366,13 @@ def _partial_fractions(sides) -> list:
     [(others, other_shares)] = other
 
     def residues(squares, partners, partner_shares):
-        sums, close = np.empty(squares.size), []
+        sums, close, weights = np.empty(squares.size), [], partner_shares * partners
         for j, square in enumerate(squares.tolist()):
             gap = partners - square
             near = np.abs(gap) <= _CLOSE * (partners + square)
-            far = np.flatnonzero(~near)
-            sums[j] = np.sum(partner_shares[far] * partners[far] / gap[far])
-            close += [(j, k) for k in np.flatnonzero(near).tolist()]
+            far = (~near).nonzero()[0]
+            sums[j] = (weights[far] / gap[far]).sum()
+            close += [(j, k) for k in near.nonzero()[0].tolist()]
         return sums, close
 
     sums, close = residues(omegas**2, others**2, other_shares)
@@ -447,7 +485,9 @@ def _channel_integrals(channels, scales: np.ndarray):
     for first in range(0, scales.size, step):
         block = scales[first : first + step]
         for frequencies, names, table, cap in zip(arrays, kinds, tables, caps):
-            a = np.minimum(np.multiply.outer(block, frequencies), _A_LIMIT).ravel()
+            a = np.multiply.outer(block, frequencies)
+            np.minimum(a, _A_LIMIT, out=a)
+            a = a.ravel()
             rows = table.reshape(len(names), -1)
             for start in range(0, a.size, cap):
                 part = a[start : start + cap]
@@ -478,22 +518,21 @@ def _finite_channel(value: float, channel: Channel, name: str, d: float) -> floa
     return value
 
 
-def _live(channels, responses: list, self_pair: bool):
-    """Each channel without a zero static: rows it fills, electric letters, statics and poles.
+def _live(layout: tuple, responses: list, self_pair: bool):
+    """Each channel of a _layout without a zero static: rows it fills, electric letters, statics and poles.
 
     The statics come smaller first; the poles are those of the sides whose ratio is not 1.
     A self-pair's rows are a channel's and its swap's: ep, de and dp fill pe, ed and pd
     too. A generator, which _channel_values takes twice: a list of every channel raised
     the verify memory peak.
     """
-    for row, ch in enumerate(channels):
-        if not (self_pair and ch.value[0] > ch.value[1]):
-            picked = [side[letter] for side, letter in zip(responses, ch.value)]
+    for row, letters, swap, electric in layout:
+        if not (self_pair and letters[0] > letters[1]):
+            picked = [side[letter] for side, letter in zip(responses, letters)]
             statics = sorted(static for static, _ in picked)
             if 0.0 not in statics:
                 sides = [poles for _, poles in picked if poles is not None]
-                rows = [row, channels.index(Channel(ch.value[::-1]))] if self_pair else row
-                yield rows, ch.value.count(ELECTRIC_LETTER), statics, sides
+                yield [row, swap] if self_pair else row, electric, statics, sides
 
 
 def _channel_values(
@@ -511,12 +550,12 @@ def _channel_values(
     """
     hbar, c = consts.hbar, consts.c
     if plate is None:
-        channels, name, kernel, moment = PAIR_CHANNELS, "separation l", None, PAIR_DD_MOMENT
-        sign, unit = -1.0, 1.0
+        channels, layout, name, kernel = PAIR_CHANNELS, _PAIR_LAYOUT, "separation l", None
+        moment, sign, unit = PAIR_DD_MOMENT, -1.0, 1.0
         bases = _prefactors(hbar * consts.mu0**2 * c, 16.0 * np.pi**3, distances, 7, name)
     else:
-        channels, name, kernel, moment = MIRROR_CHANNELS, "mirror distance z", "mirror", MIRROR_D_MOMENT
-        sign, unit = plate.sign, consts.mu0
+        channels, layout, name, kernel = MIRROR_CHANNELS, _MIRROR_LAYOUT, "mirror distance z", "mirror"
+        moment, sign, unit = MIRROR_D_MOMENT, plate.sign, consts.mu0
         bases = _prefactors(hbar * c, 32.0 * np.pi**2, distances, 4, name)
     self_pair = len(atoms) == 2 and atoms[1] is atoms[0]
     responses = [
@@ -526,14 +565,14 @@ def _channel_values(
     integrals = _channel_integrals(
         [
             (kernel or ("cross" if electric == 1 else "same"), sides)
-            for _, electric, _, sides in _live(channels, responses, self_pair)
+            for _, electric, _, sides in _live(layout, responses, self_pair)
             if sides
         ],
         2.0 * distances / c,
     )
     values = np.zeros((len(channels), distances.size))
     with np.errstate(over="ignore", invalid="ignore"):  # the scan below names what left the float range
-        for rows, electric, statics, sides in _live(channels, responses, self_pair):
+        for rows, electric, statics, sides in _live(layout, responses, self_pair):
             integral = next(integrals) if sides else moment
             value = bases * (sign * (-1) ** electric * unit * c ** (2 * electric))
             for static in statics:  # the smaller first: no product of statics leaves the float range

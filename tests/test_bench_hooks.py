@@ -53,8 +53,9 @@ def test_bench_tracer_installs_and_restores(bench):
 @pytest.mark.parametrize("name", ["pair_composite", "manyline", "verify"])
 def test_bench_workload_request_runs(bench, monkeypatch, tmp_path, name):
     # one timed call as the benchmark makes it: a name, option or keyword a refactor drops fails here.
-    # Its _moments calls are pinned too: the tracer has no span for them, so a changed call pattern shows here
-    moment_calls = {"pair_composite": 8, "manyline": 82, "verify": 8}[name]
+    # Its _moments calls and their elements are pinned too: the tracer has no span for them, so a changed
+    # call pattern shows here, also where the number of calls holds
+    moment_calls, moment_elements = {"pair_composite": (8, 244), "manyline": (82, 4142), "verify": (8, 120)}[name]
     workload = bench("workloads").WORKLOADS[name](1, tmp_path)
     calls = []
     real = vdwcp.potentials._moments
@@ -62,4 +63,4 @@ def test_bench_workload_request_runs(bench, monkeypatch, tmp_path, name):
     output = workload.request()
     if name == "pair_composite":
         assert output == 0, "vdwcp pair exited with an error"
-    assert len(calls) == moment_calls
+    assert (len(calls), sum(calls)) == (moment_calls, moment_elements)

@@ -1,5 +1,6 @@
 """Potential channels against closed forms, symmetries and curve plumbing."""
 
+import hashlib
 import importlib.util
 import math
 import sys
@@ -743,6 +744,26 @@ def test_each_moment_element_is_its_own_one_point_run():
     moments = vdwcp.potentials._moments(a)
     for i in range(a.size):
         assert np.array_equal(moments[:, i], vdwcp.potentials._moments(a[i : i + 1])[:, 0]), a[i]
+
+
+# sha256 of the float64 bits of _moments and of _term_values of every kernel kind, over every route:
+# the sweep in one call (series, Taylor bands, edges, asymptotic), and its elements from 2 on in another,
+# where no element takes cross2_near. np.log, np.sin and np.cos take their last bits from numpy's build
+# and the CPU's SIMD paths, so a new platform may need this pin taken again, at a commit known to be right.
+KERNEL_BITS = "2ee29613c37d2348cca1de9c567320a605ab3ba9acd1afabcb93a1dfef7bbeb2"
+
+
+def test_kernel_layer_keeps_its_bits():
+    below = np.geomspace(1e-6, 2.0, 300, endpoint=False)
+    asymptotic = np.geomspace(100.0, float(vdwcp.potentials._A_LIMIT), 300)
+    sweep = np.concatenate([below, _moment_sweep(), asymptotic])
+    digest = hashlib.sha256()
+    for a in (sweep, sweep[sweep >= 2.0]):
+        moments = vdwcp.potentials._moments(a)
+        digest.update(moments.tobytes())
+        for kind in vdwcp.potentials._KERNELS:
+            digest.update(vdwcp.potentials._term_values(kind, a, moments).tobytes())
+    assert digest.hexdigest() == KERNEL_BITS
 
 
 # -- curves against one-point runs ------------------------------------------------
