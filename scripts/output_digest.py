@@ -2,7 +2,6 @@
 """Print one sha256 over a fixed corpus of vdwcp outputs, to show that a change keeps every bit.
 
     python3 scripts/output_digest.py 2> parts.txt
-    python3 scripts/output_digest.py --expect SHA256   # exit 1 unless the digest is SHA256
 
 The corpus is the bytes and exit codes of the `pair`, `mirror`, `slopes`,
 `tables` and `selftest` commands (SI and natural units, CSV and JSON) on the
@@ -37,11 +36,7 @@ Last, it prints one line per unit system and curve family with the number
 of _moments calls its curves made and the elements they took, so that a
 change to the engine's call pattern shows next to the bits it kept. These
 counters are not part of any digest.
-
-With --expect SHA256 it exits 1 when the stdout digest is not SHA256 and 0
-when it is, so one exit status tells whether a change kept every bit.
 """
-import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -247,10 +242,7 @@ def _label(argv: list[str]) -> str:
     return f"{'si' if hydrogen else 'natural'} command {' '.join(words)}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Print one sha256 over a fixed corpus of vdwcp outputs.")
-    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the stdout digest is this one")
-    expect = parser.parse_args(argv).expect
+def main() -> int:
     digest, parts = hashlib.sha256(), {}
 
     def part(name: str):
@@ -301,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{oracles} oracle quadratures and values", file=sys.stderr)
     for name, (calls, elements) in counters.items():
         print(f"{calls} _moments calls, {elements} elements  {name}", file=sys.stderr)
-    if expect is not None and digest.hexdigest() != expect.lower():
-        print(f"digest {digest.hexdigest()} is not the expected {expect}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -80,7 +80,7 @@ _TAYLOR_EDGES = np.array(moment_table.EDGES)
 _TAYLOR_CENTRES = np.array(moment_table.CENTRES)
 _TAYLOR_TOP, *_TAYLOR_ROWS = (np.array(row) for row in reversed(moment_table.COEFFICIENTS))
 # From here on every term has reached its limit in double precision; a^2 stays finite.
-_A_LIMIT = np.array(1e100)
+_A_LIMIT = 1e100
 # Pole pairs whose squared frequencies differ by at most this share of their sum are double poles.
 _CLOSE = 1e-2
 # 4-point Gauss-Legendre nodes on [-1, 1] and half their weights, which sum to 1.
@@ -326,8 +326,9 @@ def _term_values(kind: str, a: np.ndarray, moments: np.ndarray) -> np.ndarray:
     def combine(kind):
         terms = ((q, row) for q, row in zip(_KERNELS[kind], moments) if q)
         q, row = next(terms)
-        # no 0 + before the first product: that only turns a -0.0 into 0.0, and every kind's last q
-        # is positive, so over moments that are not -0.0 the sum keeps its bits
+        # no 0 + before the first product: 0 + s differs from s only where s is -0.0, and the sum is
+        # -0.0 only where every term is; every kind has a positive q, whose term is -0.0 only over a
+        # moment that is -0.0 or negative, and no M_n, the integral of a positive integrand, is
         total = q * row
         for q, row in terms:
             total += q * row
@@ -485,9 +486,7 @@ def _channel_integrals(channels, scales: np.ndarray):
     for first in range(0, scales.size, step):
         block = scales[first : first + step]
         for frequencies, names, table, cap in zip(arrays, kinds, tables, caps):
-            a = np.multiply.outer(block, frequencies)
-            np.minimum(a, _A_LIMIT, out=a)
-            a = a.ravel()
+            a = np.minimum(np.multiply.outer(block, frequencies), _A_LIMIT).ravel()
             rows = table.reshape(len(names), -1)
             for start in range(0, a.size, cap):
                 part = a[start : start + cap]

@@ -739,31 +739,72 @@ def test_moments_match_mpmath_across_the_taylor_bands():
 
 
 def test_each_moment_element_is_its_own_one_point_run():
-    # series, Taylor bands, band edges and the asymptotic series in one call
+    # series, Taylor bands, band edges and the asymptotic series in one call; and each kind's terms,
+    # where a one-point run from 2 on takes no cross2_near
     a = np.array([1e-9, 0.3, 1.999, 2.0, 2.5, 2.7, 9.5367431640625, 40.0, 99.99, 100.0, 150.0, 1e100])
     moments = vdwcp.potentials._moments(a)
+    terms = {kind: vdwcp.potentials._term_values(kind, a, moments) for kind in vdwcp.potentials._KERNELS}
     for i in range(a.size):
-        assert np.array_equal(moments[:, i], vdwcp.potentials._moments(a[i : i + 1])[:, 0]), a[i]
+        one = vdwcp.potentials._moments(a[i : i + 1])
+        assert np.array_equal(moments[:, i], one[:, 0]), a[i]
+        for kind, values in terms.items():
+            assert values[i] == vdwcp.potentials._term_values(kind, a[i : i + 1], one)[0], (kind, a[i])
 
 
-# sha256 of the float64 bits of _moments and of _term_values of every kernel kind, over every route:
-# the sweep in one call (series, Taylor bands, edges, asymptotic), and its elements from 2 on in another,
-# where no element takes cross2_near. np.log, np.sin and np.cos take their last bits from numpy's build
-# and the CPU's SIMD paths, so a new platform may need this pin taken again, at a commit known to be right.
-KERNEL_BITS = "2ee29613c37d2348cca1de9c567320a605ab3ba9acd1afabcb93a1dfef7bbeb2"
+def _kernel_digests() -> dict:
+    """Per route, the sha256 (first 16 hex digits) of the float64 bits of _moments and of each kind's terms.
+
+    One call takes every route at once: 300 points below 2, the sweep (Taylor bands, edges) and
+    300 asymptotic points from 100 to _A_LIMIT; the digests split its elements by route.
+    """
+    below = np.geomspace(1e-6, 2.0, 300, endpoint=False)
+    asymptotic = np.geomspace(100.0, vdwcp.potentials._A_LIMIT, 300)
+    a = np.concatenate([below, _moment_sweep(), asymptotic])
+    moments = vdwcp.potentials._moments(a)
+    layers = {"moments": moments}
+    for kind in vdwcp.potentials._KERNELS:
+        layers[kind] = vdwcp.potentials._term_values(kind, a, moments)
+    routes = {"series": a < 2.0, "taylor": (a >= 2.0) & (a < 100.0), "asymptotic": a >= 100.0}
+    return {
+        f"{route} {name}": hashlib.sha256(np.ascontiguousarray(layer[..., mask]).tobytes()).hexdigest()[:16]
+        for route, mask in routes.items()
+        for name, layer in layers.items()
+    }
+
+
+# _kernel_digests() taken at a commit known to be right. np.log, np.sin and np.cos take their last bits
+# from numpy's build and the CPU's SIMD paths, so on a new platform the series route may need them
+# taken again; a failure names each route and layer that moved.
+KERNEL_BITS = {
+    "series moments": "82a6c26ab5557252",
+    "series mirror": "3a6586ccdd896d5f",
+    "series same": "91caa7d30c831174",
+    "series same2": "3e8beffe1b17b0ed",
+    "series cross": "b55fec24860148ac",
+    "series cross_out": "ac42ab4fbfe4ab69",
+    "series cross2": "10bb0fd187f5c955",
+    "series cross2_near": "600fa534493fa05e",
+    "taylor moments": "68314d79ff2aef9b",
+    "taylor mirror": "e2711fbeb29a3a06",
+    "taylor same": "2667824065e67433",
+    "taylor same2": "e7273f14de2e9ca2",
+    "taylor cross": "2fafbff181786cc6",
+    "taylor cross_out": "45c31e0f1fa80cb8",
+    "taylor cross2": "07ab6889594fa401",
+    "taylor cross2_near": "a7256d4521ff9915",
+    "asymptotic moments": "e404b47ee8dbbf13",
+    "asymptotic mirror": "04e86130363c2691",
+    "asymptotic same": "27502ab6498b43ee",
+    "asymptotic same2": "196981e082496b97",
+    "asymptotic cross": "ef8bae5722d1c5e5",
+    "asymptotic cross_out": "0aad461cd420f437",
+    "asymptotic cross2": "f0a24d2e5cc1ace4",
+    "asymptotic cross2_near": "cf86ee04ae293ca6",
+}
 
 
 def test_kernel_layer_keeps_its_bits():
-    below = np.geomspace(1e-6, 2.0, 300, endpoint=False)
-    asymptotic = np.geomspace(100.0, float(vdwcp.potentials._A_LIMIT), 300)
-    sweep = np.concatenate([below, _moment_sweep(), asymptotic])
-    digest = hashlib.sha256()
-    for a in (sweep, sweep[sweep >= 2.0]):
-        moments = vdwcp.potentials._moments(a)
-        digest.update(moments.tobytes())
-        for kind in vdwcp.potentials._KERNELS:
-            digest.update(vdwcp.potentials._term_values(kind, a, moments).tobytes())
-    assert digest.hexdigest() == KERNEL_BITS
+    assert _kernel_digests() == KERNEL_BITS
 
 
 # -- curves against one-point runs ------------------------------------------------
