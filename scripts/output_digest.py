@@ -33,9 +33,9 @@ units, and SI with the corpus scales), and the value each of those returns;
 a ConvergenceError hashes a marker and its best estimate.
 
 Last, it prints one line per unit system and curve family with the number
-of _moments calls its curves made and the elements they took, so that a
-change to the engine's call pattern shows next to the bits it kept. These
-counters are not part of any digest.
+of _moments calls its curves made, the elements they took and the largest
+call, so that a change to the engine's call pattern and working set shows
+next to the bits it kept. These counters are not part of any digest.
 """
 import contextlib
 import dataclasses
@@ -161,21 +161,19 @@ def _curves(atoms, partners, units=UnitSystem.NATURAL, scale=1.0):
 
 
 def _counted(curves, units: str, counters: dict):
-    """curves, adding each curve's _moments calls and elements to counters[f"{units} {family}"]."""
-    tally = [0, 0]
+    """curves, adding each curve's _moments calls, elements and largest call to counters[f"{units} {family}"]."""
+    sizes = []
     real = potentials._moments
 
     def counting(a):
-        tally[0] += 1
-        tally[1] += a.size
+        sizes.append(a.size)
         return real(a)
 
     with mock.patch.object(potentials, "_moments", counting):
         for family, curve in curves:
-            counter = counters.setdefault(f"{units} {family}", [0, 0])
-            counter[0] += tally[0]
-            counter[1] += tally[1]
-            tally[:] = [0, 0]
+            calls, elements, largest = counters.get(f"{units} {family}", (0, 0, 0))
+            counters[f"{units} {family}"] = calls + len(sizes), elements + sum(sizes), max([largest, *sizes])
+            sizes.clear()
             yield family, curve
 
 
@@ -291,8 +289,8 @@ def main() -> int:
     print(f"{len(commands)} command outputs, {count} curves in natural units and as many in SI", file=sys.stderr)
     print(f"{closed} closed-form values in natural units and SI", file=sys.stderr)
     print(f"{oracles} oracle quadratures and values", file=sys.stderr)
-    for name, (calls, elements) in counters.items():
-        print(f"{calls} _moments calls, {elements} elements  {name}", file=sys.stderr)
+    for name, (calls, elements, largest) in counters.items():
+        print(f"{calls} _moments calls, {elements} elements, largest {largest}  {name}", file=sys.stderr)
     return 0
 
 

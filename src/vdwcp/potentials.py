@@ -86,7 +86,8 @@ _CLOSE = 1e-2
 # 4-point Gauss-Legendre nodes on [-1, 1] and half their weights, which sum to 1.
 _GAUSS_NODES = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
 _GAUSS_WEIGHTS = (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269)
-# Elements per _moments call, or one distance's row of an array where that is longer; and of a block of distances.
+# Elements of the longest side or of the nodes in a block of distances, or one distance where that is longer;
+# a block makes one _moments call per array.
 _BLOCK = 32
 # q_n of the sums sum_n q_n M_n of _term_values per unit of x (for a pair dx = dt/2, x^2 = t^2/4):
 # e^-t (1 + t + t^2/2), (3 + 3t + 5t^2/4 + t^3/4 + t^4/16) e^-t / 2, t^2 (1 + t/2)^2 e^-t / 8 and
@@ -429,11 +430,13 @@ def _channel_integrals(channels, scales: np.ndarray):
     of one or two terms is one rounding, so _row_sums takes it by column with
     fsum's bits. The lines (every side's frequencies once) and the
     Gauss-Legendre nodes of all channels' close pairs form two arrays, which
-    take their moments over blocks of the fewest distances that cost the curve
-    the fewest calls, no more than _BLOCK of the longest side or of the nodes
-    fill. An array's row, its elements at one distance, is never split: its
-    calls take at most max(_BLOCK, row) elements, so a call's working set
-    grows with the curve's lines or nodes, never with its grid. A two-sided
+    take their moments in one call per array per block of distances. A block
+    holds at most max(1, _BLOCK // widest) distances, widest being the longest
+    side or the nodes, and blocks differ by at most one distance. A call is
+    whole rows, an array's elements at one distance: at most 2 _BLOCK elements
+    at a mirror, 4 _BLOCK for a pair's lines (one per side) and _BLOCK for the
+    nodes, or one row where widest is longer than _BLOCK, so a call's working
+    set never grows with the grid. A two-sided
     crossed channel takes t^2 out (cross_out) where all its simple poles have
     A < _SERIES_BELOW: keeping it in cancels to the order of A there, taking
     it out to A^-2 elsewhere.
@@ -471,29 +474,21 @@ def _channel_integrals(channels, scales: np.ndarray):
     widest = max([omegas.size for omegas in lines] + [sum(node.size for node in nodes)])
     arrays = [np.concatenate(group) if len(group) > 1 else group[0] for group in (lines, nodes) if group]
     del lines, starts, nodes
-
-    caps = [max(_BLOCK, f.size) for f in arrays]  # a distance's row of an array is never split
-
-    def calls(step):
-        full, rest = divmod(scales.size, step)
-        return sum(full * -(-step * f.size // cap) + -(-rest * f.size // cap) for f, cap in zip(arrays, caps))
-
-    step = min(range(1, min(max(1, _BLOCK // widest), scales.size) + 1), key=calls)
+    blocks = -(-scales.size // max(1, _BLOCK // widest))
+    step = -(-scales.size // blocks)
     tables = [np.empty((len(names), step, f.size)) for f, names in zip(arrays, kinds)]
     most_terms = max(width for _, width, _ in plans)
 
     integrals = np.empty((len(plans), scales.size))
-    for first in range(0, scales.size, step):
-        block = scales[first : first + step]
-        for frequencies, names, table, cap in zip(arrays, kinds, tables, caps):
+    bounds = [-(-i * scales.size // blocks) for i in range(blocks + 1)]  # blocks of step or step - 1 distances
+    for first, last in zip(bounds, bounds[1:]):
+        block = scales[first:last]
+        for frequencies, names, table in zip(arrays, kinds, tables):
             a = np.minimum(np.multiply.outer(block, frequencies), _A_LIMIT).ravel()
-            rows = table.reshape(len(names), -1)
-            for start in range(0, a.size, cap):
-                part = a[start : start + cap]
-                moments = _moments(part)
-                for kind, row in zip(names, rows):
-                    row[start : start + part.size] = _term_values(kind, part, moments)
-                del moments
+            moments = _moments(a)
+            for kind, row in zip(names, table.reshape(len(names), -1)):
+                row[: a.size] = _term_values(kind, a, moments)
+            del moments
         # a channel's terms, a row per distance; allocated after the moments, to keep out of their peak
         points = np.empty((block.size, most_terms))
         for out, (switch, width, terms) in zip(integrals, plans):
@@ -505,7 +500,7 @@ def _channel_integrals(channels, scales: np.ndarray):
                     np.multiply(table[row_out][:switch, positions], c, out=points[:switch, columns])
                 if switch < block.size:
                     np.multiply(table[row][switch : block.size, positions], c, out=points[switch:, columns])
-            _row_sums(points, width, out[first : first + block.size])
+            _row_sums(points, width, out[first:last])
         del points
     return iter(integrals)
 
@@ -725,8 +720,9 @@ class PotentialCurve:
                 raise ValueError(f"channel {ch.value} length does not match distances")
         object.__setattr__(self, "values", values)
         if self.plate is None:
-            # per column of one (9, n) array: .tolist() and zip raised the verify memory peak by half
-            total = np.array([math.fsum(point) for point in np.array(list(values.values())).T])
+            # per column of one (9, n) array, its floats read through .data: .tolist() and zip raised the
+            # verify memory peak by half, and iterating the column itself makes a numpy scalar per float
+            total = np.array([math.fsum(point.data) for point in np.array(list(values.values())).T])
         else:
             total = values[Channel.E] + (values[Channel.P] + values[Channel.D])
         object.__setattr__(self, "total", total)

@@ -55,7 +55,7 @@ def test_bench_workload_request_runs(bench, monkeypatch, tmp_path, name):
     # one timed call as the benchmark makes it: a name, option or keyword a refactor drops fails here.
     # Its _moments calls and their elements are pinned too: the tracer has no span for them, so a changed
     # call pattern shows here, also where the number of calls holds
-    moment_calls, moment_elements = {"pair_composite": (8, 244), "manyline": (82, 4142), "verify": (8, 120)}[name]
+    moment_calls, moment_elements = {"pair_composite": (2, 244), "manyline": (82, 4142), "verify": (8, 120)}[name]
     workload = bench("workloads").WORKLOADS[name](1, tmp_path)
     calls = []
     real = vdwcp.potentials._moments

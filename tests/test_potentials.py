@@ -841,10 +841,20 @@ def test_curves_are_bitwise_one_point_runs(
         assert pair.total[i] == point.total[0]
 
 
+def _assert_whole_row_blocks(sizes, rows, widest, distances):
+    """sizes are a curve's _moments calls, rows each array's elements at one distance (lines, then nodes)."""
+    # a block is one call per array, each of whole rows of the block's distances
+    counts = [size // rows[0] for size in sizes[:: len(rows)]]
+    assert sizes == [count * row for count in counts for row in rows]
+    assert sum(counts) == distances
+    assert max(counts) <= max(1, vdwcp.potentials._BLOCK // widest) and max(counts) - min(counts) <= 1
+
+
 @pytest.mark.parametrize("electric", [1, 3, 30, 40])
 def test_moment_calls_stay_within_the_block(monkeypatch, electric):
-    # the engine's working set: a row is one distance's elements of an array, the lines or the nodes;
-    # a _moments call takes at most max(_BLOCK, row) elements, and a row longer than _BLOCK is one call
+    # the engine's working set: a row is one distance's elements of an array, the lines or the nodes; a
+    # _moments call is whole rows of one array, at most max(1, _BLOCK // widest) distances of them, so at most
+    # 2 _BLOCK lines for these two sides (or one row, where a side is longer) and max(_BLOCK, row) nodes
     sizes = []
     real = vdwcp.potentials._moments
 
@@ -860,11 +870,35 @@ def test_moment_calls_stay_within_the_block(monkeypatch, electric):
     ):
         sizes.clear()
         curve()
-        nodes, rest = divmod(sum(sizes) - grid.size * (electric + 2), grid.size)  # each element once a distance
-        rows = [row for row in (electric + 2, nodes) if row]
-        assert rest == 0 and max(sizes) <= max([block] + rows)
-        long_rows = [row for row in rows if row > block]
-        assert sorted(size for size in sizes if size > block) == sorted(grid.size * long_rows)
+        lines = electric + 2
+        nodes, rest = divmod(sum(sizes) - grid.size * lines, grid.size)  # each element once a distance
+        assert rest == 0
+        rows = [row for row in (lines, nodes) if row]
+        _assert_whole_row_blocks(sizes, rows, max(electric, 2, nodes), grid.size)
+        bounds = [max(2 * block, lines), max(block, nodes)]
+        assert all(size <= bounds[i % len(rows)] for i, size in enumerate(sizes))
+
+
+@pytest.mark.parametrize(
+    "electric, magnetic, distances, calls",
+    [
+        # 12 lines a distance, which no cut at _BLOCK elements keeps whole; blocks of at most 32 // 6 = 5
+        pytest.param(6, 6, 10, [60, 60], id="6+6"),
+        # 15 lines a distance, blocks of at most 32 // 10 = 3 distances
+        pytest.param(10, 5, 9, [45, 45, 45], id="10+5"),
+    ],
+)
+def test_a_moment_call_is_whole_rows_of_one_array(monkeypatch, electric, magnetic, distances, calls):
+    sizes = []
+    real = vdwcp.potentials._moments
+    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: sizes.append(a.size) or real(a))
+    atom = _atom(np.geomspace(0.5, 5.0, electric).tolist(), np.geomspace(0.7, 3.0, magnetic).tolist())
+    mirror_curve(atom, np.geomspace(0.01, 100.0, distances), PlateKind.CONDUCTING, UnitSystem.NATURAL)
+    assert sizes == calls
+    for n in range(1, 41):  # blocks of every grid differ by at most one distance
+        sizes.clear()
+        mirror_curve(atom, np.geomspace(0.01, 100.0, n), PlateKind.CONDUCTING, UnitSystem.NATURAL)
+        _assert_whole_row_blocks(sizes, [electric + magnetic], max(electric, magnetic), n)
 
 
 def _lines_atom(magnetic):
@@ -919,12 +953,11 @@ def _ladder_atom(lines, shift=1.0):
     )
 
 
-@pytest.mark.parametrize("lines, mirror, pair", [(10, 6, 9), (6, 4, 7), (5, 3, 6), (3, 2, 4)])
+@pytest.mark.parametrize("lines, mirror, pair", [(10, 3, 3), (6, 2, 2), (5, 2, 2), (3, 1, 1)])
 def test_shared_lines_take_no_more_moment_calls_than_each_side_apart(monkeypatch, lines, mirror, pair):
-    # 9 distances, no close pairs. Each side in an array of its own took, mirror and pair:
-    # 10 lines 6 and 12 (3 distances of 10 lines per call), 6 lines 4 and 8, 5 lines 4 and 8,
-    # 3 lines 2 and 4; one array of all 20 lines in blocks of 32 // 20 = 1 distance took 9 and 18.
-    # The 10-line pair's 40 lines a distance are one call each, 9 in all
+    # 9 distances, no close pairs, blocks of at most 32 // lines distances: 3, 2, 2 and 1 blocks. Each side
+    # in an array of its own takes a call per block, mirror and pair: 10 lines 6 and 12, 6 lines 4 and 8,
+    # 5 lines 4 and 8, 3 lines 2 and 4; one array of all the lines takes one call per block
     calls = []
     real = vdwcp.potentials._moments
     monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
@@ -934,17 +967,6 @@ def test_shared_lines_take_no_more_moment_calls_than_each_side_apart(monkeypatch
     calls.clear()
     pair_curve(_ladder_atom(lines), _ladder_atom(lines, 1.37), grid, UnitSystem.NATURAL)
     assert len(calls) == pair
-
-
-def test_block_search_takes_fewer_moment_calls_than_the_widest_side_rule(monkeypatch):
-    # 10 electric and 5 magnetic lines, 15 a distance, on 9 distances: blocks of 2 distances take 4 calls of
-    # 30 elements and 1 of 15; min(_BLOCK // 10, 9) = 3 distances a block would take 3 x 2 calls of 32 and 13
-    calls = []
-    real = vdwcp.potentials._moments
-    monkeypatch.setattr(vdwcp.potentials, "_moments", lambda a: calls.append(a.size) or real(a))
-    atom = _atom(np.geomspace(0.5, 5.0, 10).tolist(), np.geomspace(0.7, 3.0, 5).tolist())
-    mirror_curve(atom, np.geomspace(0.01, 100.0, 9), PlateKind.CONDUCTING, UnitSystem.NATURAL)
-    assert calls == [30, 30, 30, 30, 15]
 
 
 @pytest.mark.parametrize("magnetic", [[0.6, 0.6012, 1.3, 2.9], [0.5, 0.5, 1.0001, 4.99]])
